@@ -194,6 +194,11 @@ _NON_NEGATIVE_INTS = [
     "memory.access_latency", "links.numa_latency", "seeds.master",
 ]
 
+_BOOLS = [
+    "npu.reuse_last_translation", "npu.mirror_write_traffic",
+    "mmu.charge_walk_bandwidth",
+]
+
 
 def validate(cfg: Dict[str, Any]) -> List[str]:
     """Return a list of "key.path: problem" strings; empty means valid."""
@@ -223,6 +228,10 @@ def validate(cfg: Dict[str, Any]) -> List[str]:
         v = lookup(path)
         if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
             errors.append(f"{path}: must be a non-negative integer, got {v!r}")
+    for path in _BOOLS:
+        v = lookup(path)
+        if v is not None and not isinstance(v, bool):
+            errors.append(f"{path}: must be true or false, got {v!r}")
     for path in ("energy.pj_walk_dram", "energy.pj_prmb", "energy.pj_tlb",
                  "energy.pj_tpr", "workload.zipf_s"):
         v = lookup(path)

@@ -145,7 +145,8 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
         elif strat in ("numa_slow", "numa_fast"):
             kind = strat.split("_")[1]
             link = nvlink if kind == "fast" else pcie
-            bd = run_numa(trace, model, link_kind=kind, mmu=mmu, dram=dram)
+            bd = run_numa(trace, model, link_kind=kind, mmu=mmu, dram=dram,
+                          link=link)
             breakdowns.append(bd)
         else:
             ps = PageSize.SMALL_4K if strat == "demand_4k" else PageSize.LARGE_2M

@@ -60,17 +60,7 @@ class Dram:
         """Accept a transaction at `now`; return its completion cycle."""
         if nbytes <= 0:
             raise ValueError("transaction must carry at least one byte")
-        if now > self._cursor:
-            self._cursor = now
-            self._tokens = self.cfg.bandwidth_bytes_per_cycle
-        remaining = nbytes
-        while remaining > 0:
-            take = min(remaining, self._tokens)
-            remaining -= take
-            self._tokens -= take
-            if self._tokens == 0 and remaining > 0:
-                self._cursor += 1
-                self._tokens = self.cfg.bandwidth_bytes_per_cycle
+        self._take(nbytes, now)
         self.bytes_issued += nbytes
         self.txns += 1
         return self._cursor + self.cfg.access_latency
@@ -81,8 +71,11 @@ class Dram:
         Walk latency is charged separately by the walker timing, so only the
         token bucket is touched here.
         """
-        if nbytes <= 0:
-            return
+        if nbytes > 0:
+            self._take(nbytes, now)
+
+    def _take(self, nbytes: int, now: int) -> None:
+        """Debit `nbytes` from the token bucket, starting no earlier than `now`."""
         if now > self._cursor:
             self._cursor = now
             self._tokens = self.cfg.bandwidth_bytes_per_cycle

@@ -40,7 +40,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .address_space import PageSize, indices_of_vpn
 from .memory import Dram
@@ -80,11 +80,15 @@ class SubmitResult:
     status: SubmitStatus
     request_id: Optional[int] = None
     done_cycle: Optional[int] = None      # for TLB hits
-    walker_id: Optional[int] = None       # for new walks
 
     @property
     def accepted(self) -> bool:
         return self.status is not SubmitStatus.BLOCKED
+
+
+# Most submits of a walker-bound run are blocked retries; they all share
+# this one immutable result.
+_BLOCKED = SubmitResult(SubmitStatus.BLOCKED)
 
 
 @dataclass(frozen=True)
@@ -170,51 +174,54 @@ class TranslationEngine:
         return self.stats.accepted - self.stats.completions
 
     def submit(self, vpn: int, now: int, origin: str = "dma") -> SubmitResult:
-        self.stats.submitted += 1
-        if self.cfg.mode == "oracle":
+        stats, cfg = self.stats, self.cfg
+        stats.submitted += 1
+        if cfg.mode == "oracle":
             return self._submit_oracle(vpn, now, origin)
 
-        self.stats.tlb_accesses += 1
+        stats.tlb_accesses += 1
         frame = self._tlb.get(vpn)
         if frame is not None:
             self._tlb.move_to_end(vpn)
-            self.stats.tlb_hits += 1
+            stats.tlb_hits += 1
             rid = self._new_request()
-            done = now + self.cfg.tlb_hit_latency
+            done = now + cfg.tlb_hit_latency
             self._push(done, "deliver",
                        TranslationCompletion(rid, vpn, frame, done, origin=origin))
-            self.stats.accepted += 1
+            stats.accepted += 1
             return SubmitResult(SubmitStatus.TLB_HIT, rid, done_cycle=done)
-        self.stats.tlb_misses += 1
+        stats.tlb_misses += 1
 
-        if self.cfg.merge_slots > 0:
+        if cfg.merge_slots > 0:
             wid = self._scoreboard.get(vpn)
             if wid is not None:
                 walker = self._walkers[wid]
-                if len(walker.merged) < self.cfg.merge_slots:
+                if len(walker.merged) < cfg.merge_slots:
                     rid = self._new_request()
                     walker.merged.append((rid, origin))
-                    self.stats.scoreboard_merges += 1
-                    self.stats.merge_buffer_accesses += 1
-                    self.stats.accepted += 1
+                    stats.scoreboard_merges += 1
+                    stats.merge_buffer_accesses += 1
+                    stats.accepted += 1
                     return SubmitResult(SubmitStatus.MERGED, rid)
-                self.stats.blocked_cycles += 1
-                return SubmitResult(SubmitStatus.BLOCKED)
+                stats.blocked_cycles += 1
+                return _BLOCKED
 
         if not self._free:
-            self.stats.blocked_cycles += 1
-            return SubmitResult(SubmitStatus.BLOCKED)
+            stats.blocked_cycles += 1
+            return _BLOCKED
         rid = self._new_request()
-        wid = self._start_walk(vpn, now, rid, origin)
-        self.stats.accepted += 1
-        return SubmitResult(SubmitStatus.NEW_WALK, rid, walker_id=wid)
+        self._start_walk(vpn, now, rid, origin)
+        stats.accepted += 1
+        return SubmitResult(SubmitStatus.NEW_WALK, rid)
 
-    def tick(self, now: int) -> List[TranslationCompletion]:
+    def tick(self, now: int) -> Sequence[TranslationCompletion]:
         if now <= self._last_tick:
             raise ValueError("tick cycles must be strictly increasing")
         self._last_tick = now
-        out: List[TranslationCompletion] = []
         events = self._events
+        if not events or events[0][0] > now:
+            return ()                     # idle cycle: nothing due
+        out: List[TranslationCompletion] = []
         while events and events[0][0] <= now:
             _, _, kind, payload = heapq.heappop(events)
             if kind == "deliver":
@@ -254,18 +261,17 @@ class TranslationEngine:
 
     def _submit_oracle(self, vpn: int, now: int, origin: str) -> SubmitResult:
         rid = self._new_request()
-        path = self.pt.walk_path(vpn, self.ps)
-        last = path[-1]
-        if last.present and last.is_leaf:
-            comp = TranslationCompletion(rid, vpn, last.value, now, origin=origin)
+        frame, fault_level = self.pt.leaf(vpn, self.ps)
+        if frame is not None:
+            comp = TranslationCompletion(rid, vpn, frame, now, origin=origin)
         else:
             comp = TranslationCompletion(rid, vpn, None, now, fault=True,
-                                         fault_level=last.level, origin=origin)
+                                         fault_level=fault_level, origin=origin)
         self._push(now, "deliver", comp)
         self.stats.accepted += 1
         return SubmitResult(SubmitStatus.TLB_HIT, rid, done_cycle=now)
 
-    def _start_walk(self, vpn: int, now: int, rid: int, origin: str) -> int:
+    def _start_walk(self, vpn: int, now: int, rid: int, origin: str) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
         path = self.pt.walk_path(vpn, self.ps)
@@ -295,7 +301,6 @@ class TranslationEngine:
         if self.dram is not None and self.cfg.charge_walk_bandwidth:
             self.dram.consume(txns * 64, now)
         self._push(walker.finish, "walk_done", wid)
-        return wid
 
     def _finish_walk(self, wid: int, now: int,
                      out: List[TranslationCompletion]) -> None:
@@ -447,13 +452,14 @@ def drain_trace(engine: TranslationEngine, vpns: List[int],
 
     Returns (cycles_elapsed, completions in delivery order).
     """
+    submit, tick = engine.submit, engine.tick
+    n = len(vpns)
     cycle = start
     i = 0
     comps: List[TranslationCompletion] = []
-    while i < len(vpns) or engine.in_flight > 0:
-        if i < len(vpns):
-            if engine.submit(vpns[i], cycle, origin).accepted:
-                i += 1
-        comps.extend(engine.tick(cycle))
+    while i < n or engine.in_flight > 0:
+        if i < n and submit(vpns[i], cycle, origin).accepted:
+            i += 1
+        comps.extend(tick(cycle))
         cycle += 1
     return cycle - start, comps

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .address_space import PageSize, Segment, vpn as vpn_of
+from .address_space import VA_MASK, PageSize, Segment
 from .memory import Dram
 from .mmu import TranslationEngine
 
@@ -203,7 +203,6 @@ def simulate_fetch(
     start: int,
     ps: PageSize,
     npu: NpuConfig,
-    write: bool = False,
 ) -> int:
     """Run one tile fetch through the MMU and DRAM; return last data cycle.
 
@@ -214,29 +213,33 @@ def simulate_fetch(
     """
     # Group consecutive same-VPN transactions when the reuse window is on.
     groups: List[Tuple[int, List[MemoryTransaction]]] = []
+    shift = ps.offset_bits
+    reuse = npu.reuse_last_translation
     for t in txns:
-        page = vpn_of(t.va, ps)
-        if npu.reuse_last_translation and groups and groups[-1][0] == page:
+        page = (t.va & VA_MASK) >> shift
+        if reuse and groups and groups[-1][0] == page:
             groups[-1][1].append(t)
         else:
             groups.append((page, [t]))
 
+    submit, tick, issue = engine.submit, engine.tick, dram.issue
+    n = len(groups)
     pending: dict[int, List[MemoryTransaction]] = {}
     cycle = start
     i = 0
     end = start
-    while i < len(groups) or engine.in_flight > 0:
-        if i < len(groups):
+    while i < n or engine.in_flight > 0:
+        if i < n:
             page, members = groups[i]
-            res = engine.submit(page, cycle)
+            res = submit(page, cycle)
             if res.accepted:
                 pending[res.request_id] = members
                 i += 1
-        for comp in engine.tick(cycle):
+        for comp in tick(cycle):
             if comp.fault:
                 raise SimulationFault(comp.vpn, comp.fault_level)
             for t in pending.pop(comp.request_id, ()):
-                done = dram.issue(t.nbytes, comp.done_cycle)
+                done = issue(t.nbytes, comp.done_cycle)
                 if done > end:
                     end = done
         cycle += 1
@@ -276,7 +279,7 @@ def run_layer(
             out_spans = ((layer.out_segment.base, step.out_bytes),)
             out = TileFetch("out", out_spans, step.out_bytes, step.tile_id)
             compute_end = simulate_fetch(linearize(out, npu), engine, dram,
-                                         compute_end, ps, npu, write=True)
+                                         compute_end, ps, npu)
         phases.append(TilePhase(step.tile_id, fetch_start, fetch_end,
                                 compute_start, compute_end))
         fetch_end_prev = fetch_end

@@ -109,14 +109,17 @@ def run_numa(
     dram: DramConfig = DramConfig(),
     ps: PageSize = PageSize.SMALL_4K,
     page_table: Optional[PageTable] = None,
+    link: Optional[LinkConfig] = None,
 ) -> LatencyBreakdown:
     """Fine-grained NUMA gathers over the slow (PCIe) or fast (NVLink) link.
 
     Remote pages are mapped in a shared table; every gather is translated
     through the MMU at one submission per cycle, overlapped with the
-    remote transfer stream.
+    remote transfer stream. `link` defaults to the module's PCIe or NVLink
+    constant for `link_kind`.
     """
-    link = NVLINK_LINK if link_kind == "fast" else PCIE_LINK
+    if link is None:
+        link = NVLINK_LINK if link_kind == "fast" else PCIE_LINK
     eb = model.tables[0].embedding_bytes
     local_n, remote_n, local_bytes, remote_bytes = _split(trace, npu_id, eb)
     bd = LatencyBreakdown(f"numa_{link_kind}", payload_bytes=local_bytes + remote_bytes,

@@ -98,7 +98,15 @@ class FrameAllocator:
 
 
 class PageTable:
-    """Sparse radix tree of 512-entry nodes."""
+    """Sparse radix tree of 512-entry nodes.
+
+    `leaf` answers the oracle's question (which frame, or at which level the
+    walk faults) from a memo keyed by (vpn, page size), so an oracle MMU
+    walks each page once rather than once per access. The memo holds only
+    that small tuple, not the node-read list of `walk_path`. `map_page` and
+    `unmap_page` clear the whole memo: a new interior node also changes the
+    outcome for neighbouring VPNs whose walks used to fault above it.
+    """
 
     def __init__(self, frame_allocator: Optional[FrameAllocator] = None):
         self.frames = frame_allocator or FrameAllocator()
@@ -107,6 +115,8 @@ class PageTable:
         self.root = 0
         self._next_node = 1
         self.mapped_pages = 0
+        # (vpn, ps) -> (frame, None) or (None, fault level)
+        self._leaves: dict[tuple[int, PageSize], tuple[Optional[int], Optional[int]]] = {}
 
     def node_addr(self, node_id: int) -> int:
         return PT_NODE_REGION_BASE + node_id * 4096
@@ -126,6 +136,7 @@ class PageTable:
     # -- mutation -----------------------------------------------------------
 
     def map_page(self, vpn: int, ps: PageSize, frame: Optional[int] = None) -> int:
+        self._leaves.clear()
         indices = self._indices(vpn, ps)
         node = self.root
         for index in indices[:-1]:
@@ -151,6 +162,7 @@ class PageTable:
         return frame
 
     def unmap_page(self, vpn: int, ps: PageSize) -> None:
+        self._leaves.clear()
         indices = self._indices(vpn, ps)
         node = self.root
         for index in indices[:-1]:
@@ -193,6 +205,19 @@ class PageTable:
             node = value
             level -= 1
         return steps
+
+    def leaf(self, vpn: int, ps: PageSize) -> tuple[Optional[int], Optional[int]]:
+        """Outcome of a walk: (frame, None), or (None, level) when it faults."""
+        key = (vpn, ps)
+        hit = self._leaves.get(key)
+        if hit is None:
+            last = self.walk_path(vpn, ps)[-1]
+            if last.present and last.is_leaf:
+                hit = (last.value, None)
+            else:
+                hit = (None, last.level)
+            self._leaves[key] = hit
+        return hit
 
     def walk(self, va: int, ps: PageSize) -> WalkResult:
         """Reference walk. Raises PageFaultError on an absent entry."""

@@ -1,0 +1,51 @@
+"""Golden CSVs: the simulator's output for a small config matrix, byte for byte.
+
+A change that alters any of these files changes the simulator's results and
+must say so. Regenerate only for an intended semantic change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from npusim import config as cfgmod
+from npusim import harness
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+MMU_POINTS = {
+    "default": {},
+    "ptw128-prmb32-tpr": {"mmu.num_ptws": 128, "mmu.prmb_slots": 32,
+                          "mmu.translation_cache": "tpr"},
+    "prmb4-uptc8": {"mmu.prmb_slots": 4, "mmu.translation_cache": "uptc",
+                    "mmu.cache_entries": 8},
+}
+
+MATRIX = {
+    f"{suite}-{point}": {"workload.suite": suite, **overrides}
+    for suite in ("toy", "burst")
+    for point, overrides in MMU_POINTS.items()
+}
+MATRIX["embedding-all"] = {"workload.kind": "embedding", "workload.strategy": "all"}
+
+
+def golden_csv(name: str) -> str:
+    cfg = cfgmod.load_config(None)
+    cfg["config_id"] = name
+    for key, value in MATRIX[name].items():
+        cfgmod.set_by_path(cfg, key, value)
+    return harness.rows_to_csv(harness.run_single(cfg))
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_output_matches_golden(name):
+    assert golden_csv(name) == (GOLDEN / f"{name}.csv").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(MATRIX):
+        (GOLDEN / f"{name}.csv").write_text(golden_csv(name))
+        print(f"wrote {GOLDEN / name}.csv")

@@ -163,6 +163,29 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     assert "normalized to oracle" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key", ["npu.reuse_last_translation",
+                                 "npu.mirror_write_traffic",
+                                 "mmu.charge_walk_bandwidth"])
+def test_boolean_knobs_reject_non_booleans(key):
+    env = {"NPUSIM_" + key.upper().replace(".", "__"): "maybe"}
+    cfg = cfgmod.apply_env_overrides(small_cfg(), env)
+    assert cfg[key.split(".")[0]][key.split(".")[1]] == "maybe"
+    assert any(e.startswith(key) for e in cfgmod.validate(cfg))
+    with pytest.raises(cfgmod.ConfigError):
+        harness.run_single(cfg)
+
+
+@pytest.mark.parametrize("key, strategy", [("links.nvlink_bandwidth", "numa_fast"),
+                                           ("links.pcie_bandwidth", "numa_slow")])
+def test_link_bandwidth_reaches_numa_strategies(key, strategy):
+    def total(bandwidth):
+        cfg = small_cfg(**{"workload.kind": "embedding",
+                           "workload.strategy": strategy,
+                           "workload.batch_samples": 16, key: bandwidth})
+        return harness.run_single(cfg)[0]["total_cycles"]
+    assert total(1) > total(160)
+
+
 def test_cli_validate_rejects_bad_config(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("mmu:\n  mode: psychic\n")
