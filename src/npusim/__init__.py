@@ -9,7 +9,8 @@ Modules:
   workloads      -- dense layer suites and embedding gather traces
   numa           -- remote-memory strategies for embedding gathers
   energy         -- per-event energy accounting for the translation path
-  config         -- defaults, validation, env overrides, seed derivation
+  schema         -- config records: per-field defaults, types and ranges
+  config         -- config documents: sections, validation, env overrides, seeds
   harness        -- runs, sweeps, CSV emission, reports
 """
 

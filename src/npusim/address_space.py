@@ -49,6 +49,10 @@ class PageSize(Enum):
         return 1 if self is PageSize.SMALL_4K else 2
 
 
+# Config and strategy names of the page sizes.
+PAGE_SIZES = {"4k": PageSize.SMALL_4K, "2m": PageSize.LARGE_2M}
+
+
 @dataclass(frozen=True)
 class PageIndices:
     l4: int

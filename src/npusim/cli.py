@@ -6,19 +6,10 @@ import argparse
 import sys
 from typing import Any, List, Optional, Sequence, Tuple
 
+import yaml
+
 from . import config as cfgmod
 from . import harness
-
-
-def _parse_value(text: str) -> Any:
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text in ("true", "false"):
-        return text == "true"
-    return text
 
 
 def _parse_set(specs: Sequence[str]) -> List[Tuple[str, List[Any]]]:
@@ -27,7 +18,7 @@ def _parse_set(specs: Sequence[str]) -> List[Tuple[str, List[Any]]]:
         if "=" not in spec:
             raise ValueError(f"--set expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
-        items.append((key, [_parse_value(v) for v in values.split(",")]))
+        items.append((key, [yaml.safe_load(v) for v in values.split(",")]))
     return items
 
 
@@ -63,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="cross-product parameter sweep")
     common(sw)
     sw.add_argument("--set", action="append", default=[], metavar="KEY=V1,V2",
-                    help="sweep axis; repeatable, order defines nesting")
+                    help="sweep axis, values parsed as YAML scalars; "
+                         "repeatable, order defines nesting")
 
     rp = sub.add_parser("report", help="summarize result CSVs")
     rp.add_argument("csvs", nargs="+", help="CSV files from run/sweep")
@@ -94,7 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"error: {err}", file=sys.stderr)
                 return 1
             sys.stdout.write(cfgmod.dump_effective(cfg))
-    except (cfgmod.ConfigError, ValueError, OSError) as exc:
+    except (cfgmod.ConfigError, ValueError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

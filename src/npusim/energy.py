@@ -12,20 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mmu import TranslationStats
+from .schema import Record, knob
 
 
 @dataclass(frozen=True)
-class EnergyTable:
-    pj_per_walk_dram_access: float = 100.0
-    pj_per_merge_buffer_access: float = 0.5
-    pj_per_tlb_access: float = 0.8
-    pj_per_path_register_access: float = 0.1
-
-    def __post_init__(self):
-        entries = (self.pj_per_walk_dram_access, self.pj_per_merge_buffer_access,
-                   self.pj_per_tlb_access, self.pj_per_path_register_access)
-        if any(v <= 0 for v in entries):
-            raise ValueError("energy table entries must be positive")
+class EnergyTable(Record):
+    pj_walk_dram: float = knob(100.0, gt=0)   # per page-walk DRAM read
+    pj_prmb: float = knob(0.5, gt=0)          # per merge-buffer access
+    pj_tlb: float = knob(0.8, gt=0)           # per TLB probe
+    pj_tpr: float = knob(0.1, gt=0)           # per path-register/cache probe
 
 
 @dataclass(frozen=True)
@@ -44,8 +39,8 @@ class EnergyBreakdown:
 def account(stats: TranslationStats, table: EnergyTable = EnergyTable()) -> EnergyBreakdown:
     """Itemized energy = sum(event count x per-event energy). No hidden terms."""
     return EnergyBreakdown(
-        walk_dram_pj=stats.walk_memory_transactions * table.pj_per_walk_dram_access,
-        merge_buffer_pj=stats.merge_buffer_accesses * table.pj_per_merge_buffer_access,
-        tlb_pj=stats.tlb_accesses * table.pj_per_tlb_access,
-        path_register_pj=stats.cache_probes * table.pj_per_path_register_access,
+        walk_dram_pj=stats.walk_memory_transactions * table.pj_walk_dram,
+        merge_buffer_pj=stats.merge_buffer_accesses * table.pj_prmb,
+        tlb_pj=stats.tlb_accesses * table.pj_tlb,
+        path_register_pj=stats.cache_probes * table.pj_tpr,
     )

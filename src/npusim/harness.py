@@ -16,23 +16,24 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .address_space import check_disjoint
-from .energy import account
-from .memory import Dram
+from .address_space import PAGE_SIZES, check_disjoint
+from .energy import EnergyTable, account
+from .memory import Dram, DramConfig, LinksConfig
 from .mmu import MmuConfig, TranslationEngine
-from .npu import run_layer
+from .npu import NpuConfig, run_layer
 from .numa import (
     LatencyBreakdown,
     run_baseline_copy,
     run_demand_paging,
     run_numa,
 )
-from .address_space import PageSize
 from .page_table import build
 from .workloads import (
+    STRATEGIES,
     EmbeddingModel,
     EmbeddingTableSpec,
     Placement,
+    WorkloadConfig,
     dense_suite,
     gather_trace,
 )
@@ -67,19 +68,20 @@ def _layer_segments(layer, mirror_writes: bool):
 
 
 def _run_dense(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
-    wl = cfg["workload"]
-    npu = cfgmod.npu_config(cfg)
-    mmu = cfgmod.mmu_config(cfg)
-    ps = cfgmod.page_size_of(cfg)
-    etable = cfgmod.energy_table(cfg)
-    layers = dense_suite(wl["suite"], cfg["npu"]["element_bytes"])[wl["batch"]]
+    wl = WorkloadConfig(**cfg["workload"])
+    npu = NpuConfig(**cfg["npu"])
+    mmu = MmuConfig(**cfg["mmu"])
+    dram_cfg = DramConfig(**cfg["memory"])
+    ps = PAGE_SIZES[mmu.page_size]
+    etable = EnergyTable(**cfg["energy"])
+    layers = dense_suite(wl.suite, npu.element_bytes)[wl.batch]
 
     rows = []
     for layer in layers:
         pt = build(_layer_segments(layer, npu.mirror_write_traffic), ps)
         oracle_engine = TranslationEngine(MmuConfig(mode="oracle"), pt, ps)
-        oracle = run_layer(layer, npu, oracle_engine, Dram(cfgmod.dram_config(cfg)))
-        dram = Dram(cfgmod.dram_config(cfg))
+        oracle = run_layer(layer, npu, oracle_engine, Dram(dram_cfg))
+        dram = Dram(dram_cfg)
         engine = TranslationEngine(mmu, pt, ps, dram=dram)
         stats = run_layer(layer, npu, engine, dram)
 
@@ -90,7 +92,7 @@ def _run_dense(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
                 / oracle.total_cycles
         row = _blank_row(cfg, seed)
         row.update({
-            "workload": f"{wl['suite']}/{wl['batch']}/{layer.name}",
+            "workload": f"{wl.suite}/{wl.batch}/{layer.name}",
             "mode": mmu.mode,
             "total_cycles": stats.total_cycles,
             "oracle_cycles": oracle.total_cycles,
@@ -109,54 +111,51 @@ def _run_dense(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     return rows
 
 
-def _embedding_model(cfg: Dict[str, Any], seed: int) -> Tuple[EmbeddingModel, Placement]:
-    wl = cfg["workload"]
-    tables = tuple(EmbeddingTableSpec(wl["rows"], wl["embedding_bytes"])
-                   for _ in range(wl["tables"]))
+def _embedding_model(wl: WorkloadConfig, seed: int) -> Tuple[EmbeddingModel, Placement]:
+    tables = tuple(EmbeddingTableSpec(wl.rows, wl.embedding_bytes)
+                   for _ in range(wl.tables))
     model = EmbeddingModel(
         tables=tables,
-        batch=wl["batch_samples"],
-        lookups_per_sample=wl["lookups_per_sample"],
-        index_distribution=wl["distribution"],
-        zipf_s=wl["zipf_s"],
+        batch=wl.batch_samples,
+        lookups_per_sample=wl.lookups_per_sample,
+        index_distribution=wl.distribution,
+        zipf_s=wl.zipf_s,
         seed=cfgmod.seed_for(seed, "gather"),
     )
-    return model, Placement.round_robin(wl["tables"], wl["num_npus"])
+    return model, Placement.round_robin(wl.tables, wl.num_npus)
 
 
 def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
-    wl = cfg["workload"]
-    model, placement = _embedding_model(cfg, seed)
+    wl = WorkloadConfig(**cfg["workload"])
+    model, placement = _embedding_model(wl, seed)
     trace = gather_trace(model, placement)[0]
-    dram = cfgmod.dram_config(cfg)
-    pcie = cfgmod.link_config(cfg, "pcie")
-    nvlink = cfgmod.link_config(cfg, "nvlink")
-    mmu = cfgmod.mmu_config(cfg)
+    dram = DramConfig(**cfg["memory"])
+    links = LinksConfig(**cfg["links"])
+    mmu = MmuConfig(**cfg["mmu"])
+    ps = PAGE_SIZES[mmu.page_size]
     if mmu.mode == "oracle":
         mmu = MmuConfig(mode="oracle")
 
-    wanted = wl["strategy"]
-    strategies = (["baseline_copy", "numa_slow", "numa_fast",
-                   "demand_4k", "demand_2m"] if wanted == "all" else [wanted])
+    strategies = STRATEGIES if wl.strategy == "all" else (wl.strategy,)
     breakdowns: List[LatencyBreakdown] = []
     for strat in strategies:
         if strat == "baseline_copy":
-            breakdowns.append(run_baseline_copy(trace, model, cpu_link=pcie, dram=dram))
+            breakdowns.append(run_baseline_copy(trace, model, cpu_link=links.pcie,
+                                                dram=dram))
         elif strat in ("numa_slow", "numa_fast"):
             kind = strat.split("_")[1]
-            link = nvlink if kind == "fast" else pcie
+            link = links.nvlink if kind == "fast" else links.pcie
             bd = run_numa(trace, model, link_kind=kind, mmu=mmu, dram=dram,
-                          link=link)
+                          ps=ps, link=link)
             breakdowns.append(bd)
         else:
-            ps = PageSize.SMALL_4K if strat == "demand_4k" else PageSize.LARGE_2M
-            bd, _ = run_demand_paging(trace, model, ps, link=nvlink,
-                                      dram=dram, mmu=mmu)
+            bd, _ = run_demand_paging(trace, model, PAGE_SIZES[strat.split("_")[1]],
+                                      link=links.nvlink, dram=dram, mmu=mmu)
             breakdowns.append(bd)
 
     rows = []
-    wl_name = (f"embedding/{wl['tables']}x{wl['rows']}"
-               f"/{wl['distribution']}/b{wl['batch_samples']}")
+    wl_name = (f"embedding/{wl.tables}x{wl.rows}"
+               f"/{wl.distribution}/b{wl.batch_samples}")
     for bd in breakdowns:
         row = _blank_row(cfg, seed)
         row.update({
@@ -180,10 +179,14 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     return rows
 
 
-def run_single(cfg: Dict[str, Any], seed: Optional[int] = None) -> List[Dict[str, Any]]:
+def _require_valid(cfg: Dict[str, Any]) -> None:
     errors = cfgmod.validate(cfg)
     if errors:
         raise cfgmod.ConfigError(errors)
+
+
+def run_single(cfg: Dict[str, Any], seed: Optional[int] = None) -> List[Dict[str, Any]]:
+    _require_valid(cfg)
     if seed is None:
         seed = cfg["seeds"]["master"]
     if cfg["workload"]["kind"] == "dense":
@@ -203,6 +206,7 @@ def sweep(
     jobs: int = 1,
 ) -> List[Dict[str, Any]]:
     """Cross-product sweep; rows are independent and declaration-ordered."""
+    _require_valid(cfg)  # point ids are composed from the base config
     for key, _ in items:
         cfgmod.resolve_key(cfg, key)  # fail fast on unknown keys
     combos = list(itertools.product(*[vals for _, vals in items]))

@@ -3,47 +3,59 @@
 DRAM is modeled as a per-cycle token bucket: every cycle offers
 `bandwidth_bytes_per_cycle` bytes of issue capacity and each transaction
 completes a fixed access latency after its last byte is accepted. No
-bank/row timing is modeled. Links add a fixed NUMA latency plus a
-bandwidth-proportional transfer term.
+bank/row timing is modeled. A link transfer takes a fixed NUMA latency
+plus a bandwidth-proportional term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .schema import Record, knob
 
 
 @dataclass(frozen=True)
-class DramConfig:
-    channels: int = 8
-    bandwidth_bytes_per_cycle: int = 600   # 600 GB/s at 1GHz
-    access_latency: int = 100
-
-    def __post_init__(self):
-        if self.bandwidth_bytes_per_cycle <= 0:
-            raise ValueError("bandwidth must be positive")
+class DramConfig(Record):
+    bandwidth_bytes_per_cycle: int = knob(600, lo=1)   # 600 GB/s at 1GHz
+    access_latency: int = knob(100, lo=0)
 
 
 @dataclass(frozen=True)
 class LinkConfig:
     kind: str  # "pcie" (CPU<->NPU) or "nvlink" (NPU<->NPU)
     bandwidth_bytes_per_cycle: int
-    numa_latency: int = 150
+    numa_latency: int
 
     def __post_init__(self):
         if self.bandwidth_bytes_per_cycle <= 0:
             raise ValueError("bandwidth must be positive")
 
 
-PCIE_LINK = LinkConfig(kind="pcie", bandwidth_bytes_per_cycle=16)
-NVLINK_LINK = LinkConfig(kind="nvlink", bandwidth_bytes_per_cycle=160)
+@dataclass(frozen=True)
+class LinksConfig(Record):
+    pcie_bandwidth: int = knob(16, lo=1)       # bytes/cycle, CPU<->NPU
+    nvlink_bandwidth: int = knob(160, lo=1)    # bytes/cycle, NPU<->NPU
+    numa_latency: int = knob(150, lo=0)
+
+    @property
+    def pcie(self) -> LinkConfig:
+        return LinkConfig("pcie", self.pcie_bandwidth, self.numa_latency)
+
+    @property
+    def nvlink(self) -> LinkConfig:
+        return LinkConfig("nvlink", self.nvlink_bandwidth, self.numa_latency)
+
+
+PCIE_LINK = LinksConfig().pcie
+NVLINK_LINK = LinksConfig().nvlink
 
 
 class Dram:
     """Work-conserving token-bucket DRAM.
 
     Transactions are accepted in call order; the issue cursor never moves
-    backwards, so same-channel completions are FIFO.
+    backwards, so completions are FIFO.
     """
 
     def __init__(self, cfg: DramConfig):
@@ -52,9 +64,6 @@ class Dram:
         self._tokens = cfg.bandwidth_bytes_per_cycle
         self.bytes_issued = 0
         self.txns = 0
-
-    def channel_of(self, vpn: int) -> int:
-        return vpn % self.cfg.channels
 
     def issue(self, nbytes: int, now: int) -> int:
         """Accept a transaction at `now`; return its completion cycle."""
@@ -95,20 +104,3 @@ def link_transfer_cycles(nbytes: int, link: LinkConfig) -> int:
         raise ValueError("transfer must carry at least one byte")
     return link.numa_latency + math.ceil(nbytes / link.bandwidth_bytes_per_cycle)
 
-
-class Link:
-    """Stateful link with a serializing bandwidth cursor (per direction)."""
-
-    def __init__(self, cfg: LinkConfig):
-        self.cfg = cfg
-        self._free = 0
-        self.bytes_moved = 0
-
-    def transfer(self, nbytes: int, now: int) -> int:
-        if nbytes <= 0:
-            raise ValueError("transfer must carry at least one byte")
-        start = max(now, self._free)
-        busy = math.ceil(nbytes / self.cfg.bandwidth_bytes_per_cycle)
-        self._free = start + busy
-        self.bytes_moved += nbytes
-        return start + self.cfg.numa_latency + busy

@@ -15,7 +15,7 @@ Request life cycle per cycle-accurate submit/tick protocol:
   configured translation cache, completes its leading request, then drains
   one merged request per subsequent cycle.
 
-With merge buffers disabled (merge_slots == 0) there is no scoreboard:
+With merge buffers disabled (prmb_slots == 0) there is no scoreboard:
 duplicate in-flight VPNs each dispatch their own redundant walk, as long as
 walkers are free. This is the plain parallel-walker design the merge
 buffer exists to filter.
@@ -42,30 +42,24 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import List, Optional, Sequence
 
-from .address_space import PageSize, indices_of_vpn
+from .address_space import PAGE_SIZES, PageSize, indices_of_vpn
 from .memory import Dram
 from .page_table import PageTable, WalkStep
+from .schema import Record, knob
 
 
 @dataclass(frozen=True)
-class MmuConfig:
-    mode: str = "modeled"                 # "modeled" | "oracle"
-    tlb_entries: int = 2048
-    tlb_hit_latency: int = 5
-    num_walkers: int = 8
-    merge_slots: int = 0                  # per-walker; 0 disables merging
-    walk_cycles_per_level: int = 100
-    translation_cache: str = "none"       # "none" | "tpr" | "tpc" | "uptc"
-    cache_entries: int = 1                # for tpc/uptc
+class MmuConfig(Record):
+    mode: str = knob("modeled", choices=("modeled", "oracle"))
+    tlb_entries: int = knob(2048, lo=1)
+    tlb_hit_latency: int = knob(5, lo=0)
+    num_ptws: int = knob(8, lo=1)         # parallel page-table walkers
+    prmb_slots: int = knob(0, lo=0)       # per walker; 0 disables merging
+    walk_cycles_per_level: int = knob(100, lo=1)
+    translation_cache: str = knob("none", choices=("none", "tpr", "tpc", "uptc"))
+    cache_entries: int = knob(1, lo=1)    # for tpc/uptc
     charge_walk_bandwidth: bool = True    # walk reads debit DRAM bandwidth
-
-    def __post_init__(self):
-        if self.mode not in ("modeled", "oracle"):
-            raise ValueError(f"unknown MMU mode {self.mode!r}")
-        if self.translation_cache not in ("none", "tpr", "tpc", "uptc"):
-            raise ValueError(f"unknown translation cache {self.translation_cache!r}")
-        if self.merge_slots < 0 or self.num_walkers < 1 or self.tlb_entries < 1:
-            raise ValueError("MMU sizes must be positive")
+    page_size: str = knob("4k", choices=tuple(PAGE_SIZES))  # of pages and walks
 
 
 class SubmitStatus(Enum):
@@ -99,7 +93,6 @@ class TranslationCompletion:
     done_cycle: int
     fault: bool = False
     fault_level: Optional[int] = None
-    origin: str = "dma"
 
 
 @dataclass
@@ -135,7 +128,7 @@ class _Walker:
     busy: bool = False
     vpn: int = 0
     finish: int = 0
-    leading: tuple = ()                   # (request_id, origin)
+    leading: int = 0                      # request id of the walk's owner
     merged: list = field(default_factory=list)
     frame: Optional[int] = None
     fault_level: Optional[int] = None
@@ -159,8 +152,8 @@ class TranslationEngine:
         self.dram = dram
         self.stats = TranslationStats()
         self._tlb: OrderedDict[int, int] = OrderedDict()
-        self._walkers = [_Walker(i) for i in range(cfg.num_walkers)]
-        self._free = list(range(cfg.num_walkers - 1, -1, -1))
+        self._walkers = [_Walker(i) for i in range(cfg.num_ptws)]
+        self._free = list(range(cfg.num_ptws - 1, -1, -1))
         self._scoreboard: dict[int, int] = {}
         self._events: list = []           # (cycle, seq, kind, payload)
         self._seq = 0
@@ -173,11 +166,11 @@ class TranslationEngine:
     def in_flight(self) -> int:
         return self.stats.accepted - self.stats.completions
 
-    def submit(self, vpn: int, now: int, origin: str = "dma") -> SubmitResult:
+    def submit(self, vpn: int, now: int) -> SubmitResult:
         stats, cfg = self.stats, self.cfg
         stats.submitted += 1
         if cfg.mode == "oracle":
-            return self._submit_oracle(vpn, now, origin)
+            return self._submit_oracle(vpn, now)
 
         stats.tlb_accesses += 1
         frame = self._tlb.get(vpn)
@@ -187,18 +180,18 @@ class TranslationEngine:
             rid = self._new_request()
             done = now + cfg.tlb_hit_latency
             self._push(done, "deliver",
-                       TranslationCompletion(rid, vpn, frame, done, origin=origin))
+                       TranslationCompletion(rid, vpn, frame, done))
             stats.accepted += 1
             return SubmitResult(SubmitStatus.TLB_HIT, rid, done_cycle=done)
         stats.tlb_misses += 1
 
-        if cfg.merge_slots > 0:
+        if cfg.prmb_slots > 0:
             wid = self._scoreboard.get(vpn)
             if wid is not None:
                 walker = self._walkers[wid]
-                if len(walker.merged) < cfg.merge_slots:
+                if len(walker.merged) < cfg.prmb_slots:
                     rid = self._new_request()
-                    walker.merged.append((rid, origin))
+                    walker.merged.append(rid)
                     stats.scoreboard_merges += 1
                     stats.merge_buffer_accesses += 1
                     stats.accepted += 1
@@ -210,7 +203,7 @@ class TranslationEngine:
             stats.blocked_cycles += 1
             return _BLOCKED
         rid = self._new_request()
-        self._start_walk(vpn, now, rid, origin)
+        self._start_walk(vpn, now, rid)
         stats.accepted += 1
         return SubmitResult(SubmitStatus.NEW_WALK, rid)
 
@@ -259,19 +252,19 @@ class TranslationEngine:
         if comp.fault:
             self.stats.faults += 1
 
-    def _submit_oracle(self, vpn: int, now: int, origin: str) -> SubmitResult:
+    def _submit_oracle(self, vpn: int, now: int) -> SubmitResult:
         rid = self._new_request()
         frame, fault_level = self.pt.leaf(vpn, self.ps)
         if frame is not None:
-            comp = TranslationCompletion(rid, vpn, frame, now, origin=origin)
+            comp = TranslationCompletion(rid, vpn, frame, now)
         else:
             comp = TranslationCompletion(rid, vpn, None, now, fault=True,
-                                         fault_level=fault_level, origin=origin)
+                                         fault_level=fault_level)
         self._push(now, "deliver", comp)
         self.stats.accepted += 1
         return SubmitResult(SubmitStatus.TLB_HIT, rid, done_cycle=now)
 
-    def _start_walk(self, vpn: int, now: int, rid: int, origin: str) -> None:
+    def _start_walk(self, vpn: int, now: int, rid: int) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
         path = self.pt.walk_path(vpn, self.ps)
@@ -282,7 +275,7 @@ class TranslationEngine:
 
         walker.busy = True
         walker.vpn = vpn
-        walker.leading = (rid, origin)
+        walker.leading = rid
         walker.merged = []
         if last.present and last.is_leaf:
             walker.frame = last.value
@@ -294,7 +287,7 @@ class TranslationEngine:
             walker.cache_fill = ()
         walker.finish = now + txns * self.cfg.walk_cycles_per_level
 
-        if self.cfg.merge_slots > 0:
+        if self.cfg.prmb_slots > 0:
             self._scoreboard[vpn] = wid
         self.stats.walks_started += 1
         self.stats.walk_memory_transactions += txns
@@ -306,32 +299,28 @@ class TranslationEngine:
                      out: List[TranslationCompletion]) -> None:
         walker = self._walkers[wid]
         vpn = walker.vpn
-        if self.cfg.merge_slots > 0 and self._scoreboard.get(vpn) == wid:
+        if self.cfg.prmb_slots > 0 and self._scoreboard.get(vpn) == wid:
             del self._scoreboard[vpn]
 
         if walker.frame is not None:
             self._tlb_fill(vpn, walker.frame)
             self._cache_fill(walker)
-            comp = TranslationCompletion(walker.leading[0], vpn, walker.frame,
-                                         now, origin=walker.leading[1])
+            comp = TranslationCompletion(walker.leading, vpn, walker.frame, now)
         else:
-            comp = TranslationCompletion(walker.leading[0], vpn, None, now,
-                                         fault=True, fault_level=walker.fault_level,
-                                         origin=walker.leading[1])
+            comp = TranslationCompletion(walker.leading, vpn, None, now,
+                                         fault=True, fault_level=walker.fault_level)
         out.append(comp)
         self._account_completion(comp)
 
         # Merged requests drain one per cycle after the leading completion.
-        for i, (rid, origin) in enumerate(walker.merged):
+        for i, rid in enumerate(walker.merged):
             self.stats.merge_buffer_accesses += 1
             if walker.frame is not None:
-                mcomp = TranslationCompletion(rid, vpn, walker.frame, now + 1 + i,
-                                              origin=origin)
+                mcomp = TranslationCompletion(rid, vpn, walker.frame, now + 1 + i)
             else:
                 mcomp = TranslationCompletion(rid, vpn, None, now + 1 + i,
                                               fault=True,
-                                              fault_level=walker.fault_level,
-                                              origin=origin)
+                                              fault_level=walker.fault_level)
             self._push(now + 1 + i, "deliver", mcomp)
         free_at = now + len(walker.merged)
         if free_at == now:
@@ -446,8 +435,7 @@ class TranslationEngine:
             self.stats.cache_hit_l2 += 1
 
 
-def drain_trace(engine: TranslationEngine, vpns: List[int],
-                start: int = 0, origin: str = "dma"):
+def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0):
     """Feed VPNs at one submit per cycle (retrying blocks) and run to drain.
 
     Returns (cycles_elapsed, completions in delivery order).
@@ -458,7 +446,7 @@ def drain_trace(engine: TranslationEngine, vpns: List[int],
     i = 0
     comps: List[TranslationCompletion] = []
     while i < n or engine.in_flight > 0:
-        if i < n and submit(vpns[i], cycle, origin).accepted:
+        if i < n and submit(vpns[i], cycle).accepted:
             i += 1
         comps.extend(tick(cycle))
         cycle += 1

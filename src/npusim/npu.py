@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 from .address_space import VA_MASK, PageSize, Segment
 from .memory import Dram
 from .mmu import TranslationEngine
+from .schema import Record, knob
 
 MB = 1024 * 1024
 
@@ -37,20 +38,14 @@ class SimulationFault(Exception):
 
 
 @dataclass(frozen=True)
-class NpuConfig:
-    array_dim: int = 128
-    spm_activation_bytes: int = 15 * MB
-    spm_weight_bytes: int = 10 * MB
-    dma_txn_bytes: int = 64
-    element_bytes: int = 1
+class NpuConfig(Record):
+    array_dim: int = knob(128, lo=1)
+    spm_activation_bytes: int = knob(15 * MB, lo=1)
+    spm_weight_bytes: int = knob(10 * MB, lo=1)
+    dma_txn_bytes: int = knob(64, lo=1)
+    element_bytes: int = knob(1, lo=1)
     reuse_last_translation: bool = False   # DMA-side reuse window of size 1
     mirror_write_traffic: bool = False     # extrapolation: OA write-back traffic
-
-    def __post_init__(self):
-        if self.array_dim < 1 or self.dma_txn_bytes < 1:
-            raise ValueError("array_dim and dma_txn_bytes must be positive")
-        if self.spm_activation_bytes <= 0 or self.spm_weight_bytes <= 0:
-            raise ValueError("SPM partitions must be positive")
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,7 @@ from .page_table import PageTable, build
 from .workloads import EmbeddingModel, GatherRequest, embedding_segments, table_segment
 
 # Throughput-oriented MMU used by the NUMA and demand-paging paths.
-DEFAULT_NUMA_MMU = MmuConfig(num_walkers=128, merge_slots=32,
-                             translation_cache="tpr")
+DEFAULT_NUMA_MMU = MmuConfig(num_ptws=128, prmb_slots=32, translation_cache="tpr")
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 
 from .address_space import Segment, default_segment_base
 from .npu import LayerConfig
+from .schema import Record, knob
 
 _DENSE_SHAPES: Dict[str, List[tuple]] = {
     # name -> [(layer name, m, k, n), ...]
@@ -35,6 +36,28 @@ _DENSE_SHAPES: Dict[str, List[tuple]] = {
 }
 
 BATCH_TAGS = {"b01": 1, "b04": 4, "b08": 8}
+
+DISTRIBUTIONS = ("uniform", "zipf")
+
+# Embedding-gather strategies, in CSV row order.
+STRATEGIES = ("baseline_copy", "numa_slow", "numa_fast", "demand_4k", "demand_2m")
+
+
+@dataclass(frozen=True)
+class WorkloadConfig(Record):
+    kind: str = knob("dense", choices=("dense", "embedding"))
+    suite: str = knob("toy", choices=tuple(_DENSE_SHAPES))
+    batch: str = knob("b01", choices=tuple(BATCH_TAGS))
+    # embedding-only knobs
+    strategy: str = knob("all", choices=("all",) + STRATEGIES)
+    num_npus: int = knob(4, lo=1)
+    tables: int = knob(4, lo=1)
+    rows: int = knob(65536, lo=1)
+    embedding_bytes: int = knob(256, lo=1)
+    batch_samples: int = knob(256, lo=1)
+    distribution: str = knob("uniform", choices=DISTRIBUTIONS)
+    zipf_s: float = knob(1.0, gt=0)
+    lookups_per_sample: int = knob(1, lo=1)
 
 
 def make_layer(name: str, m: int, k: int, n: int, batch: int = 1,
@@ -83,7 +106,7 @@ class EmbeddingModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.index_distribution not in ("uniform", "zipf"):
+        if self.index_distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.index_distribution!r}")
         for t in self.tables:
             if t.rows < self.lookups_per_sample:

@@ -65,15 +65,15 @@ def test_criterion_01_translation_correctness():
     rng = np.random.default_rng(1)
     configs = [
         MmuConfig(),
-        MmuConfig(num_walkers=32, merge_slots=8),
-        MmuConfig(num_walkers=128, merge_slots=32, translation_cache="tpr"),
-        MmuConfig(num_walkers=8, merge_slots=1, translation_cache="tpc",
+        MmuConfig(num_ptws=32, prmb_slots=8),
+        MmuConfig(num_ptws=128, prmb_slots=32, translation_cache="tpr"),
+        MmuConfig(num_ptws=8, prmb_slots=1, translation_cache="tpc",
                   cache_entries=4),
-        MmuConfig(num_walkers=16, translation_cache="uptc", cache_entries=32),
-        MmuConfig(num_walkers=8, tlb_entries=128),
-        MmuConfig(num_walkers=64, merge_slots=4, translation_cache="tpc",
+        MmuConfig(num_ptws=16, translation_cache="uptc", cache_entries=32),
+        MmuConfig(num_ptws=8, tlb_entries=128),
+        MmuConfig(num_ptws=64, prmb_slots=4, translation_cache="tpc",
                   cache_entries=2, tlb_entries=256),
-        MmuConfig(num_walkers=32, merge_slots=32, translation_cache="uptc",
+        MmuConfig(num_ptws=32, prmb_slots=32, translation_cache="uptc",
                   cache_entries=2),
     ]
     verified = 0
@@ -115,16 +115,16 @@ def test_criterion_02_oracle_bound_and_monotonicity():
     oracle_ok = True
     for trace, pt in ((distinct, pt4k), (two_pass, pt4k), (burst, pt_b)):
         o = cycles(MmuConfig(mode="oracle"), trace, pt)
-        for cfg in (MmuConfig(), MmuConfig(num_walkers=128, merge_slots=32,
+        for cfg in (MmuConfig(), MmuConfig(num_ptws=128, prmb_slots=32,
                                            translation_cache="tpr")):
             if cycles(cfg, trace, pt) < o:
                 oracle_ok = False
 
-    ptw_c = [cycles(MmuConfig(num_walkers=w, merge_slots=32), distinct, pt4k)
+    ptw_c = [cycles(MmuConfig(num_ptws=w, prmb_slots=32), distinct, pt4k)
              for w in (8, 16, 32, 64, 128)]
-    prmb_c = [cycles(MmuConfig(num_walkers=8, merge_slots=s), burst, pt_b)
+    prmb_c = [cycles(MmuConfig(num_ptws=8, prmb_slots=s), burst, pt_b)
               for s in (1, 2, 8, 16, 32)]
-    tlb_c = [cycles(MmuConfig(num_walkers=128, tlb_entries=e), two_pass, pt4k)
+    tlb_c = [cycles(MmuConfig(num_ptws=128, tlb_entries=e), two_pass, pt4k)
              for e in (128, 256, 512, 1024, 2048)]
     for name, seq in (("num_ptws", ptw_c), ("prmb_slots", prmb_c),
                       ("tlb_entries", tlb_c)):
@@ -137,9 +137,9 @@ def test_criterion_02_oracle_bound_and_monotonicity():
 
 def test_criterion_03_merge_buffer_filters_walks():
     trace, pt, _, _ = burst_txn_vpns()
-    off = TranslationEngine(MmuConfig(num_walkers=8, merge_slots=0), pt, PS4K)
+    off = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=0), pt, PS4K)
     _, comps_off = drain_trace(off, trace)
-    on = TranslationEngine(MmuConfig(num_walkers=8, merge_slots=8), pt, PS4K)
+    on = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=8), pt, PS4K)
     _, comps_on = drain_trace(on, trace)
 
     pas = lambda comps: sorted((c.vpn, c.frame) for c in comps)
@@ -161,9 +161,9 @@ def test_criterion_04_full_system_gap():
         return run_layer(layer, npu, eng, dram).total_cycles
 
     oracle = cycles(MmuConfig(mode="oracle"))
-    baseline = cycles(MmuConfig(num_walkers=8, merge_slots=0,
+    baseline = cycles(MmuConfig(num_ptws=8, prmb_slots=0,
                                 translation_cache="none", tlb_entries=2048))
-    full = cycles(MmuConfig(num_walkers=128, merge_slots=32,
+    full = cycles(MmuConfig(num_ptws=128, prmb_slots=32,
                             translation_cache="tpr", tlb_entries=2048))
     perf_base = oracle / baseline
     perf_full = oracle / full
@@ -178,7 +178,7 @@ def test_criterion_05_walk_cost_exact():
     for ps, pages in ((PS4K, 1), (PS2M, 1)):
         seg = Segment("s", default_segment_base(0), pages * ps.bytes)
         pt = build([seg], ps)
-        eng = TranslationEngine(MmuConfig(num_walkers=1), pt, ps)
+        eng = TranslationEngine(MmuConfig(num_ptws=1), pt, ps)
         eng.submit(seg.vpn_range(ps)[0], 0)
         done, comps = eng.drain(1)
         results[ps] = (eng.stats.walk_memory_transactions, comps[0].done_cycle)
@@ -191,7 +191,7 @@ def _stream_engines(cache, entries=1):
     seg = Segment("s", default_segment_base(0), 4 * MB)  # 1024 pages
     pt = build([seg], PS4K)
     eng = TranslationEngine(
-        MmuConfig(num_walkers=1, translation_cache=cache,
+        MmuConfig(num_ptws=1, translation_cache=cache,
                   cache_entries=entries), pt, PS4K)
     drain_trace(eng, list(seg.vpn_range(PS4K)))
     return eng
@@ -220,10 +220,10 @@ def test_criterion_07_path_cache_beats_unified():
 
 def test_criterion_08_energy_ordering():
     trace, pt, _, _ = burst_txn_vpns()
-    brute = TranslationEngine(MmuConfig(num_walkers=1024, merge_slots=0),
+    brute = TranslationEngine(MmuConfig(num_ptws=1024, prmb_slots=0),
                               pt, PS4K)
     drain_trace(brute, trace)
-    filtered = TranslationEngine(MmuConfig(num_walkers=128, merge_slots=32),
+    filtered = TranslationEngine(MmuConfig(num_ptws=128, prmb_slots=32),
                                  pt, PS4K)
     drain_trace(filtered, trace)
     e_brute = account(brute.stats).total_pj

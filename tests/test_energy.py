@@ -27,13 +27,13 @@ def test_accounting_is_linear_in_events():
 
 def test_default_table_keeps_dram_dominant():
     t = EnergyTable()
-    assert t.pj_per_walk_dram_access >= 100 * t.pj_per_merge_buffer_access
-    assert t.pj_per_walk_dram_access >= 100 * t.pj_per_path_register_access
+    assert t.pj_walk_dram >= 100 * t.pj_prmb
+    assert t.pj_walk_dram >= 100 * t.pj_tpr
 
 
 def test_component_attribution():
-    t = EnergyTable(pj_per_walk_dram_access=100.0, pj_per_tlb_access=1.0,
-                    pj_per_merge_buffer_access=0.5, pj_per_path_register_access=0.25)
+    t = EnergyTable(pj_walk_dram=100.0, pj_tlb=1.0,
+                    pj_prmb=0.5, pj_tpr=0.25)
     bd = account(stats(walk_memory_transactions=2, tlb_accesses=4,
                        merge_buffer_accesses=6, cache_probes=8), t)
     assert bd.walk_dram_pj == 200.0

@@ -202,3 +202,38 @@ def test_cli_seed_flag_overrides_master(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main(["run", "--seed", "99", "--out", str(out)]) == 0
     assert harness.read_csv(str(out))[0]["seed"] == "99"
+
+
+def test_cli_sweep_rejects_invalid_base_config(tmp_path, capsys):
+    p = tmp_path / "c.yaml"
+    p.write_text("config_id: 5\n")
+    assert cli.main(["sweep", "--config", str(p), "--set", "num_ptws=1,8"]) == 1
+    assert "error: config_id:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, raw", [("npu.reuse_last_translation", "True"),
+                                      ("mmu.num_ptws", "0x10")])
+def test_set_and_env_parse_values_alike(tmp_path, monkeypatch, key, raw):
+    swept, env = tmp_path / "set.csv", tmp_path / "env.csv"
+    assert cli.main(["sweep", "--set", f"{key}={raw}", "--out", str(swept)]) == 0
+    monkeypatch.setenv("NPUSIM_" + key.upper().replace(".", "__"), raw)
+    assert cli.main(["run", "--out", str(env)]) == 0
+
+    def results(path):
+        return [{k: v for k, v in r.items() if k != "config_id"}
+                for r in harness.read_csv(str(path))]
+    assert results(swept) == results(env)
+
+
+def test_page_size_reaches_numa_strategies():
+    def rows(page_size):
+        cfg = small_cfg(**{"workload.kind": "embedding", "workload.strategy": "all",
+                           "workload.rows": 4096, "workload.batch_samples": 64,
+                           "mmu.page_size": page_size})
+        return {r["strategy"]: r for r in harness.run_single(cfg)}
+    small, large = rows("4k"), rows("2m")
+    for strategy in ("numa_slow", "numa_fast"):
+        assert (large[strategy]["translation_cycles"]
+                < small[strategy]["translation_cycles"])
+    for strategy in ("baseline_copy", "demand_4k", "demand_2m"):
+        assert large[strategy] == small[strategy]

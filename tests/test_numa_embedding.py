@@ -135,7 +135,7 @@ def test_numa_requires_mapped_tables():
 
 def test_more_walkers_shrink_translation_cycles():
     m, tr = trace_for(batch=256)
-    few = run_numa(tr, m, "fast", mmu=MmuConfig(num_walkers=4, merge_slots=4,
+    few = run_numa(tr, m, "fast", mmu=MmuConfig(num_ptws=4, prmb_slots=4,
                                                 translation_cache="tpr"))
     many = run_numa(tr, m, "fast", mmu=DEFAULT_NUMA_MMU)
     assert many.translation_cycles <= few.translation_cycles

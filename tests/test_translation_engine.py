@@ -35,7 +35,7 @@ def drain_all(engine, now):
 
 def test_cold_walk_4k_takes_four_levels():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_walkers=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
     page = seg.vpn_range(PS4K)[0]
     res = eng.submit(page, 0)
     assert res.status is SubmitStatus.NEW_WALK
@@ -48,7 +48,7 @@ def test_cold_walk_4k_takes_four_levels():
 
 def test_cold_walk_2m_takes_three_levels():
     pt, seg = make_pt(pages=2, ps=PS2M)
-    eng = TranslationEngine(MmuConfig(num_walkers=1), pt, PS2M)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS2M)
     eng.submit(seg.vpn_range(PS2M)[0], 0)
     comps = []
     for c in range(0, 301):
@@ -59,7 +59,7 @@ def test_cold_walk_2m_takes_three_levels():
 
 def test_tlb_hit_completes_after_hit_latency():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_walkers=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
     page = seg.vpn_range(PS4K)[0]
     eng.submit(page, 0)
     drain_all(eng, 1)
@@ -73,7 +73,7 @@ def test_tlb_hit_completes_after_hit_latency():
 
 def test_tlb_lru_eviction():
     pt, seg = make_pt(pages=3)
-    eng = TranslationEngine(MmuConfig(num_walkers=1, tlb_entries=2), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, tlb_entries=2), pt, PS4K)
     pages = list(seg.vpn_range(PS4K))
     now = 0
     for p in pages:  # fills TLB with the last two pages
@@ -90,7 +90,7 @@ def test_tlb_lru_eviction():
 
 def test_duplicate_vpns_merge_into_one_walk():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_walkers=1, merge_slots=8), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=8), pt, PS4K)
     page = seg.vpn_range(PS4K)[0]
     results = [eng.submit(page, c) for c in range(8)]
     assert results[0].status is SubmitStatus.NEW_WALK
@@ -105,7 +105,7 @@ def test_duplicate_vpns_merge_into_one_walk():
 
 def test_merge_buffer_capacity_blocks():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_walkers=1, merge_slots=2), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=2), pt, PS4K)
     page = seg.vpn_range(PS4K)[0]
     statuses = [eng.submit(page, c).status for c in range(4)]
     assert statuses == [SubmitStatus.NEW_WALK, SubmitStatus.MERGED,
@@ -116,7 +116,7 @@ def test_merge_buffer_capacity_blocks():
 def test_no_merging_without_scoreboard():
     # with the merge path disabled, duplicate in-flight pages burn walkers
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_walkers=4, merge_slots=0), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=4, prmb_slots=0), pt, PS4K)
     page = seg.vpn_range(PS4K)[0]
     for c in range(4):
         assert eng.submit(page, c).status is SubmitStatus.NEW_WALK
@@ -128,7 +128,7 @@ def test_no_merging_without_scoreboard():
 
 def test_all_walkers_busy_blocks():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_walkers=2, merge_slots=0), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=2, prmb_slots=0), pt, PS4K)
     pages = list(seg.vpn_range(PS4K))
     assert eng.submit(pages[0], 0).accepted
     assert eng.submit(pages[1], 0).accepted
@@ -137,7 +137,7 @@ def test_all_walkers_busy_blocks():
 
 def test_walker_frees_after_walk():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_walkers=1, merge_slots=0), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=0), pt, PS4K)
     pages = list(seg.vpn_range(PS4K))
     eng.submit(pages[0], 0)
     drain_all(eng, 1)
@@ -149,7 +149,7 @@ def test_walker_frees_after_walk():
 def test_path_register_cuts_walks_to_one_read():
     pt, seg = make_pt(pages=10)
     eng = TranslationEngine(
-        MmuConfig(num_walkers=1, translation_cache="tpr"), pt, PS4K)
+        MmuConfig(num_ptws=1, translation_cache="tpr"), pt, PS4K)
     cycles, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
     assert len(comps) == 10
     # first walk reads 4 nodes; the other nine hit the register and read 1
@@ -162,7 +162,7 @@ def test_path_register_cuts_walks_to_one_read():
 def test_path_cache_shared_across_walkers():
     pt, seg = make_pt(pages=16)
     eng = TranslationEngine(
-        MmuConfig(num_walkers=8, merge_slots=4,
+        MmuConfig(num_ptws=8, prmb_slots=4,
                   translation_cache="tpc", cache_entries=8), pt, PS4K)
     _, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
     assert len(comps) == 16
@@ -173,7 +173,7 @@ def test_path_cache_shared_across_walkers():
 def test_unified_cache_serves_interior_nodes():
     pt, seg = make_pt(pages=8)
     eng = TranslationEngine(
-        MmuConfig(num_walkers=1, translation_cache="uptc",
+        MmuConfig(num_ptws=1, translation_cache="uptc",
                   cache_entries=64), pt, PS4K)
     _, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
     assert len(comps) == 8
@@ -186,7 +186,7 @@ def test_register_miss_on_distant_page():
     seg_b = Segment("b", default_segment_base(1), 4096)
     pt = build([seg_a, seg_b], PS4K)
     eng = TranslationEngine(
-        MmuConfig(num_walkers=1, translation_cache="tpr"), pt, PS4K)
+        MmuConfig(num_ptws=1, translation_cache="tpr"), pt, PS4K)
     drain_trace(eng, [seg_a.vpn_range(PS4K)[0], seg_b.vpn_range(PS4K)[0]])
     assert eng.stats.walk_memory_transactions == 8
 
@@ -195,7 +195,7 @@ def test_register_miss_on_distant_page():
 
 def test_unmapped_page_completes_as_fault():
     pt, seg = make_pt(pages=1)
-    eng = TranslationEngine(MmuConfig(num_walkers=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
     bad = seg.vpn_range(PS4K)[0] + (1 << 27)  # different top-level entry
     eng.submit(bad, 0)
     comps = drain_all(eng, 1)
@@ -206,7 +206,7 @@ def test_unmapped_page_completes_as_fault():
 
 def test_fault_never_fills_tlb():
     pt, seg = make_pt(pages=1)
-    eng = TranslationEngine(MmuConfig(num_walkers=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
     bad = seg.vpn_range(PS4K)[0] + (1 << 27)
     eng.submit(bad, 0)
     now, _ = eng.drain(1)
@@ -274,8 +274,8 @@ def test_tick_must_be_monotone():
 ENGINE_CONFIGS = st.builds(
     MmuConfig,
     tlb_entries=st.sampled_from([2, 16, 2048]),
-    num_walkers=st.sampled_from([1, 2, 8, 32]),
-    merge_slots=st.sampled_from([0, 1, 8]),
+    num_ptws=st.sampled_from([1, 2, 8, 32]),
+    prmb_slots=st.sampled_from([0, 1, 8]),
     translation_cache=st.sampled_from(["none", "tpr", "tpc", "uptc"]),
     cache_entries=st.sampled_from([1, 2, 16]),
 )
@@ -309,7 +309,7 @@ def test_random_traces_translate_correctly(cfg, seed, data):
     assert s.accepted == s.completions == len(trace)
     assert s.submitted == s.accepted + s.blocked_cycles
     assert s.tlb_hits + s.scoreboard_merges + s.walks_started == s.accepted
-    if cfg.merge_slots == 0:
+    if cfg.prmb_slots == 0:
         assert s.scoreboard_merges == 0
 
 
@@ -320,7 +320,7 @@ def test_walk_bandwidth_is_charged(seed):
     rng = np.random.default_rng(seed)
     pt, seg = make_pt(pages=8)
     dram = Dram(DramConfig())
-    eng = TranslationEngine(MmuConfig(num_walkers=4), pt, PS4K, dram=dram)
+    eng = TranslationEngine(MmuConfig(num_ptws=4), pt, PS4K, dram=dram)
     trace = [seg.vpn_range(PS4K)[0] + int(v) for v in rng.integers(0, 8, 20)]
     drain_trace(eng, trace)
     # every walk transaction moved one 64B node read through the bucket
