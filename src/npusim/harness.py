@@ -133,8 +133,6 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     links = LinksConfig(**cfg["links"])
     mmu = MmuConfig(**cfg["mmu"])
     ps = PAGE_SIZES[mmu.page_size]
-    if mmu.mode == "oracle":
-        mmu = MmuConfig(mode="oracle")
 
     strategies = STRATEGIES if wl.strategy == "all" else (wl.strategy,)
     breakdowns: List[LatencyBreakdown] = []

@@ -9,6 +9,12 @@ cycle to the MMU while fetching. Compute for tile n overlaps the fetch of
 tile n+1; a tile's compute starts only after its fetch fully lands
 (barrier), and a buffer is reusable only after the compute reading it ends.
 
+Under an oracle MMU every translation completes in the cycle it is
+submitted, so oracle fetches bypass the translation engine's event loop:
+`_oracle_fetch` walks a tile's spans once and issues translation group i
+and its data at cycle start + i, with the same DRAM calls, end cycle and
+engine counters as the engine-driven `simulate_fetch`.
+
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
 weight block:  ceil(k/P) * ceil(n/P) * (m + 2P) cycles.
@@ -83,6 +89,7 @@ class TileStep:
     fetches: Tuple[TileFetch, ...]    # IA then W, never interleaved
     gemm: Tuple[int, int, int]        # (m, k, n) of this sub-GEMM
     out_bytes: int
+    out: Optional[TileFetch]          # output write-back; None without out segment
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,13 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
                 TileFetch("ia", ia, sum(s[1] for s in ia), tile_id),
                 TileFetch("w", w, sum(s[1] for s in w), tile_id),
             )
-            steps.append(TileStep(tile_id, fetches, (m, kt, nt), m * nt * eb))
+            out = None
+            if layer.out_segment is not None:
+                # the m x nt output tile sits at column n0 of the m x n output
+                spans = _row_spans(layer.out_segment.base + n0 * eb,
+                                   m, n * eb, nt * eb)
+                out = TileFetch("out", spans, m * nt * eb, tile_id)
+            steps.append(TileStep(tile_id, fetches, (m, kt, nt), m * nt * eb, out))
             tile_id += 1
     return steps
 
@@ -241,6 +254,54 @@ def simulate_fetch(
     return end
 
 
+def _oracle_fetch(
+    tile: TileFetch,
+    engine: TranslationEngine,
+    dram: Dram,
+    start: int,
+    npu: NpuConfig,
+) -> int:
+    """Fetch a tile under an oracle MMU in one pass; return last data cycle.
+
+    Equivalent to `simulate_fetch(linearize(tile, npu), engine, ...)` with
+    an oracle engine, without its per-cycle submit/tick: translation group i
+    completes in cycle start + i, and its chunks are issued to DRAM then.
+    A group is one chunk, or with the reuse window a run of same-page chunks.
+    """
+    ps = engine.ps
+    leaf, issue = engine.pt.leaf, dram.issue
+    shift = ps.offset_bits
+    chunk = npu.dma_txn_bytes
+    reuse = npu.reuse_last_translation
+    cycle = start - 1
+    end = start
+    page = None
+    for base, length in tile.spans:
+        stop = base + length
+        for va in range(base, stop, chunk):
+            vpn = (va & VA_MASK) >> shift
+            if vpn != page:
+                page = vpn
+                cycle += 1
+                frame, level = leaf(vpn, ps)
+                if frame is None:
+                    _count_oracle(engine.stats, cycle - start + 1, faults=1)
+                    raise SimulationFault(vpn, level)
+            elif not reuse:
+                cycle += 1
+            end = issue(min(chunk, stop - va), cycle)
+    _count_oracle(engine.stats, cycle - start + 1)
+    return end
+
+
+def _count_oracle(stats, groups: int, faults: int = 0) -> None:
+    """Charge `groups` same-cycle oracle translations to the engine's stats."""
+    stats.submitted += groups
+    stats.accepted += groups
+    stats.completions += groups
+    stats.faults += faults
+
+
 def run_layer(
     layer: LayerConfig,
     npu: NpuConfig,
@@ -250,6 +311,13 @@ def run_layer(
     """Execute the double-buffered tile pipeline for one layer."""
     steps = tile_steps(layer, npu)
     ps = engine.ps
+    if engine.cfg.mode == "oracle":
+        def fetch(tile, start):
+            return _oracle_fetch(tile, engine, dram, start, npu)
+    else:
+        def fetch(tile, start):
+            return simulate_fetch(linearize(tile, npu), engine, dram, start,
+                                  ps, npu)
     phases: List[TilePhase] = []
     fetch_end_prev = 0
     compute_ends: List[int] = []
@@ -262,19 +330,15 @@ def run_layer(
             # the DMA was busy mirroring writes until the previous compute end
             fetch_start = max(fetch_start, compute_ends[i - 1])
         cursor = fetch_start
-        for fetch in step.fetches:
-            cursor = simulate_fetch(linearize(fetch, npu), engine, dram,
-                                    cursor, ps, npu)
+        for tile in step.fetches:
+            cursor = fetch(tile, cursor)
         fetch_end = cursor
         compute_start = max(fetch_end, compute_ends[i - 1] if i >= 1 else 0)
         compute_end = compute_start + compute_cycles(*step.gemm, npu)
         if npu.mirror_write_traffic:
-            if layer.out_segment is None:
+            if step.out is None:
                 raise ValueError("mirror_write_traffic requires an output segment")
-            out_spans = ((layer.out_segment.base, step.out_bytes),)
-            out = TileFetch("out", out_spans, step.out_bytes, step.tile_id)
-            compute_end = simulate_fetch(linearize(out, npu), engine, dram,
-                                         compute_end, ps, npu)
+            compute_end = fetch(step.out, compute_end)
         phases.append(TilePhase(step.tile_id, fetch_start, fetch_end,
                                 compute_start, compute_end))
         fetch_end_prev = fetch_end

@@ -237,3 +237,15 @@ def test_page_size_reaches_numa_strategies():
                 < small[strategy]["translation_cycles"])
     for strategy in ("baseline_copy", "demand_4k", "demand_2m"):
         assert large[strategy] == small[strategy]
+
+
+@pytest.mark.parametrize("key", ["mmu.walk_cycles_per_level", "mmu.tlb_hit_latency"])
+def test_demand_paging_follows_mmu_timing_in_oracle_mode(key):
+    def faulting(mode):
+        cfg = small_cfg(**{"workload.kind": "embedding", "workload.rows": 4096,
+                           "workload.batch_samples": 64, "mmu.mode": mode,
+                           key: 50})
+        return {r["strategy"]: (r["fault_handling_cycles"], r["total_cycles"])
+                for r in harness.run_single(cfg)
+                if r["strategy"].startswith("demand")}
+    assert faulting("oracle") == faulting("modeled")

@@ -152,6 +152,40 @@ def test_unmapped_segment_raises_simulation_fault():
         run_layer(layer, NpuConfig(), eng, Dram(DramConfig()))
 
 
+def test_unmapped_segment_raises_simulation_fault_in_oracle_mode():
+    layer = make_layer("l", 4, 64, 64)
+    pt = build([layer.ia_segment], PS4K)  # weights left unmapped
+    eng = TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K)
+    with pytest.raises(SimulationFault) as fault:
+        run_layer(layer, NpuConfig(), eng, Dram(DramConfig()))
+    assert fault.value.vpn == layer.w_segment.base >> PS4K.offset_bits
+
+
+@pytest.mark.parametrize("mode", ["oracle", "modeled"])
+def test_mirrored_output_tiles_land_at_their_columns(mode):
+    # 4 x 8192 output: each 1024-column tile writes a 1 KB piece of every row
+    layer = make_layer("l", 4, 64, 8192)
+    npu = NpuConfig(spm_weight_bytes=128 * 1024, mirror_write_traffic=True)
+    out = layer.out_segment
+    pt = build([layer.ia_segment, layer.w_segment, out], PS4K)
+    touched = set()
+    walk_path = pt.walk_path
+
+    def spy(vpn, ps):
+        touched.add(vpn)
+        return walk_path(vpn, ps)
+    pt.walk_path = spy
+    run_layer(layer, npu, TranslationEngine(MmuConfig(mode=mode), pt, PS4K),
+              Dram(DramConfig()))
+    assert set(out.vpn_range(PS4K)) <= touched
+
+    steps = tile_steps(layer, npu)
+    assert len(steps) == 8
+    written = sorted(span for step in steps for span in step.out.spans)
+    assert written == [(out.base + r * 8192 + c * 1024, 1024)
+                       for r in range(4) for c in range(8)]
+
+
 def test_translation_reuse_window_collapses_sequential_pages():
     layer = make_layer("l", 1, 8192, 128)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
