@@ -34,14 +34,14 @@ def main():
         model = EmbeddingModel(
             tables=tuple(EmbeddingTableSpec(args.rows) for _ in range(args.tables)),
             batch=batch, index_distribution=dist, zipf_s=zipf_s, seed=args.seed)
-        trace = gather_trace(model, Placement.round_robin(args.tables,
-                                                          args.tables))[0]
+        placement = Placement.round_robin(args.tables, args.tables)
+        trace = gather_trace(model, placement)[0]
         if pattern == "sequential":
             from npusim.workloads import GatherRequest
             trace = [GatherRequest(t, r, t % args.tables)
                      for t in range(args.tables) for r in range(2048)]
         for ps in (PageSize.SMALL_4K, PageSize.LARGE_2M):
-            bd, _ = run_demand_paging(trace, model, ps)
+            bd, _ = run_demand_paging(trace, model, ps, placement)
             tag = "4k" if ps is PageSize.SMALL_4K else "2m"
             print(f"{pattern:12s} {tag:5s} {bd.faults:7d} "
                   f"{bd.migration_bytes / 2**20:12.1f} "

@@ -106,6 +106,18 @@ def indices_of_vpn(page: int, ps: PageSize) -> PageIndices:
     return decompose(page << ps.offset_bits, ps)
 
 
+def radix_indices(page: int, ps: PageSize) -> tuple:
+    """Radix indices of a VPN, top-down: (l4, l3, l2, l1) or (l4, l3, l2) for 2MB.
+
+    The fields of `indices_of_vpn`, taken from the VPN by shifts and masks
+    alone; VPN bits above the 48-bit address fall outside every mask.
+    """
+    if ps is PageSize.SMALL_4K:
+        return ((page >> 27) & INDEX_MASK, (page >> 18) & INDEX_MASK,
+                (page >> 9) & INDEX_MASK, page & INDEX_MASK)
+    return ((page >> 18) & INDEX_MASK, (page >> 9) & INDEX_MASK, page & INDEX_MASK)
+
+
 @dataclass(frozen=True)
 class Segment:
     """A named, contiguous region of the virtual address space."""

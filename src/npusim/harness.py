@@ -35,6 +35,7 @@ from .workloads import (
     Placement,
     WorkloadConfig,
     dense_suite,
+    embedding_segments,
     gather_trace,
 )
 
@@ -136,6 +137,7 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
 
     strategies = STRATEGIES if wl.strategy == "all" else (wl.strategy,)
     breakdowns: List[LatencyBreakdown] = []
+    numa_table = None  # every table mapped; both NUMA strategies only read it
     for strat in strategies:
         if strat == "baseline_copy":
             breakdowns.append(run_baseline_copy(trace, model, cpu_link=links.pcie,
@@ -143,12 +145,16 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
         elif strat in ("numa_slow", "numa_fast"):
             kind = strat.split("_")[1]
             link = links.nvlink if kind == "fast" else links.pcie
+            if numa_table is None:
+                numa_table = build(embedding_segments(model), ps)
             bd = run_numa(trace, model, link_kind=kind, mmu=mmu, dram=dram,
-                          ps=ps, link=link)
+                          ps=ps, page_table=numa_table, link=link)
             breakdowns.append(bd)
         else:
+            numa_table = None  # not kept alive next to the demand-paged tables
             bd, _ = run_demand_paging(trace, model, PAGE_SIZES[strat.split("_")[1]],
-                                      link=links.nvlink, dram=dram, mmu=mmu)
+                                      placement, link=links.nvlink, dram=dram,
+                                      mmu=mmu)
             breakdowns.append(bd)
 
     rows = []

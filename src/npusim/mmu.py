@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import List, Optional, Sequence
 
-from .address_space import PAGE_SIZES, PageSize, indices_of_vpn
+from .address_space import PAGE_SIZES, PageSize, radix_indices
 from .memory import Dram
 from .page_table import PageTable, WalkStep
 from .schema import Record, knob
@@ -342,7 +342,8 @@ class TranslationEngine:
     # -- translation caches -------------------------------------------------
 
     def _upper_tag(self, vpn: int) -> tuple:
-        return indices_of_vpn(vpn, self.ps).upper_tag(self.ps)
+        """Radix indices above the leaf level, top-down (path-cache tag)."""
+        return radix_indices(vpn, self.ps)[:-1]
 
     def _probe_cache(self, walker: _Walker, vpn: int, path: List[WalkStep]) -> int:
         kind = self.cfg.translation_cache

@@ -30,7 +30,13 @@ from .address_space import PageSize, vpn as vpn_of
 from .memory import DramConfig, LinkConfig, NVLINK_LINK, PCIE_LINK
 from .mmu import MmuConfig, TranslationEngine, drain_trace
 from .page_table import PageTable, build
-from .workloads import EmbeddingModel, GatherRequest, embedding_segments, table_segment
+from .workloads import (
+    EmbeddingModel,
+    GatherRequest,
+    Placement,
+    embedding_segments,
+    table_segment,
+)
 
 # Throughput-oriented MMU used by the NUMA and demand-paging paths.
 DEFAULT_NUMA_MMU = MmuConfig(num_ptws=128, prmb_slots=32, translation_cache="tpr")
@@ -127,8 +133,8 @@ def run_numa(
     if page_table is None:
         page_table = build(embedding_segments(model), ps)
     engine = TranslationEngine(mmu, page_table, ps)
-    vpns = [vpn_of(table_segment(model, g.table).base + g.row * eb, ps)
-            for g in trace]
+    bases = _table_bases(model)
+    vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
     bd.translation_cycles, comps = drain_trace(engine, vpns)
     if any(c.fault for c in comps):
         raise RuntimeError("NUMA gather faulted; remote pages must be mapped")
@@ -148,6 +154,7 @@ def run_demand_paging(
     trace: List[GatherRequest],
     model: EmbeddingModel,
     ps: PageSize,
+    placement: Placement,
     npu_id: int = 0,
     link: LinkConfig = NVLINK_LINK,
     dram: DramConfig = DramConfig(),
@@ -157,8 +164,10 @@ def run_demand_paging(
 ) -> Tuple[LatencyBreakdown, PageTable]:
     """Fault-and-migrate remote pages into local memory, then gather locally.
 
-    Returns the breakdown and the (mutated) local page table so a second
-    pass can demonstrate fault idempotence.
+    The local table starts with the tables `placement` gives this NPU
+    mapped, whether or not the trace gathers from them. Returns the
+    breakdown and the (mutated) local page table so a second pass can
+    demonstrate fault idempotence.
     """
     eb = model.tables[0].embedding_bytes
     local_n, remote_n, local_bytes, remote_bytes = _split(trace, npu_id, eb)
@@ -167,39 +176,35 @@ def run_demand_paging(
                           local_count=local_n, remote_count=remote_n)
 
     if page_table is None:
-        # only this NPU's own tables start mapped locally
         page_table = build(
-            [table_segment(model, t) for t in range(len(model.tables))
-             if _owner_of(trace, t) == npu_id],
+            [table_segment(model, t) for t, owner in enumerate(placement.table_to_npu)
+             if owner == npu_id],
             ps,
         )
 
-    hit_cycles = 0
-    migrated_read_bytes = 0
+    bases = _table_bases(model)
     for g in trace:
-        va = table_segment(model, g.table).base + g.row * eb
-        page = vpn_of(va, ps)
-        if g.owner_npu != npu_id and not page_table.is_mapped(page, ps):
-            depth = len(page_table.walk_path(page, ps))
-            bd.fault_handling_cycles += (depth * mmu.walk_cycles_per_level
+        if g.owner_npu == npu_id:
+            continue
+        page = vpn_of(bases[g.table] + g.row * eb, ps)
+        path = page_table.walk_path(page, ps)
+        last = path[-1]
+        if not (last.present and last.is_leaf):
+            bd.fault_handling_cycles += (len(path) * mmu.walk_cycles_per_level
                                          + fault_overhead_cycles)
             bd.migration_cycles += (link.numa_latency
                                     + math.ceil(ps.bytes / link.bandwidth_bytes_per_cycle))
             bd.migration_bytes += ps.bytes
             bd.faults += 1
             page_table.map_page(page, ps)
-        hit_cycles += mmu.tlb_hit_latency
-        migrated_read_bytes += eb
 
-    bd.local_cycles = _dram_read(migrated_read_bytes, dram) + hit_cycles
+    bd.local_cycles = (_dram_read(len(trace) * eb, dram)
+                       + len(trace) * mmu.tlb_hit_latency)
     bd.bloat_bytes = max(0, bd.migration_bytes - remote_bytes)
     bd.total_cycles = (bd.local_cycles + bd.fault_handling_cycles
                        + bd.migration_cycles)
     return bd, page_table
 
 
-def _owner_of(trace: List[GatherRequest], table: int) -> int:
-    for g in trace:
-        if g.table == table:
-            return g.owner_npu
-    return -1
+def _table_bases(model: EmbeddingModel) -> List[int]:
+    return [table_segment(model, t).base for t in range(len(model.tables))]

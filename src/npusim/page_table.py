@@ -12,15 +12,10 @@ never collide with data addresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
-from .address_space import (
-    PageSize,
-    Segment,
-    check_disjoint,
-    indices_of_vpn,
-)
+from .address_space import PageSize, Segment, check_disjoint, radix_indices
 
 # Physical region reserved for page-table nodes (one 4KB node per id).
 PT_NODE_REGION_BASE = 1 << 47
@@ -42,8 +37,7 @@ class MappingError(Exception):
     """Double-map or unmap of an absent page."""
 
 
-@dataclass(frozen=True)
-class WalkStep:
+class WalkStep(NamedTuple):
     """One node read of a radix walk."""
 
     level: int          # 4 (root) down to the leaf level
@@ -78,11 +72,16 @@ class FrameAllocator:
         self._next = 0
 
     def alloc(self) -> int:
-        n = self._next
-        self._next += 1
+        return self.alloc_run(1)[0]
+
+    def alloc_run(self, count: int) -> Sequence[int]:
+        """The frames of `count` successive `alloc()` calls, in call order."""
+        first = self._next
+        self._next += count
+        counters = range(first, first + count)
         if self.policy == "sequential":
-            return n
-        return self._scramble(n)
+            return counters
+        return [self._scramble(n) for n in counters]
 
     def _scramble(self, n: int) -> int:
         # 4-round Feistel on 36 bits (18|18 split): a permutation, so
@@ -100,12 +99,19 @@ class FrameAllocator:
 class PageTable:
     """Sparse radix tree of 512-entry nodes.
 
+    `build` maps each segment with `map_range`, which descends to a leaf
+    node once per run of up to 512 VPNs and fills the run in one pass;
+    `map_page` maps one VPN through the same descent. Both allocate missing
+    interior nodes in VPN order, so a table gets the same node ids either
+    way.
+
     `leaf` answers the oracle's question (which frame, or at which level the
     walk faults) from a memo keyed by (vpn, page size), so an oracle MMU
     walks each page once rather than once per access. The memo holds only
-    that small tuple, not the node-read list of `walk_path`. `map_page` and
-    `unmap_page` clear the whole memo: a new interior node also changes the
-    outcome for neighbouring VPNs whose walks used to fault above it.
+    that small tuple, not the node-read list of `walk_path`. Every
+    `map_range`, `map_page` and `unmap_page` call clears the whole memo
+    once: a new interior node also changes the outcome for neighbouring
+    VPNs whose walks used to fault above it.
     """
 
     def __init__(self, frame_allocator: Optional[FrameAllocator] = None):
@@ -118,52 +124,73 @@ class PageTable:
         # (vpn, ps) -> (frame, None) or (None, fault level)
         self._leaves: dict[tuple[int, PageSize], tuple[Optional[int], Optional[int]]] = {}
 
-    def node_addr(self, node_id: int) -> int:
-        return PT_NODE_REGION_BASE + node_id * 4096
-
     def _alloc_node(self) -> int:
         nid = self._next_node
         self._next_node += 1
         self.nodes[nid] = {}
         return nid
 
-    def _indices(self, vpn: int, ps: PageSize) -> List[int]:
-        idx = indices_of_vpn(vpn, ps)
-        if ps is PageSize.SMALL_4K:
-            return [idx.l4, idx.l3, idx.l2, idx.l1]
-        return [idx.l4, idx.l3, idx.l2]
-
     # -- mutation -----------------------------------------------------------
+
+    def _leaf_entries(self, vpn: int, indices: tuple) -> dict[int, tuple[bool, int]]:
+        """Entries of the node that holds `vpn`'s leaf, allocating missing
+        interior nodes on the way down."""
+        nodes = self.nodes
+        node = self.root
+        for index in indices[:-1]:
+            entries = nodes[node]
+            entry = entries.get(index)
+            if entry is None:
+                node = self._alloc_node()
+                entries[index] = (False, node)
+            elif entry[0]:
+                raise MappingError(
+                    f"vpn {vpn:#x}: interior slot already holds a leaf"
+                )
+            else:
+                node = entry[1]
+        return nodes[node]
 
     def map_page(self, vpn: int, ps: PageSize, frame: Optional[int] = None) -> int:
         self._leaves.clear()
-        indices = self._indices(vpn, ps)
-        node = self.root
-        for index in indices[:-1]:
-            entry = self.nodes[node].get(index)
-            if entry is None:
-                child = self._alloc_node()
-                self.nodes[node][index] = (False, child)
-                node = child
-            else:
-                is_leaf, value = entry
-                if is_leaf:
-                    raise MappingError(
-                        f"vpn {vpn:#x}: interior slot already holds a leaf"
-                    )
-                node = value
+        indices = radix_indices(vpn, ps)
+        entries = self._leaf_entries(vpn, indices)
         leaf_index = indices[-1]
-        if leaf_index in self.nodes[node]:
+        if leaf_index in entries:
             raise MappingError(f"vpn {vpn:#x} already mapped")
         if frame is None:
             frame = self.frames.alloc()
-        self.nodes[node][leaf_index] = (True, frame)
+        entries[leaf_index] = (True, frame)
         self.mapped_pages += 1
         return frame
 
+    def map_range(self, first: int, count: int, ps: PageSize) -> None:
+        """Map VPNs first .. first+count-1 to frames allocated in VPN order.
+
+        The same table as `map_page` on each VPN in turn, reached with one
+        descent per leaf node. A run that meets an already-mapped VPN raises
+        MappingError before any VPN of that leaf node's run is mapped.
+        """
+        self._leaves.clear()
+        vpn, end = first, first + count
+        while vpn < end:
+            indices = radix_indices(vpn, ps)
+            entries = self._leaf_entries(vpn, indices)
+            lo = indices[-1]
+            n = min(512 - lo, end - vpn)
+            run = range(lo, lo + n)
+            if entries:
+                for index in run:
+                    if index in entries:
+                        raise MappingError(f"vpn {vpn + index - lo:#x} already mapped")
+            for index, frame in zip(run, self.frames.alloc_run(n)):
+                entries[index] = (True, frame)
+            self.mapped_pages += n
+            vpn += n
+
     def unmap_page(self, vpn: int, ps: PageSize) -> None:
         self._leaves.clear()
-        indices = self._indices(vpn, ps)
+        indices = radix_indices(vpn, ps)
         node = self.root
         for index in indices[:-1]:
             entry = self.nodes[node].get(index)
@@ -187,22 +214,20 @@ class PageTable:
         The final step either carries the leaf entry (present, is_leaf) or
         records the read of the absent entry that faults the walk.
         """
-        indices = self._indices(vpn, ps)
+        nodes = self.nodes
         steps: List[WalkStep] = []
         node = self.root
         level = 4
-        for depth, index in enumerate(indices):
-            naddr = self.node_addr(node)
-            eaddr = naddr + index * ENTRY_BYTES
-            entry = self.nodes[node].get(index)
+        for index in radix_indices(vpn, ps):
+            naddr = PT_NODE_REGION_BASE + node * 4096
+            entry = nodes[node].get(index)
             if entry is None:
-                steps.append(WalkStep(level, naddr, eaddr, False, False, 0))
+                steps.append(WalkStep(level, naddr, naddr + index * ENTRY_BYTES,
+                                      False, False, 0))
                 return steps
-            is_leaf, value = entry
-            steps.append(WalkStep(level, naddr, eaddr, True, is_leaf, value))
-            if depth == len(indices) - 1:
-                return steps
-            node = value
+            is_leaf, node = entry
+            steps.append(WalkStep(level, naddr, naddr + index * ENTRY_BYTES,
+                                  True, is_leaf, node))
             level -= 1
         return steps
 
@@ -250,6 +275,6 @@ def build(
     check_disjoint(segments)
     pt = PageTable(FrameAllocator(frame_policy, seed))
     for seg in segments:
-        for page in seg.vpn_range(ps):
-            pt.map_page(page, ps)
+        pages = seg.vpn_range(ps)
+        pt.map_range(pages.start, len(pages), ps)
     return pt

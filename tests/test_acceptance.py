@@ -265,20 +265,21 @@ def test_criterion_10_large_page_pitfall():
     model = EmbeddingModel(
         tables=tuple(EmbeddingTableSpec(1 << 20) for _ in range(4)),
         batch=64, seed=9)
-    trace = gather_trace(model, Placement.round_robin(4, 4))[0]
+    placement = Placement.round_robin(4, 4)
+    trace = gather_trace(model, placement)[0]
     touches = {}
     for g in trace:
         key = (g.table, g.row * 256 // 4096)
         touches[key] = touches.get(key, 0) + 1
     sparse_enough = sum(touches.values()) / len(touches) < 2
 
-    small, _ = run_demand_paging(trace, model, PS4K)
-    large, _ = run_demand_paging(trace, model, PS2M)
+    small, _ = run_demand_paging(trace, model, PS4K, placement)
+    large, _ = run_demand_paging(trace, model, PS2M, placement)
     bloat = large.migration_bytes / large.payload_bytes
 
     seq = [GatherRequest(t, r, t % 4) for t in range(4) for r in range(512)]
-    sm_seq, _ = run_demand_paging(seq, model, PS4K)
-    lg_seq, _ = run_demand_paging(seq, model, PS2M)
+    sm_seq, _ = run_demand_paging(seq, model, PS4K, placement)
+    lg_seq, _ = run_demand_paging(seq, model, PS2M, placement)
     check(10, f"sparse: 2M migrates {bloat:.0f}x payload (>=100x), total "
               f"{large.total_cycles} > {small.total_cycles}; sequential: "
               f"fault cycles {lg_seq.fault_handling_cycles} < "

@@ -1,7 +1,7 @@
 """Virtual address layout: decompose/compose round trips and segment pages."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from npusim.address_space import (
     PageSize,
@@ -12,8 +12,11 @@ from npusim.address_space import (
     decompose,
     default_segment_base,
     indices_of_vpn,
+    radix_indices,
     vpn,
 )
+from npusim.mmu import MmuConfig, TranslationEngine
+from npusim.page_table import PageTable
 
 
 @given(st.integers(min_value=0, max_value=VA_MASK))
@@ -85,3 +88,16 @@ def test_vpn_indices_roundtrip(page):
     idx = indices_of_vpn(page, PageSize.SMALL_4K)
     assert idx.offset == 0
     assert vpn(compose(idx, PageSize.SMALL_4K), PageSize.SMALL_4K) == page
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=0, max_value=(1 << 36) - 1),
+                 st.integers(min_value=1 << 36, max_value=1 << 64)),
+       st.sampled_from([PageSize.SMALL_4K, PageSize.LARGE_2M]))
+def test_radix_indices_match_decompose(page, ps):
+    # VPNs at and above 2**36 reach bits that decompose masks off
+    idx = indices_of_vpn(page, ps)
+    fields = (idx.l4, idx.l3, idx.l2, idx.l1)
+    assert radix_indices(page, ps) == fields[:ps.levels]
+    engine = TranslationEngine(MmuConfig(), PageTable(), ps)
+    assert engine._upper_tag(page) == idx.upper_tag(ps)

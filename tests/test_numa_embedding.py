@@ -18,10 +18,15 @@ from npusim.workloads import (
     EmbeddingTableSpec,
     Placement,
     gather_trace,
+    table_segment,
 )
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
+
+
+# the placement that trace_for() uses by default
+PLACEMENT = Placement.round_robin(4, 4)
 
 
 def trace_for(num_npus=4, tables=4, batch=64, rows=4096, seed=11,
@@ -78,14 +83,14 @@ def test_numa_payload_conserved_across_strategies():
     results = [run_baseline_copy(tr, m),
                run_numa(tr, m, "slow"),
                run_numa(tr, m, "fast"),
-               run_demand_paging(tr, m, PS4K)[0]]
+               run_demand_paging(tr, m, PS4K, PLACEMENT)[0]]
     assert len({bd.payload_bytes for bd in results}) == 1
     assert len({(bd.local_count, bd.remote_count) for bd in results}) == 1
 
 
 def test_demand_paging_migrates_whole_pages():
     m, tr = trace_for()
-    bd, _ = run_demand_paging(tr, m, PS4K)
+    bd, _ = run_demand_paging(tr, m, PS4K, PLACEMENT)
     assert bd.faults > 0
     assert bd.migration_bytes == bd.faults * 4096
     assert bd.migration_bytes % 4096 == 0
@@ -94,19 +99,31 @@ def test_demand_paging_migrates_whole_pages():
 
 def test_demand_paging_second_pass_is_fault_free():
     m, tr = trace_for()
-    bd1, pt = run_demand_paging(tr, m, PS4K)
-    bd2, _ = run_demand_paging(tr, m, PS4K, page_table=pt)
+    bd1, pt = run_demand_paging(tr, m, PS4K, PLACEMENT)
+    bd2, _ = run_demand_paging(tr, m, PS4K, PLACEMENT, page_table=pt)
     assert bd1.faults > 0
     assert bd2.faults == 0
     assert bd2.migration_bytes == 0
     assert bd2.total_cycles < bd1.total_cycles
 
 
+def test_demand_paging_maps_own_tables_without_gathers():
+    # ownership comes from the placement, not from the gathers in the trace
+    m, tr = trace_for()
+    own = [t for t, owner in enumerate(PLACEMENT.table_to_npu) if owner == 0]
+    rest = [g for g in tr if g.table not in own]
+    assert own and len(rest) < len(tr)
+    _, pt = run_demand_paging(rest, m, PS4K, PLACEMENT)
+    for t in own:
+        assert all(pt.is_mapped(p, PS4K)
+                   for p in table_segment(m, t).vpn_range(PS4K))
+
+
 def test_large_pages_fault_less_but_move_more():
     # sparse uniform access over a large table: few 2M faults cover many rows
     m, tr = trace_for(rows=65536, batch=256)
-    small, _ = run_demand_paging(tr, m, PS4K)
-    large, _ = run_demand_paging(tr, m, PS2M)
+    small, _ = run_demand_paging(tr, m, PS4K, PLACEMENT)
+    large, _ = run_demand_paging(tr, m, PS2M, PLACEMENT)
     assert large.faults < small.faults
     assert large.migration_bytes > small.migration_bytes
     assert large.fault_handling_cycles < small.fault_handling_cycles
@@ -122,7 +139,7 @@ def test_local_only_trace_has_no_remote_terms():
         assert bd.remote_count == 0
         assert bd.remote_leg1 == bd.staging == bd.remote_leg2 == 0
         assert bd.numa_transfer_cycles == 0
-    bd, _ = run_demand_paging(tr, m, PS4K)
+    bd, _ = run_demand_paging(tr, m, PS4K, Placement.round_robin(4, 1))
     assert bd.faults == 0
 
 

@@ -118,3 +118,55 @@ def test_every_segment_byte_translates(seed, pages, ps):
         res = pt.walk(base_va + ps.bytes - 1, ps)
         assert res.frame == frame
         assert res.pa == frame * ps.bytes + ps.bytes - 1
+
+
+# Segment lists start just below a boundary of one leaf node (512 pages) or
+# of the node above it (512 leaf nodes), so runs cross both.
+@st.composite
+def page_disjoint_segments(draw, ps):
+    page = ps.bytes
+    span = draw(st.sampled_from([512, 512 * 512]))
+    cursor = (default_segment_base(0) // page + span * draw(st.integers(1, 3))
+              - draw(st.integers(0, 700)))
+    segs = []
+    for i in range(draw(st.integers(1, 4))):
+        first = cursor + draw(st.integers(0, 600))
+        base = first * page + draw(st.integers(0, page - 1))
+        length = draw(st.integers(1, 1100 * page))
+        segs.append(Segment(f"s{i}", base, length))
+        cursor = (base + length - 1) // page + 1  # next page no segment touches
+    return draw(st.permutations(segs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([PS4K, PS2M]),
+       st.sampled_from(["sequential", "shuffled"]),
+       st.integers(min_value=0, max_value=2**31))
+def test_build_equals_per_page_mapping(data, ps, policy, seed):
+    segs = data.draw(page_disjoint_segments(ps))
+    bulk = build(segs, ps, policy, seed)
+    ref = PageTable(FrameAllocator(policy, seed))
+    for s in segs:
+        for p in s.vpn_range(ps):
+            ref.map_page(p, ps)
+    assert bulk.nodes == ref.nodes
+    assert bulk._next_node == ref._next_node
+    assert bulk.mapped_pages == ref.mapped_pages
+
+
+@pytest.mark.parametrize("ps", [PS4K, PS2M])
+@pytest.mark.parametrize("lower_first", [True, False])
+def test_build_rejects_segments_sharing_a_page(ps, lower_first):
+    base = default_segment_base(0) + 3 * ps.bytes
+    a = Segment("a", base, 2 * ps.bytes + 100)   # its last page is shared
+    b = Segment("b", a.end, 5 * ps.bytes)        # byte-disjoint from a
+    with pytest.raises(MappingError):
+        build([a, b] if lower_first else [b, a], ps)
+
+
+def test_map_range_clears_the_leaf_memo():
+    pt = PageTable()
+    page = vpn(default_segment_base(0), PS4K)
+    assert pt.leaf(page + 2, PS4K) == (None, 4)
+    pt.map_range(page, 3, PS4K)
+    assert pt.leaf(page + 2, PS4K) == (2, None)
