@@ -15,18 +15,22 @@ from npusim import harness
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-MMU_POINTS = {
+POINTS = {
     "default": {},
     "ptw128-prmb32-tpr": {"mmu.num_ptws": 128, "mmu.prmb_slots": 32,
                           "mmu.translation_cache": "tpr"},
     "prmb4-uptc8": {"mmu.prmb_slots": 4, "mmu.translation_cache": "uptc",
                     "mmu.cache_entries": 8},
+    # DMA side: the reuse window, short 100 B chunk tails, mirrored write-back
+    "reuse-mirror-txn100": {"npu.reuse_last_translation": True,
+                            "npu.mirror_write_traffic": True,
+                            "npu.dma_txn_bytes": 100},
 }
 
 MATRIX = {
     f"{suite}-{point}": {"workload.suite": suite, **overrides}
     for suite in ("toy", "burst")
-    for point, overrides in MMU_POINTS.items()
+    for point, overrides in POINTS.items()
 }
 MATRIX["embedding-all"] = {"workload.kind": "embedding", "workload.strategy": "all"}
 
