@@ -132,7 +132,7 @@ class _Walker:
     merged: list = field(default_factory=list)
     frame: Optional[int] = None
     fault_level: Optional[int] = None
-    cache_fill: tuple = ()                # reads to install on success
+    cache_fill: tuple = ()                # (tag, leaf node, reads); () if no cache
     path_register: Optional[tuple] = None  # (tag, leaf_node_addr)
 
 
@@ -155,6 +155,7 @@ class TranslationEngine:
         self._walkers = [_Walker(i) for i in range(cfg.num_ptws)]
         self._free = list(range(cfg.num_ptws - 1, -1, -1))
         self._scoreboard: dict[int, int] = {}
+        self._cache: OrderedDict = OrderedDict()  # shared tpc/uptc entries
         self._events: list = []           # (cycle, seq, kind, payload)
         self._seq = 0
         self._next_req = 0
@@ -268,7 +269,9 @@ class TranslationEngine:
         wid = self._free.pop()
         walker = self._walkers[wid]
         path = self.pt.walk_path(vpn, self.ps)
-        start_idx = self._probe_cache(walker, vpn, path)
+        kind = self.cfg.translation_cache
+        tag = self._upper_tag(vpn) if kind in ("tpr", "tpc") else None
+        start_idx = self._probe_cache(walker, tag, path)
         reads = path[start_idx:]
         txns = len(reads)
         last = path[-1]
@@ -280,7 +283,8 @@ class TranslationEngine:
         if last.present and last.is_leaf:
             walker.frame = last.value
             walker.fault_level = None
-            walker.cache_fill = (self._upper_tag(vpn), last.node_addr, tuple(reads))
+            walker.cache_fill = ((tag, last.node_addr, reads)
+                                 if kind != "none" else ())
         else:
             walker.frame = None
             walker.fault_level = last.level
@@ -345,19 +349,19 @@ class TranslationEngine:
         """Radix indices above the leaf level, top-down (path-cache tag)."""
         return radix_indices(vpn, self.ps)[:-1]
 
-    def _probe_cache(self, walker: _Walker, vpn: int, path: List[WalkStep]) -> int:
+    def _probe_cache(self, walker: _Walker, tag: Optional[tuple],
+                     path: List[WalkStep]) -> int:
         kind = self.cfg.translation_cache
         if kind == "none":
             return 0
         self.stats.cache_probes += 1
         if kind == "uptc":
             return self._probe_unified(path)
-        tag = self._upper_tag(vpn)
         if kind == "tpr":
             entry = walker.path_register
             best = self._prefix_match(tag, entry[0]) if entry else 0
         else:  # tpc
-            cache = self._shared_cache()
+            cache = self._cache
             best = 0
             for etag in cache:
                 best = max(best, self._prefix_match(tag, etag))
@@ -371,7 +375,7 @@ class TranslationEngine:
         return 0
 
     def _probe_unified(self, path: List[WalkStep]) -> int:
-        cache = self._shared_cache()
+        cache = self._cache
         skipped = 0
         for step in path[:-1]:
             if step.entry_addr in cache:
@@ -383,20 +387,19 @@ class TranslationEngine:
         return skipped
 
     def _cache_fill(self, walker: _Walker) -> None:
-        kind = self.cfg.translation_cache
-        if kind == "none" or not walker.cache_fill:
+        if not walker.cache_fill:
             return
         tag, leaf_node_addr, reads = walker.cache_fill
+        kind = self.cfg.translation_cache
+        cache = self._cache
         if kind == "tpr":
             walker.path_register = (tag, leaf_node_addr)
         elif kind == "tpc":
-            cache = self._shared_cache()
             cache[tag] = leaf_node_addr
             cache.move_to_end(tag)
             while len(cache) > self.cfg.cache_entries:
                 cache.popitem(last=False)
         else:  # uptc: install interior entries actually read
-            cache = self._shared_cache()
             for step in reads:
                 if step.is_leaf:
                     continue
@@ -404,11 +407,6 @@ class TranslationEngine:
                 cache.move_to_end(step.entry_addr)
                 while len(cache) > self.cfg.cache_entries:
                     cache.popitem(last=False)
-
-    def _shared_cache(self) -> OrderedDict:
-        if not hasattr(self, "_cache"):
-            self._cache: OrderedDict = OrderedDict()
-        return self._cache
 
     @staticmethod
     def _prefix_match(tag: tuple, etag: tuple) -> int:

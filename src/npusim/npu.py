@@ -3,17 +3,20 @@
 No tensor arithmetic happens here: layers are GEMMs whose operands live in
 virtual-address segments, and the model tracks only address and timing
 behavior. The DMA blocks input activations (IA) and weights (W) into tiles
-that each fit half of the corresponding scratchpad partition, linearizes a
-tile into fixed-size memory transactions, and submits one translation per
-cycle to the MMU while fetching. Compute for tile n overlaps the fetch of
-tile n+1; a tile's compute starts only after its fetch fully lands
-(barrier), and a buffer is reusable only after the compute reading it ends.
+that each fit half of the corresponding scratchpad partition. A tile
+becomes translation groups in one place, `linearize`: its spans are cut into
+fixed-size DMA chunks, and a group is one chunk's page, or with the reuse
+window a run of same-page chunks. The DMA submits one group per cycle to the
+MMU while fetching. Compute for tile n overlaps the fetch of tile n+1; a
+tile's compute starts only after its fetch fully lands (barrier), and a
+buffer is reusable only after the compute reading it ends.
 
-Under an oracle MMU every translation completes in the cycle it is
-submitted, so oracle fetches bypass the translation engine's event loop:
-`_oracle_fetch` walks a tile's spans once and issues translation group i
-and its data at cycle start + i, with the same DRAM calls, end cycle and
-engine counters as the engine-driven `simulate_fetch`.
+Both fetch loops take the same groups. `simulate_fetch` drives the
+translation engine cycle by cycle. Under an oracle MMU every translation
+completes in the cycle it is submitted, so `_oracle_fetch` skips the
+engine's event loop: group i and its data go out at cycle start + i, with
+the same DRAM calls, end cycle and engine counters as `simulate_fetch` on
+an oracle engine.
 
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
@@ -23,7 +26,7 @@ weight block:  ceil(k/P) * ceil(n/P) * (m + 2P) cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .address_space import VA_MASK, PageSize, Segment
@@ -32,6 +35,9 @@ from .mmu import TranslationEngine
 from .schema import Record, knob
 
 MB = 1024 * 1024
+
+# Translation groups of a tile fetch, in DMA order: (vpn, chunk byte counts).
+Groups = List[Tuple[int, List[int]]]
 
 
 class SimulationFault(Exception):
@@ -80,7 +86,6 @@ class TileFetch:
     tensor: str                       # "ia" | "w" | "out"
     spans: Tuple[Tuple[int, int], ...]  # (start va, length), ascending
     total_bytes: int
-    tile_id: int
 
 
 @dataclass(frozen=True)
@@ -90,14 +95,6 @@ class TileStep:
     gemm: Tuple[int, int, int]        # (m, k, n) of this sub-GEMM
     out_bytes: int
     out: Optional[TileFetch]          # output write-back; None without out segment
-
-
-@dataclass(frozen=True)
-class MemoryTransaction:
-    va: int
-    nbytes: int
-    tile_id: int
-    seq: int
 
 
 @dataclass
@@ -151,9 +148,9 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
     if n_t < 1:
         # shrink K further so at least one W column strip fits
         k_t = min(k_t, half_w // eb)
-        n_t = min(n, half_w // (k_t * eb))
-        if n_t < 1:
+        if k_t < 1:
             raise ValueError(f"layer {layer.name}: W tile cannot fit half the SPM")
+        n_t = min(n, half_w // (k_t * eb))
 
     steps: List[TileStep] = []
     tile_id = 0
@@ -165,38 +162,45 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
             w = _row_spans(layer.w_segment.base + k0 * n * eb + n0 * eb,
                            kt, n * eb, nt * eb)
             fetches = (
-                TileFetch("ia", ia, sum(s[1] for s in ia), tile_id),
-                TileFetch("w", w, sum(s[1] for s in w), tile_id),
+                TileFetch("ia", ia, sum(s[1] for s in ia)),
+                TileFetch("w", w, sum(s[1] for s in w)),
             )
             out = None
             if layer.out_segment is not None:
                 # the m x nt output tile sits at column n0 of the m x n output
                 spans = _row_spans(layer.out_segment.base + n0 * eb,
                                    m, n * eb, nt * eb)
-                out = TileFetch("out", spans, m * nt * eb, tile_id)
+                out = TileFetch("out", spans, m * nt * eb)
             steps.append(TileStep(tile_id, fetches, (m, kt, nt), m * nt * eb, out))
             tile_id += 1
     return steps
 
 
-def plan_tiles(layer: LayerConfig, npu: NpuConfig) -> List[TileFetch]:
-    """All tile fetches of the layer, in DMA issue order."""
-    return [f for step in tile_steps(layer, npu) for f in step.fetches]
+def linearize(tile: TileFetch, npu: NpuConfig, ps: PageSize) -> Groups:
+    """A tile's translation groups in DMA order: (vpn, chunk byte counts).
 
-
-def linearize(tile: TileFetch, npu: NpuConfig) -> List[MemoryTransaction]:
-    """Decompose a tile's spans into fixed-size transactions, ascending."""
-    txns: List[MemoryTransaction] = []
-    seq = 0
+    Each span is cut into `dma_txn_bytes` chunks, the last one short. A
+    group is one chunk; with the reuse window it is a run of consecutive
+    same-page chunks, which may cross span boundaries.
+    """
     chunk = npu.dma_txn_bytes
-    for start, length in tile.spans:
-        off = 0
-        while off < length:
-            txns.append(MemoryTransaction(start + off, min(chunk, length - off),
-                                          tile.tile_id, seq))
-            seq += 1
-            off += chunk
-    return txns
+    reuse = npu.reuse_last_translation
+    shift = ps.offset_bits
+    groups: Groups = []
+    append = groups.append
+    page = sizes = None
+    for base, length in tile.spans:
+        full, tail = divmod(length, chunk)
+        for va, nbytes in zip(range(base, base + length, chunk),
+                              [chunk] * full + [tail] * (tail > 0)):
+            vpn = (va & VA_MASK) >> shift
+            if reuse and vpn == page:
+                sizes.append(nbytes)
+            else:
+                page = vpn
+                sizes = [nbytes]
+                append((vpn, sizes))
+    return groups
 
 
 def compute_cycles(m: int, k: int, n: int, npu: NpuConfig) -> int:
@@ -205,49 +209,34 @@ def compute_cycles(m: int, k: int, n: int, npu: NpuConfig) -> int:
 
 
 def simulate_fetch(
-    txns: List[MemoryTransaction],
+    groups: Groups,
     engine: TranslationEngine,
     dram: Dram,
     start: int,
-    ps: PageSize,
-    npu: NpuConfig,
 ) -> int:
     """Run one tile fetch through the MMU and DRAM; return last data cycle.
 
-    Submits one translation per cycle (retrying while blocked); each
-    completed translation releases its data transaction(s) to DRAM. With the
-    reuse window enabled, consecutive transactions to the same page share
-    one translation.
+    Submits one translation group per cycle (retrying while blocked); each
+    completed translation releases its group's chunks to DRAM.
     """
-    # Group consecutive same-VPN transactions when the reuse window is on.
-    groups: List[Tuple[int, List[MemoryTransaction]]] = []
-    shift = ps.offset_bits
-    reuse = npu.reuse_last_translation
-    for t in txns:
-        page = (t.va & VA_MASK) >> shift
-        if reuse and groups and groups[-1][0] == page:
-            groups[-1][1].append(t)
-        else:
-            groups.append((page, [t]))
-
     submit, tick, issue = engine.submit, engine.tick, dram.issue
     n = len(groups)
-    pending: dict[int, List[MemoryTransaction]] = {}
+    pending: dict[int, List[int]] = {}
     cycle = start
     i = 0
     end = start
     while i < n or engine.in_flight > 0:
         if i < n:
-            page, members = groups[i]
-            res = submit(page, cycle)
+            vpn, sizes = groups[i]
+            res = submit(vpn, cycle)
             if res.accepted:
-                pending[res.request_id] = members
+                pending[res.request_id] = sizes
                 i += 1
         for comp in tick(cycle):
             if comp.fault:
                 raise SimulationFault(comp.vpn, comp.fault_level)
-            for t in pending.pop(comp.request_id, ()):
-                done = issue(t.nbytes, comp.done_cycle)
+            for nbytes in pending.pop(comp.request_id, ()):
+                done = issue(nbytes, comp.done_cycle)
                 if done > end:
                     end = done
         cycle += 1
@@ -255,51 +244,38 @@ def simulate_fetch(
 
 
 def _oracle_fetch(
-    tile: TileFetch,
+    groups: Groups,
     engine: TranslationEngine,
     dram: Dram,
     start: int,
-    npu: NpuConfig,
 ) -> int:
-    """Fetch a tile under an oracle MMU in one pass; return last data cycle.
+    """`simulate_fetch` on an oracle engine, without its per-cycle loop.
 
-    Equivalent to `simulate_fetch(linearize(tile, npu), engine, ...)` with
-    an oracle engine, without its per-cycle submit/tick: translation group i
-    completes in cycle start + i, and its chunks are issued to DRAM then.
-    A group is one chunk, or with the reuse window a run of same-page chunks.
+    Group i completes in cycle start + i, and its chunks are issued to
+    DRAM then. The page table is read only when the page changes.
     """
-    ps = engine.ps
+    ps, stats = engine.ps, engine.stats
     leaf, issue = engine.pt.leaf, dram.issue
-    shift = ps.offset_bits
-    chunk = npu.dma_txn_bytes
-    reuse = npu.reuse_last_translation
-    cycle = start - 1
+    n = len(groups)
     end = start
-    page = None
-    for base, length in tile.spans:
-        stop = base + length
-        for va in range(base, stop, chunk):
-            vpn = (va & VA_MASK) >> shift
-            if vpn != page:
-                page = vpn
-                cycle += 1
-                frame, level = leaf(vpn, ps)
-                if frame is None:
-                    _count_oracle(engine.stats, cycle - start + 1, faults=1)
-                    raise SimulationFault(vpn, level)
-            elif not reuse:
-                cycle += 1
-            end = issue(min(chunk, stop - va), cycle)
-    _count_oracle(engine.stats, cycle - start + 1)
+    page = fault = None
+    for cycle, (vpn, sizes) in enumerate(groups, start):
+        if vpn != page:
+            page = vpn
+            frame, level = leaf(vpn, ps)
+            if frame is None:
+                fault = SimulationFault(vpn, level)
+                n = cycle - start + 1
+                break
+        for nbytes in sizes:
+            end = issue(nbytes, cycle)
+    stats.submitted += n
+    stats.accepted += n
+    stats.completions += n
+    if fault is not None:
+        stats.faults += 1
+        raise fault
     return end
-
-
-def _count_oracle(stats, groups: int, faults: int = 0) -> None:
-    """Charge `groups` same-cycle oracle translations to the engine's stats."""
-    stats.submitted += groups
-    stats.accepted += groups
-    stats.completions += groups
-    stats.faults += faults
 
 
 def run_layer(
@@ -311,13 +287,7 @@ def run_layer(
     """Execute the double-buffered tile pipeline for one layer."""
     steps = tile_steps(layer, npu)
     ps = engine.ps
-    if engine.cfg.mode == "oracle":
-        def fetch(tile, start):
-            return _oracle_fetch(tile, engine, dram, start, npu)
-    else:
-        def fetch(tile, start):
-            return simulate_fetch(linearize(tile, npu), engine, dram, start,
-                                  ps, npu)
+    fetch = _oracle_fetch if engine.cfg.mode == "oracle" else simulate_fetch
     phases: List[TilePhase] = []
     fetch_end_prev = 0
     compute_ends: List[int] = []
@@ -331,14 +301,15 @@ def run_layer(
             fetch_start = max(fetch_start, compute_ends[i - 1])
         cursor = fetch_start
         for tile in step.fetches:
-            cursor = fetch(tile, cursor)
+            cursor = fetch(linearize(tile, npu, ps), engine, dram, cursor)
         fetch_end = cursor
         compute_start = max(fetch_end, compute_ends[i - 1] if i >= 1 else 0)
         compute_end = compute_start + compute_cycles(*step.gemm, npu)
         if npu.mirror_write_traffic:
             if step.out is None:
                 raise ValueError("mirror_write_traffic requires an output segment")
-            compute_end = fetch(step.out, compute_end)
+            compute_end = fetch(linearize(step.out, npu, ps), engine, dram,
+                                compute_end)
         phases.append(TilePhase(step.tile_id, fetch_start, fetch_end,
                                 compute_start, compute_end))
         fetch_end_prev = fetch_end

@@ -55,7 +55,8 @@ def burst_txn_vpns(tiles=1):
     vpns = []
     for step in steps[:tiles]:
         w = step.fetches[1]
-        vpns.extend(vpn(t.va, PS4K) for t in linearize(w, npu))
+        vpns.extend(page for page, sizes in linearize(w, npu, PS4K)
+                    for _ in sizes)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     return vpns, pt, layer, npu
 

@@ -204,6 +204,12 @@ def test_cli_seed_flag_overrides_master(tmp_path):
     assert harness.read_csv(str(out))[0]["seed"] == "99"
 
 
+def test_cli_run_reports_unfittable_weight_partition(monkeypatch, capsys):
+    monkeypatch.setenv("NPUSIM_NPU__SPM_WEIGHT_BYTES", "1")
+    assert cli.main(["run"]) == 1
+    assert "W tile cannot fit half the SPM" in capsys.readouterr().err
+
+
 def test_cli_sweep_rejects_invalid_base_config(tmp_path, capsys):
     p = tmp_path / "c.yaml"
     p.write_text("config_id: 5\n")

@@ -13,7 +13,6 @@ from npusim.npu import (
     TileFetch,
     compute_cycles,
     linearize,
-    plan_tiles,
     run_layer,
     tile_steps,
 )
@@ -38,28 +37,39 @@ def test_compute_cycles_weight_stationary_formula():
     assert compute_cycles(4, 2048, 1024, npu) == 16 * 8 * 260
 
 
+def page(va):
+    return va >> PS4K.offset_bits
+
+
 def test_linearize_page_span_into_64b_txns():
-    tile = TileFetch("ia", ((default_segment_base(0), 4096),), 4096, 0)
-    txns = linearize(tile, NpuConfig())
-    assert len(txns) == 64
-    assert all(t.nbytes == 64 for t in txns)
-    assert txns[0].va == default_segment_base(0)
-    assert txns[-1].va == default_segment_base(0) + 4096 - 64
+    base = default_segment_base(0)
+    tile = TileFetch("ia", ((base, 4096),), 4096)
+    groups = linearize(tile, NpuConfig(), PS4K)
+    assert len(groups) == 64
+    assert all(sizes == [64] for _, sizes in groups)
+    assert groups[0][0] == page(base)
+    assert groups[-1][0] == page(base + 4096 - 64)
+    # the reuse window translates the whole page once
+    reuse = NpuConfig(reuse_last_translation=True)
+    assert linearize(tile, reuse, PS4K) == [(page(base), [64] * 64)]
 
 
 def test_linearize_strided_rows():
     base = default_segment_base(0)
     spans = tuple((base + r * 1024, 256) for r in range(100))
-    tile = TileFetch("w", spans, 100 * 256, 0)
-    txns = linearize(tile, NpuConfig())
-    assert len(txns) == 400  # four 64B beats per 256B row
-    assert txns[4].va == base + 1024
+    tile = TileFetch("w", spans, 100 * 256)
+    groups = linearize(tile, NpuConfig(), PS4K)
+    assert len(groups) == 400  # four 64B beats per 256B row
+    assert groups[4][0] == page(base + 1024)
+    # with reuse, a group runs across the four rows that share a page
+    reuse = linearize(tile, NpuConfig(reuse_last_translation=True), PS4K)
+    assert reuse == [(page(base) + p, [64] * 16) for p in range(25)]
 
 
 def test_tail_transaction_is_short():
-    tile = TileFetch("ia", ((default_segment_base(0), 100),), 100, 0)
-    txns = linearize(tile, NpuConfig())
-    assert [t.nbytes for t in txns] == [64, 36]
+    tile = TileFetch("ia", ((default_segment_base(0), 100),), 100)
+    groups = linearize(tile, NpuConfig(), PS4K)
+    assert [sizes for _, sizes in groups] == [[64], [36]]
 
 
 def test_contiguous_rows_merge_into_one_span():
@@ -101,6 +111,14 @@ def test_unfittable_layer_rejected():
     with pytest.raises(ValueError):
         tile_steps(layer, NpuConfig(spm_activation_bytes=1024,
                                     spm_weight_bytes=1024))
+
+
+@pytest.mark.parametrize("spm_weight_bytes, element_bytes", [(1, 1), (3, 2)])
+def test_weight_half_below_one_element_rejected(spm_weight_bytes, element_bytes):
+    layer = make_layer("l", 4, 64, 64, element_bytes=element_bytes)
+    npu = NpuConfig(spm_weight_bytes=spm_weight_bytes, element_bytes=element_bytes)
+    with pytest.raises(ValueError, match="W tile cannot fit half the SPM"):
+        tile_steps(layer, npu)
 
 
 def test_batch_multiplies_rows():
@@ -202,7 +220,7 @@ def test_translation_reuse_window_collapses_sequential_pages():
 def test_plan_covers_operands_generic(m, k, n, batch):
     layer = make_layer("l", m, k, n, batch=batch)
     npu = NpuConfig()
-    tiles = plan_tiles(layer, npu)
+    tiles = [f for step in tile_steps(layer, npu) for f in step.fetches]
     w_bytes = sum(t.total_bytes for t in tiles if t.tensor == "w")
     assert w_bytes == k * n
     for t in tiles:
