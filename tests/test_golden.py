@@ -25,6 +25,10 @@ POINTS = {
     "reuse-mirror-txn100": {"npu.reuse_last_translation": True,
                             "npu.mirror_write_traffic": True,
                             "npu.dma_txn_bytes": 100},
+    # 64 B chunks wider than one cycle's DRAM tokens, so DRAM backs up
+    "dram40": {"memory.bandwidth_bytes_per_cycle": 40},
+    "page2m": {"mmu.page_size": "2m"},
+    "oracle": {"mmu.mode": "oracle"},
 }
 
 MATRIX = {
