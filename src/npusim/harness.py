@@ -3,7 +3,7 @@
 Every run produces one CSV row per layer (dense workloads) or per strategy
 (embedding workloads) against a versioned, order-stable column set. Oracle
 cycles are always computed alongside modeled dense runs so rows carry their
-own normalization baseline.
+own normalization baseline; in oracle mode that run is the row's own.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ def _run_dense(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
         pt = build(_layer_segments(layer, npu.mirror_write_traffic), ps)
         oracle_engine = TranslationEngine(MmuConfig(mode="oracle"), pt, ps)
         oracle = run_layer(layer, npu, oracle_engine, Dram(dram_cfg))
-        dram = Dram(dram_cfg)
-        engine = TranslationEngine(mmu, pt, ps, dram=dram)
-        stats = run_layer(layer, npu, engine, dram)
+        stats = oracle  # an oracle-mode row is its own baseline
+        if mmu.mode != "oracle":
+            dram = Dram(dram_cfg)
+            engine = TranslationEngine(mmu, pt, ps, dram=dram)
+            stats = run_layer(layer, npu, engine, dram)
 
         energy = account(stats.mmu_stats, etable)
         overhead = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from .schema import Record, knob
 
@@ -72,6 +73,34 @@ class Dram:
         self._take(nbytes, now)
         self.bytes_issued += nbytes
         self.txns += 1
+        return self._cursor + self.cfg.access_latency
+
+    def issue_run(self, chunks: Tuple[int, ...], count: int, now: int) -> int:
+        """Accept `count` groups of transactions, one group per cycle from `now`.
+
+        Leaves the same state and returns the same cycle as `issue` called
+        for each of `chunks` at cycle now, then now + 1, ... now + count - 1,
+        but in closed form. Let `accepted` count the bytes the bucket has
+        taken since cycle 0, idle cycles' tokens included. A debit of g
+        bytes at cycle c sets it to max(accepted, c * bw) + g, so after the
+        run of groups of g bytes it is the larger of
+
+            max(accepted, now * bw) + count * g      (DRAM stays backlogged)
+            (now + count - 1) * bw + g               (it drains between groups)
+
+        and the cursor is the cycle of its last byte.
+        """
+        group = sum(chunks)
+        if count < 1 or min(chunks, default=0) < 1:
+            raise ValueError("a run needs groups of non-empty transactions")
+        bw = self.cfg.bandwidth_bytes_per_cycle
+        accepted = self._cursor * bw + bw - self._tokens
+        accepted = max(max(accepted, now * bw) + count * group,
+                       (now + count - 1) * bw + group)
+        self._cursor, spent = divmod(accepted - 1, bw)
+        self._tokens = bw - 1 - spent
+        self.bytes_issued += count * group
+        self.txns += count * len(chunks)
         return self._cursor + self.cfg.access_latency
 
     def consume(self, nbytes: int, now: int) -> None:

@@ -40,7 +40,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .address_space import PAGE_SIZES, PageSize, radix_indices
 from .memory import Dram
@@ -69,8 +69,7 @@ class SubmitStatus(Enum):
     BLOCKED = "blocked"
 
 
-@dataclass(frozen=True)
-class SubmitResult:
+class SubmitResult(NamedTuple):
     status: SubmitStatus
     request_id: Optional[int] = None
     done_cycle: Optional[int] = None      # for TLB hits
@@ -85,8 +84,7 @@ class SubmitResult:
 _BLOCKED = SubmitResult(SubmitStatus.BLOCKED)
 
 
-@dataclass(frozen=True)
-class TranslationCompletion:
+class TranslationCompletion(NamedTuple):
     request_id: int
     vpn: int
     frame: Optional[int]                  # None on fault

@@ -6,17 +6,20 @@ behavior. The DMA blocks input activations (IA) and weights (W) into tiles
 that each fit half of the corresponding scratchpad partition. A tile
 becomes translation groups in one place, `linearize`: its spans are cut into
 fixed-size DMA chunks, and a group is one chunk's page, or with the reuse
-window a run of same-page chunks. The DMA submits one group per cycle to the
-MMU while fetching. Compute for tile n overlaps the fetch of tile n+1; a
-tile's compute starts only after its fetch fully lands (barrier), and a
-buffer is reusable only after the compute reading it ends.
+window a run of same-page chunks. `linearize` hands the groups out as page
+runs, (vpn, count, chunks): `count` consecutive groups on one page that
+carry the same chunk sizes. The DMA submits one group per cycle to the MMU
+while fetching. Compute for tile n overlaps the fetch of tile n+1; a tile's
+compute starts only after its fetch fully lands (barrier), and a buffer is
+reusable only after the compute reading it ends.
 
-Both fetch loops take the same groups. `simulate_fetch` drives the
-translation engine cycle by cycle. Under an oracle MMU every translation
-completes in the cycle it is submitted, so `_oracle_fetch` skips the
-engine's event loop: group i and its data go out at cycle start + i, with
-the same DRAM calls, end cycle and engine counters as `simulate_fetch` on
-an oracle engine.
+Both fetch loops walk the same runs. `simulate_fetch` drives the
+translation engine cycle by cycle, one submit per cycle. Under an oracle
+MMU every translation completes in the cycle it is submitted, so
+`_oracle_fetch` skips the engine's event loop: group i and its data go out
+at cycle start + i, one page-table read and one closed-form DRAM debit per
+run, with the same end cycle, DRAM state and engine counters as
+`simulate_fetch` on an oracle engine.
 
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
@@ -36,8 +39,10 @@ from .schema import Record, knob
 
 MB = 1024 * 1024
 
-# Translation groups of a tile fetch, in DMA order: (vpn, chunk byte counts).
-Groups = List[Tuple[int, List[int]]]
+# A tile fetch's translation groups, in DMA order, as page runs:
+# (vpn, count, chunks) is `count` groups on page `vpn`, each of `chunks` bytes.
+Runs = List[Tuple[int, int, Tuple[int, ...]]]
+_NO_RUN = (0, 0, ())                      # past the last run: no groups left
 
 
 class SimulationFault(Exception):
@@ -176,31 +181,47 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
     return steps
 
 
-def linearize(tile: TileFetch, npu: NpuConfig, ps: PageSize) -> Groups:
-    """A tile's translation groups in DMA order: (vpn, chunk byte counts).
+def linearize(tile: TileFetch, npu: NpuConfig, ps: PageSize) -> Runs:
+    """A tile's translation groups in DMA order, as page runs.
 
     Each span is cut into `dma_txn_bytes` chunks, the last one short. A
-    group is one chunk; with the reuse window it is a run of consecutive
-    same-page chunks, which may cross span boundaries.
+    group is one chunk; with the reuse window it is all consecutive
+    same-page chunks, which may cross span boundaries. A run
+    (vpn, count, chunks) is `count` consecutive groups on page `vpn` that
+    each carry the chunk sizes `chunks`: without the window, the equal
+    chunks that start on one page; with it, one group.
     """
     chunk = npu.dma_txn_bytes
     reuse = npu.reuse_last_translation
     shift = ps.offset_bits
-    groups: Groups = []
-    append = groups.append
-    page = sizes = None
+    same = (chunk,)
+    runs: list = []                       # [vpn, count, chunks] while building
+    run = page = None
     for base, length in tile.spans:
         full, tail = divmod(length, chunk)
-        for va, nbytes in zip(range(base, base + length, chunk),
-                              [chunk] * full + [tail] * (tail > 0)):
-            vpn = (va & VA_MASK) >> shift
-            if reuse and vpn == page:
-                sizes.append(nbytes)
+        va = base & VA_MASK
+        while full or tail:
+            # the next n equal chunks that start on page vpn
+            vpn = va >> shift
+            if full:
+                n = min(full, (((vpn + 1) << shift) - va + chunk - 1) // chunk)
+                full -= n
+                chunks = same
+                va = (va + n * chunk) & VA_MASK
             else:
+                n, tail, chunks = 1, 0, (tail,)
+            if vpn != page:
                 page = vpn
-                sizes = [nbytes]
-                append((vpn, sizes))
-    return groups
+                run = [vpn, 1, list(chunks * n)] if reuse else [vpn, n, chunks]
+                runs.append(run)
+            elif reuse:
+                run[2] += chunks * n
+            elif run[2] == chunks:
+                run[1] += n
+            else:
+                run = [vpn, n, chunks]
+                runs.append(run)
+    return [(vpn, count, tuple(chunks)) for vpn, count, chunks in runs]
 
 
 def compute_cycles(m: int, k: int, n: int, npu: NpuConfig) -> int:
@@ -209,29 +230,32 @@ def compute_cycles(m: int, k: int, n: int, npu: NpuConfig) -> int:
 
 
 def simulate_fetch(
-    groups: Groups,
+    runs: Runs,
     engine: TranslationEngine,
     dram: Dram,
     start: int,
 ) -> int:
-    """Run one tile fetch through the MMU and DRAM; return last data cycle.
+    """Run one tile fetch through the MMU and DRAM; return its end cycle.
 
     Submits one translation group per cycle (retrying while blocked); each
-    completed translation releases its group's chunks to DRAM.
+    completed translation releases its group's chunks to DRAM. The fetch
+    ends when its last data lands, and no earlier than the cycle after the
+    engine's last tick: with a zero DRAM latency data lands in the cycle it
+    was translated, and the next fetch must not tick that cycle again.
     """
     submit, tick, issue = engine.submit, engine.tick, dram.issue
-    n = len(groups)
-    pending: dict[int, List[int]] = {}
-    cycle = start
-    i = 0
-    end = start
-    while i < n or engine.in_flight > 0:
-        if i < n:
-            vpn, sizes = groups[i]
+    pending: dict[int, Tuple[int, ...]] = {}
+    rest = iter(runs)
+    vpn, left, chunks = next(rest, _NO_RUN)  # left: groups not yet accepted
+    cycle = end = start
+    while left or engine.in_flight > 0:
+        if left:
             res = submit(vpn, cycle)
             if res.accepted:
-                pending[res.request_id] = sizes
-                i += 1
+                pending[res.request_id] = chunks
+                left -= 1
+                if not left:
+                    vpn, left, chunks = next(rest, _NO_RUN)
         for comp in tick(cycle):
             if comp.fault:
                 raise SimulationFault(comp.vpn, comp.fault_level)
@@ -240,11 +264,11 @@ def simulate_fetch(
                 if done > end:
                     end = done
         cycle += 1
-    return end
+    return max(end, cycle)
 
 
 def _oracle_fetch(
-    groups: Groups,
+    runs: Runs,
     engine: TranslationEngine,
     dram: Dram,
     start: int,
@@ -252,30 +276,29 @@ def _oracle_fetch(
     """`simulate_fetch` on an oracle engine, without its per-cycle loop.
 
     Group i completes in cycle start + i, and its chunks are issued to
-    DRAM then. The page table is read only when the page changes.
+    DRAM then. The page table is read once per run, and DRAM is debited
+    once per run.
     """
     ps, stats = engine.ps, engine.stats
-    leaf, issue = engine.pt.leaf, dram.issue
-    n = len(groups)
-    end = start
-    page = fault = None
-    for cycle, (vpn, sizes) in enumerate(groups, start):
-        if vpn != page:
-            page = vpn
-            frame, level = leaf(vpn, ps)
-            if frame is None:
-                fault = SimulationFault(vpn, level)
-                n = cycle - start + 1
-                break
-        for nbytes in sizes:
-            end = issue(nbytes, cycle)
+    leaf, issue_run = engine.pt.leaf, dram.issue_run
+    cycle = end = start
+    fault = None
+    for vpn, count, chunks in runs:
+        frame, level = leaf(vpn, ps)
+        if frame is None:
+            fault = SimulationFault(vpn, level)
+            cycle += 1                    # the faulting group was translated
+            break
+        end = issue_run(chunks, count, cycle)
+        cycle += count
+    n = cycle - start
     stats.submitted += n
     stats.accepted += n
     stats.completions += n
     if fault is not None:
         stats.faults += 1
         raise fault
-    return end
+    return max(end, cycle)
 
 
 def run_layer(

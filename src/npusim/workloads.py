@@ -10,7 +10,7 @@ bounded-Zipf distribution, deterministically from a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -127,8 +127,7 @@ class Placement:
         return Placement(num_npus, tuple(t % num_npus for t in range(num_tables)))
 
 
-@dataclass(frozen=True)
-class GatherRequest:
+class GatherRequest(NamedTuple):
     table: int
     row: int
     owner_npu: int

@@ -55,8 +55,8 @@ def burst_txn_vpns(tiles=1):
     vpns = []
     for step in steps[:tiles]:
         w = step.fetches[1]
-        vpns.extend(page for page, sizes in linearize(w, npu, PS4K)
-                    for _ in sizes)
+        vpns.extend(page for page, count, chunks in linearize(w, npu, PS4K)
+                    for _ in range(count * len(chunks)))
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     return vpns, pt, layer, npu
 

@@ -255,3 +255,30 @@ def test_demand_paging_follows_mmu_timing_in_oracle_mode(key):
                 for r in harness.run_single(cfg)
                 if r["strategy"].startswith("demand")}
     assert faulting("oracle") == faulting("modeled")
+
+
+@pytest.mark.parametrize("suite", ["toy", "burst"])
+def test_zero_latency_dram_runs_modelled_layers(suite):
+    # the last data of a fetch lands in the cycle it was translated, so the
+    # next fetch must start after the engine's last tick, not on it
+    cfg = small_cfg(**{"workload.suite": suite, "memory.access_latency": 0})
+    rows = harness.run_single(cfg)
+    assert rows
+    for row in rows:
+        assert row["mode"] == "modeled"
+        assert row["total_cycles"] >= row["oracle_cycles"] > 0
+
+
+def test_oracle_mode_runs_each_layer_once(monkeypatch):
+    calls = []
+    real = harness.run_layer
+
+    def counting(layer, *args):
+        calls.append(layer.name)
+        return real(layer, *args)
+
+    monkeypatch.setattr(harness, "run_layer", counting)
+    cfg = small_cfg(**{"workload.suite": "gemv-rnn", "mmu.mode": "oracle"})
+    rows = harness.run_single(cfg)
+    assert calls == ["gemv-1", "gemv-2", "gemv-3"]
+    assert [r["total_cycles"] for r in rows] == [r["oracle_cycles"] for r in rows]

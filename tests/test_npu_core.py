@@ -41,35 +41,48 @@ def page(va):
     return va >> PS4K.offset_bits
 
 
+def groups(runs):
+    """Expand page runs into one (vpn, chunk sizes) pair per translation group."""
+    return [(vpn, list(chunks)) for vpn, count, chunks in runs
+            for _ in range(count)]
+
+
 def test_linearize_page_span_into_64b_txns():
     base = default_segment_base(0)
     tile = TileFetch("ia", ((base, 4096),), 4096)
-    groups = linearize(tile, NpuConfig(), PS4K)
-    assert len(groups) == 64
-    assert all(sizes == [64] for _, sizes in groups)
-    assert groups[0][0] == page(base)
-    assert groups[-1][0] == page(base + 4096 - 64)
+    runs = linearize(tile, NpuConfig(), PS4K)
+    assert runs == [(page(base), 64, (64,))]
+    txns = groups(runs)
+    assert len(txns) == 64
+    assert all(sizes == [64] for _, sizes in txns)
+    assert txns[0][0] == page(base)
+    assert txns[-1][0] == page(base + 4096 - 64)
     # the reuse window translates the whole page once
     reuse = NpuConfig(reuse_last_translation=True)
-    assert linearize(tile, reuse, PS4K) == [(page(base), [64] * 64)]
+    assert groups(linearize(tile, reuse, PS4K)) == [(page(base), [64] * 64)]
 
 
 def test_linearize_strided_rows():
     base = default_segment_base(0)
     spans = tuple((base + r * 1024, 256) for r in range(100))
     tile = TileFetch("w", spans, 100 * 256)
-    groups = linearize(tile, NpuConfig(), PS4K)
-    assert len(groups) == 400  # four 64B beats per 256B row
-    assert groups[4][0] == page(base + 1024)
+    runs = linearize(tile, NpuConfig(), PS4K)
+    # the four rows that share a page make one run of 16 beats
+    assert runs == [(page(base) + p, 16, (64,)) for p in range(25)]
+    txns = groups(runs)
+    assert len(txns) == 400  # four 64B beats per 256B row
+    assert txns[4][0] == page(base + 1024)
     # with reuse, a group runs across the four rows that share a page
-    reuse = linearize(tile, NpuConfig(reuse_last_translation=True), PS4K)
+    reuse = groups(linearize(tile, NpuConfig(reuse_last_translation=True), PS4K))
     assert reuse == [(page(base) + p, [64] * 16) for p in range(25)]
 
 
 def test_tail_transaction_is_short():
     tile = TileFetch("ia", ((default_segment_base(0), 100),), 100)
-    groups = linearize(tile, NpuConfig(), PS4K)
-    assert [sizes for _, sizes in groups] == [[64], [36]]
+    runs = linearize(tile, NpuConfig(), PS4K)
+    assert [sizes for _, sizes in groups(runs)] == [[64], [36]]
+    # a short tail is a run of its own
+    assert [chunks for _, _, chunks in runs] == [(64,), (36,)]
 
 
 def test_contiguous_rows_merge_into_one_span():

@@ -88,7 +88,9 @@ def reference_groups(tile, chunk, reuse, ps):
        ps=st.sampled_from([PS4K, PS2M]))
 def test_linearize_matches_chunk_by_chunk_reference(tile, chunk, reuse, ps):
     npu = NpuConfig(dma_txn_bytes=chunk, reuse_last_translation=reuse)
-    groups = linearize(tile, npu, ps)
+    runs = linearize(tile, npu, ps)
+    groups = [(vpn, list(chunks)) for vpn, count, chunks in runs
+              for _ in range(count)]
     assert groups == reference_groups(tile, chunk, reuse, ps)
     assert sum(sum(sizes) for _, sizes in groups) == tile.total_bytes
 
@@ -98,14 +100,16 @@ def test_linearize_matches_chunk_by_chunk_reference(tile, chunk, reuse, ps):
        chunk=st.sampled_from([16, 64, 100, 256]),
        reuse=st.booleans(),
        bandwidth=st.sampled_from([1, 40, 64, 600]),
+       latency=st.sampled_from([0, 100]),
        warmup=st.integers(1, 2000),
        start=st.integers(0, 40))
 @example(tile=TileFetch("w", ((BASE + MAPPED_PAGES * PS4K.bytes - 100, 200),), 200),
-         chunk=64, reuse=True, bandwidth=40, warmup=1, start=3)
+         chunk=64, reuse=True, bandwidth=40, latency=100, warmup=1, start=3)
 def test_oracle_fetch_matches_engine_driven_oracle(tile, chunk, reuse, bandwidth,
-                                                   warmup, start):
+                                                   latency, warmup, start):
     npu = NpuConfig(dma_txn_bytes=chunk, reuse_last_translation=reuse)
-    dram_cfg = DramConfig(bandwidth_bytes_per_cycle=bandwidth)
+    dram_cfg = DramConfig(bandwidth_bytes_per_cycle=bandwidth,
+                          access_latency=latency)
     pt = mapped_table()
     assert (run(_oracle_fetch, tile, npu, pt, dram_cfg, warmup, start)
             == run(simulate_fetch, tile, npu, pt, dram_cfg, warmup, start))
