@@ -35,7 +35,7 @@ def main():
             tables=tuple(EmbeddingTableSpec(args.rows) for _ in range(args.tables)),
             batch=batch, index_distribution=dist, zipf_s=zipf_s, seed=args.seed)
         placement = Placement.round_robin(args.tables, args.tables)
-        trace = gather_trace(model, placement)[0]
+        trace = gather_trace(model, placement, 0)
         if pattern == "sequential":
             from npusim.workloads import GatherRequest
             trace = [GatherRequest(t, r, t % args.tables)

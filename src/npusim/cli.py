@@ -23,8 +23,12 @@ def _parse_set(specs: Sequence[str]) -> List[Tuple[str, List[Any]]]:
 
 
 def _load(args) -> dict:
+    """Config file, then env overrides, then --seed: each checked by the
+    schema when the run validates the config."""
     cfg = cfgmod.load_config(args.config)
     cfg = cfgmod.apply_env_overrides(cfg)
+    if args.seed is not None:
+        cfgmod.set_by_path(cfg, "seeds.master", args.seed)
     return cfg
 
 
@@ -69,12 +73,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            rows = harness.run_single(_load(args), seed=args.seed)
+            rows = harness.run_single(_load(args))
             _emit(rows, args.out)
         elif args.command == "sweep":
             cfg = _load(args)
-            rows = harness.sweep(cfg, _parse_set(args.set),
-                                 seed=args.seed, jobs=args.jobs)
+            rows = harness.sweep(cfg, _parse_set(args.set), jobs=args.jobs)
             _emit(rows, args.out)
         elif args.command == "report":
             sys.stdout.write(harness.report(args.csvs))

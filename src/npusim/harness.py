@@ -26,6 +26,7 @@ from .numa import (
     run_baseline_copy,
     run_demand_paging,
     run_numa,
+    translate_gathers,
 )
 from .page_table import build
 from .workloads import (
@@ -35,7 +36,6 @@ from .workloads import (
     Placement,
     WorkloadConfig,
     dense_suite,
-    embedding_segments,
     gather_trace,
 )
 
@@ -131,7 +131,7 @@ def _embedding_model(wl: WorkloadConfig, seed: int) -> Tuple[EmbeddingModel, Pla
 def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     wl = WorkloadConfig(**cfg["workload"])
     model, placement = _embedding_model(wl, seed)
-    trace = gather_trace(model, placement)[0]
+    trace = gather_trace(model, placement, 0)
     dram = DramConfig(**cfg["memory"])
     links = LinksConfig(**cfg["links"])
     mmu = MmuConfig(**cfg["mmu"])
@@ -139,7 +139,7 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
 
     strategies = STRATEGIES if wl.strategy == "all" else (wl.strategy,)
     breakdowns: List[LatencyBreakdown] = []
-    numa_table = None  # every table mapped; both NUMA strategies only read it
+    translation_cycles = None  # shared by both NUMA links
     for strat in strategies:
         if strat == "baseline_copy":
             breakdowns.append(run_baseline_copy(trace, model, cpu_link=links.pcie,
@@ -147,13 +147,11 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
         elif strat in ("numa_slow", "numa_fast"):
             kind = strat.split("_")[1]
             link = links.nvlink if kind == "fast" else links.pcie
-            if numa_table is None:
-                numa_table = build(embedding_segments(model), ps)
-            bd = run_numa(trace, model, link_kind=kind, mmu=mmu, dram=dram,
-                          ps=ps, page_table=numa_table, link=link)
-            breakdowns.append(bd)
+            if translation_cycles is None:
+                translation_cycles = translate_gathers(trace, model, mmu, ps)
+            breakdowns.append(run_numa(trace, model, translation_cycles,
+                                       link_kind=kind, dram=dram, link=link))
         else:
-            numa_table = None  # not kept alive next to the demand-paged tables
             bd, _ = run_demand_paging(trace, model, PAGE_SIZES[strat.split("_")[1]],
                                       placement, link=links.nvlink, dram=dram,
                                       mmu=mmu)
@@ -212,6 +210,8 @@ def sweep(
     jobs: int = 1,
 ) -> List[Dict[str, Any]]:
     """Cross-product sweep; rows are independent and declaration-ordered."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     _require_valid(cfg)  # point ids are composed from the base config
     for key, _ in items:
         cfgmod.resolve_key(cfg, key)  # fail fast on unknown keys

@@ -22,13 +22,18 @@ buffer exists to filter.
 
 Translation caches skip upper walk levels:
 
-  * path register ("tpr"): one per walker, tags the upper radix indices and
-    caches the leaf node address. A full tag match starts the walk at the
-    leaf node.
+  * path register ("tpr"): one per walker, holds the upper radix indices
+    (the tag) of that walker's last completed walk. A full tag match
+    starts the walk at the leaf node.
   * path cache ("tpc"): shared, LRU, same full-path tags.
   * unified cache ("uptc"): shared, LRU, tags individual interior entries
     by their physical address; the walk starts below the deepest
     consecutive hit from the root.
+
+The cache names follow Barr et al., "Translation Caching: Skip, Don't Walk
+(the Page Table)", ISCA 2010. Only a unified-cache walk needs the node
+reads of `PageTable.walk_path`; every other walk takes its frame or fault
+level from `PageTable.walk_outcome` and its depth from that.
 
 Oracle mode bypasses all of the above: every submit completes in the same
 cycle with the reference walker's frame.
@@ -44,7 +49,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 from .address_space import PAGE_SIZES, PageSize, radix_indices
 from .memory import Dram
-from .page_table import PageTable, WalkStep
+from .page_table import PageTable, WalkStep, fault_depth
 from .schema import Record, knob
 
 
@@ -130,8 +135,10 @@ class _Walker:
     merged: list = field(default_factory=list)
     frame: Optional[int] = None
     fault_level: Optional[int] = None
-    cache_fill: tuple = ()                # (tag, leaf node, reads); () if no cache
-    path_register: Optional[tuple] = None  # (tag, leaf_node_addr)
+    # what a successful walk installs in the translation cache: its path
+    # tag (tpr/tpc) or its node reads (uptc); None if nothing
+    cache_fill: Optional[Sequence] = None
+    path_register: Optional[tuple] = None  # tag of the last completed walk
 
 
 class TranslationEngine:
@@ -266,27 +273,37 @@ class TranslationEngine:
     def _start_walk(self, vpn: int, now: int, rid: int) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
-        path = self.pt.walk_path(vpn, self.ps)
         kind = self.cfg.translation_cache
-        tag = self._upper_tag(vpn) if kind in ("tpr", "tpc") else None
-        start_idx = self._probe_cache(walker, tag, path)
-        reads = path[start_idx:]
-        txns = len(reads)
-        last = path[-1]
+        fill = None
+        if kind == "uptc":
+            path = self.pt.walk_path(vpn, self.ps)
+            self.stats.cache_probes += 1
+            reads = path[self._probe_unified(path):]
+            txns = len(reads)
+            last = path[-1]
+            if last.present and last.is_leaf:
+                frame, fault_level, fill = last.value, None, reads
+            else:
+                frame, fault_level = None, last.level
+        else:
+            frame, fault_level = self.pt.walk_outcome(vpn, self.ps)
+            txns = self.ps.levels if frame is not None else fault_depth(fault_level)
+            if kind != "none":
+                tag = self._upper_tag(vpn)
+                # Only a full-path tag match lets the walk jump to the leaf
+                # node, and only when the radix path actually reaches it.
+                if self._probe_path_tag(walker, tag) and txns == self.ps.levels:
+                    txns = 1
+                if frame is not None:
+                    fill = tag
 
         walker.busy = True
         walker.vpn = vpn
         walker.leading = rid
         walker.merged = []
-        if last.present and last.is_leaf:
-            walker.frame = last.value
-            walker.fault_level = None
-            walker.cache_fill = ((tag, last.node_addr, reads)
-                                 if kind != "none" else ())
-        else:
-            walker.frame = None
-            walker.fault_level = last.level
-            walker.cache_fill = ()
+        walker.frame = frame
+        walker.fault_level = fault_level
+        walker.cache_fill = fill
         walker.finish = now + txns * self.cfg.walk_cycles_per_level
 
         if self.cfg.prmb_slots > 0:
@@ -347,17 +364,13 @@ class TranslationEngine:
         """Radix indices above the leaf level, top-down (path-cache tag)."""
         return radix_indices(vpn, self.ps)[:-1]
 
-    def _probe_cache(self, walker: _Walker, tag: Optional[tuple],
-                     path: List[WalkStep]) -> int:
-        kind = self.cfg.translation_cache
-        if kind == "none":
-            return 0
+    def _probe_path_tag(self, walker: _Walker, tag: tuple) -> bool:
+        """Probe the path register (tpr) or path cache (tpc) for `tag`;
+        True on a full-path match."""
         self.stats.cache_probes += 1
-        if kind == "uptc":
-            return self._probe_unified(path)
-        if kind == "tpr":
+        if self.cfg.translation_cache == "tpr":
             entry = walker.path_register
-            best = self._prefix_match(tag, entry[0]) if entry else 0
+            best = self._prefix_match(tag, entry) if entry else 0
         else:  # tpc
             cache = self._cache
             best = 0
@@ -366,11 +379,7 @@ class TranslationEngine:
             if tag in cache:
                 cache.move_to_end(tag)
         self._count_prefix_hits(best)
-        # Only a full-path tag match lets the walk jump to the leaf node,
-        # and only when the radix path actually reaches it.
-        if best == len(tag) and len(path) == self.ps.levels:
-            return len(path) - 1
-        return 0
+        return best == len(tag)
 
     def _probe_unified(self, path: List[WalkStep]) -> int:
         cache = self._cache
@@ -385,20 +394,20 @@ class TranslationEngine:
         return skipped
 
     def _cache_fill(self, walker: _Walker) -> None:
-        if not walker.cache_fill:
+        fill = walker.cache_fill
+        if fill is None:
             return
-        tag, leaf_node_addr, reads = walker.cache_fill
         kind = self.cfg.translation_cache
         cache = self._cache
         if kind == "tpr":
-            walker.path_register = (tag, leaf_node_addr)
+            walker.path_register = fill
         elif kind == "tpc":
-            cache[tag] = leaf_node_addr
-            cache.move_to_end(tag)
+            cache[fill] = None
+            cache.move_to_end(fill)
             while len(cache) > self.cfg.cache_entries:
                 cache.popitem(last=False)
         else:  # uptc: install interior entries actually read
-            for step in reads:
+            for step in fill:
                 if step.is_leaf:
                     continue
                 cache[step.entry_addr] = step.value

@@ -10,7 +10,8 @@ an all-to-all gather:
     with a staging write+read in CPU DRAM.
   * NUMA: remote embeddings are read in place over the chosen interconnect;
     translations run through the cycle-level MMU and overlap the transfer
-    stream.
+    stream. The translation does not depend on the link, so both links
+    share one `translate_gathers` result.
   * demand paging: remote pages start unmapped locally; first touch walks
     to the fault, migrates the whole page across the link, maps it, and
     retries locally.
@@ -23,13 +24,13 @@ model). Fault-handling software overhead defaults to zero cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .address_space import PageSize, vpn as vpn_of
 from .memory import DramConfig, LinkConfig, NVLINK_LINK, PCIE_LINK
 from .mmu import MmuConfig, TranslationEngine, drain_trace
-from .page_table import PageTable, build
+from .page_table import PageTable, build, fault_depth
 from .workloads import (
     EmbeddingModel,
     GatherRequest,
@@ -105,47 +106,59 @@ def run_baseline_copy(
     return bd
 
 
+def translate_gathers(
+    trace: List[GatherRequest],
+    model: EmbeddingModel,
+    mmu: MmuConfig = DEFAULT_NUMA_MMU,
+    ps: PageSize = PageSize.SMALL_4K,
+    page_table: Optional[PageTable] = None,
+) -> int:
+    """Cycles to translate every gather of `trace` through the MMU.
+
+    Gathers are submitted at one per cycle, blocked ones retried, until the
+    last translation completes. `page_table` must map every table (built
+    from `embedding_segments` when not given); a fault raises RuntimeError.
+    """
+    if page_table is None:
+        page_table = build(embedding_segments(model), ps)
+    engine = TranslationEngine(mmu, page_table, ps)
+    eb = model.tables[0].embedding_bytes
+    bases = _table_bases(model)
+    vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
+    cycles, comps = drain_trace(engine, vpns)
+    if any(c.fault for c in comps):
+        raise RuntimeError("NUMA gather faulted; remote pages must be mapped")
+    return cycles
+
+
 def run_numa(
     trace: List[GatherRequest],
     model: EmbeddingModel,
+    translation_cycles: int,
     link_kind: str = "fast",
     npu_id: int = 0,
-    mmu: MmuConfig = DEFAULT_NUMA_MMU,
     dram: DramConfig = DramConfig(),
-    ps: PageSize = PageSize.SMALL_4K,
-    page_table: Optional[PageTable] = None,
     link: Optional[LinkConfig] = None,
 ) -> LatencyBreakdown:
     """Fine-grained NUMA gathers over the slow (PCIe) or fast (NVLink) link.
 
-    Remote pages are mapped in a shared table; every gather is translated
-    through the MMU at one submission per cycle, overlapped with the
-    remote transfer stream. `link` defaults to the module's PCIe or NVLink
-    constant for `link_kind`.
+    `translation_cycles` is `translate_gathers` of the same trace; the
+    translations overlap the remote transfer stream, so the slower of the
+    two paces the remote phase. `link` defaults to the module's PCIe or
+    NVLink constant for `link_kind`.
     """
     if link is None:
         link = NVLINK_LINK if link_kind == "fast" else PCIE_LINK
     eb = model.tables[0].embedding_bytes
     local_n, remote_n, local_bytes, remote_bytes = _split(trace, npu_id, eb)
     bd = LatencyBreakdown(f"numa_{link_kind}", payload_bytes=local_bytes + remote_bytes,
-                          local_count=local_n, remote_count=remote_n)
-
-    if page_table is None:
-        page_table = build(embedding_segments(model), ps)
-    engine = TranslationEngine(mmu, page_table, ps)
-    bases = _table_bases(model)
-    vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
-    bd.translation_cycles, comps = drain_trace(engine, vpns)
-    if any(c.fault for c in comps):
-        raise RuntimeError("NUMA gather faulted; remote pages must be mapped")
-
+                          local_count=local_n, remote_count=remote_n,
+                          translation_cycles=translation_cycles)
     bd.local_cycles = _dram_read(local_bytes, dram)
     transfer = math.ceil(remote_bytes / link.bandwidth_bytes_per_cycle) if remote_bytes else 0
     bd.numa_transfer_cycles = (link.numa_latency + transfer) if remote_bytes else 0
-    # translations pipeline against the transfer stream; the slower of the
-    # two paces the remote phase
-    remote_phase = (link.numa_latency + max(bd.translation_cycles, transfer)
-                    if remote_bytes else bd.translation_cycles)
+    remote_phase = (link.numa_latency + max(translation_cycles, transfer)
+                    if remote_bytes else translation_cycles)
     bd.total_cycles = bd.local_cycles + remote_phase
     return bd
 
@@ -187,10 +200,10 @@ def run_demand_paging(
         if g.owner_npu == npu_id:
             continue
         page = vpn_of(bases[g.table] + g.row * eb, ps)
-        path = page_table.walk_path(page, ps)
-        last = path[-1]
-        if not (last.present and last.is_leaf):
-            bd.fault_handling_cycles += (len(path) * mmu.walk_cycles_per_level
+        frame, fault_level = page_table.walk_outcome(page, ps)
+        if frame is None:
+            bd.fault_handling_cycles += (fault_depth(fault_level)
+                                         * mmu.walk_cycles_per_level
                                          + fault_overhead_cycles)
             bd.migration_cycles += (link.numa_latency
                                     + math.ceil(ps.bytes / link.bandwidth_bytes_per_cycle))

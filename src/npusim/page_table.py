@@ -2,8 +2,9 @@
 
 The table maps virtual page numbers of a set of segments to physical frames.
 `walk` is the authoritative translation oracle: every other translation path
-in the simulator must agree with it, and its per-walk node-read list is the
-source of page-walk memory transaction counts.
+in the simulator must agree with it. `walk_path` lists a walk's node reads;
+`walk_outcome` is the same walk reduced to its frame or fault level, which
+is all that most callers need, without building the list.
 
 Page-table nodes live in a dedicated physical region disjoint from data
 frames, so node addresses (used as tags by the unified translation cache)
@@ -21,6 +22,12 @@ from .address_space import PageSize, Segment, check_disjoint, radix_indices
 PT_NODE_REGION_BASE = 1 << 47
 ENTRY_BYTES = 8
 FRAME_BITS = 36
+ROOT_LEVEL = 4
+
+
+def fault_depth(level: int) -> int:
+    """Node reads of a walk that faults at `level`: levels 4 down to `level`."""
+    return ROOT_LEVEL + 1 - level
 
 
 class PageFaultError(Exception):
@@ -105,13 +112,19 @@ class PageTable:
     interior nodes in VPN order, so a table gets the same node ids either
     way.
 
-    `leaf` answers the oracle's question (which frame, or at which level the
-    walk faults) from a memo keyed by (vpn, page size), so an oracle MMU
-    walks each page once rather than once per access. The memo holds only
-    that small tuple, not the node-read list of `walk_path`. Every
-    `map_range`, `map_page` and `unmap_page` call clears the whole memo
-    once: a new interior node also changes the outcome for neighbouring
-    VPNs whose walks used to fault above it.
+    Two walkers read the tree. `walk_path` returns every node read as a
+    `WalkStep`; the unified translation cache, which tags interior entry
+    addresses, and the reference `walk` use it. `walk_outcome` follows the
+    same entries but returns only `(frame, None)`, or `(None, level)` when
+    the walk faults at `level`: a walk's depth is `ps.levels` when it
+    succeeds and `fault_depth(level)` when it faults, so modelled walks
+    without a unified cache and demand paging need nothing more.
+
+    `leaf` answers the oracle's question from a memo of `walk_outcome`
+    keyed by (vpn, page size), so an oracle MMU walks each page once rather
+    than once per access. Every `map_range`, `map_page` and `unmap_page`
+    call clears the whole memo once: a new interior node also changes the
+    outcome for neighbouring VPNs whose walks used to fault above it.
     """
 
     def __init__(self, frame_allocator: Optional[FrameAllocator] = None):
@@ -203,8 +216,7 @@ class PageTable:
         self.mapped_pages -= 1
 
     def is_mapped(self, vpn: int, ps: PageSize) -> bool:
-        last = self.walk_path(vpn, ps)[-1]
-        return last.present and last.is_leaf
+        return self.walk_outcome(vpn, ps)[0] is not None
 
     # -- walking ------------------------------------------------------------
 
@@ -217,7 +229,7 @@ class PageTable:
         nodes = self.nodes
         steps: List[WalkStep] = []
         node = self.root
-        level = 4
+        level = ROOT_LEVEL
         for index in radix_indices(vpn, ps):
             naddr = PT_NODE_REGION_BASE + node * 4096
             entry = nodes[node].get(index)
@@ -231,17 +243,30 @@ class PageTable:
             level -= 1
         return steps
 
+    def walk_outcome(self, vpn: int,
+                     ps: PageSize) -> tuple[Optional[int], Optional[int]]:
+        """`walk_path`'s last step, reduced: (frame, None), or (None, level)
+        when the walk faults at `level` (an absent entry, or a final entry
+        that is not a leaf)."""
+        nodes = self.nodes
+        node = self.root
+        level = ROOT_LEVEL
+        for index in radix_indices(vpn, ps):
+            entry = nodes[node].get(index)
+            if entry is None:
+                return None, level
+            is_leaf, node = entry
+            level -= 1
+        if is_leaf:
+            return node, None
+        return None, level + 1
+
     def leaf(self, vpn: int, ps: PageSize) -> tuple[Optional[int], Optional[int]]:
-        """Outcome of a walk: (frame, None), or (None, level) when it faults."""
+        """`walk_outcome`, memoised until the next mapping change."""
         key = (vpn, ps)
         hit = self._leaves.get(key)
         if hit is None:
-            last = self.walk_path(vpn, ps)[-1]
-            if last.present and last.is_leaf:
-                hit = (last.value, None)
-            else:
-                hit = (None, last.level)
-            self._leaves[key] = hit
+            hit = self._leaves[key] = self.walk_outcome(vpn, ps)
         return hit
 
     def walk(self, va: int, ps: PageSize) -> WalkResult:

@@ -9,7 +9,7 @@ bounded-Zipf distribution, deterministically from a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple
 
 import numpy as np
@@ -58,6 +58,15 @@ class WorkloadConfig(Record):
     distribution: str = knob("uniform", choices=DISTRIBUTIONS)
     zipf_s: float = knob(1.0, gt=0)
     lookups_per_sample: int = knob(1, lo=1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        # the harness reports NPU 0's gathers; with fewer samples than NPUs
+        # its batch slice is empty and every strategy would report 0 cycles
+        if self.kind == "embedding" and self.batch_samples < self.num_npus:
+            raise ValueError(
+                f"WorkloadConfig: batch_samples ({self.batch_samples}) must be "
+                f">= num_npus ({self.num_npus}), or NPU 0 gathers nothing")
 
 
 def make_layer(name: str, m: int, k: int, n: int, batch: int = 1,
@@ -155,32 +164,31 @@ def _draw_rows(rng: np.random.Generator, spec: EmbeddingTableSpec,
     return np.searchsorted(cdf, rng.random(count))
 
 
-def gather_trace(model: EmbeddingModel,
-                 placement: Placement) -> Dict[int, List[GatherRequest]]:
-    """Per-NPU gather lists for one minibatch's all-to-all.
+def gather_trace(model: EmbeddingModel, placement: Placement,
+                 npu: int) -> List[GatherRequest]:
+    """NPU `npu`'s gather list for one minibatch's all-to-all.
 
     Samples are data-parallel: NPU i owns a contiguous slice of the batch
-    and gathers that slice's lookups from every table, remote or not.
-    Deterministic for a fixed (model.seed, placement).
+    and gathers that slice's lookups from every table, remote or not, in
+    sample, table, lookup order. Deterministic for a fixed (model.seed,
+    placement).
     """
     if len(model.tables) != len(placement.table_to_npu):
         raise ValueError("placement must assign every table")
+    nn = placement.num_npus
+    if not 0 <= npu < nn:
+        raise ValueError(f"npu {npu} out of range for {nn} NPUs")
     rng = np.random.default_rng(model.seed)
     lps = model.lookups_per_sample
-    # rows[t] has shape (batch, lookups_per_sample); drawn independent of
-    # the placement so re-placing tables replays the same trace
-    rows = [_draw_rows(rng, spec, model.batch * lps, model).reshape(model.batch, lps)
+    lo = npu * model.batch // nn
+    hi = (npu + 1) * model.batch // nn
+    # every table's whole batch is drawn, independent of the placement and
+    # of `npu`, so re-placing tables replays the same trace
+    rows = [_draw_rows(rng, spec, model.batch * lps, model)
+            .reshape(model.batch, lps)[lo:hi].tolist()
             for spec in model.tables]
-
-    out: Dict[int, List[GatherRequest]] = {}
-    nn = placement.num_npus
-    for npu in range(nn):
-        lo = npu * model.batch // nn
-        hi = (npu + 1) * model.batch // nn
-        trace: List[GatherRequest] = []
-        for sample in range(lo, hi):
-            for t, owner in enumerate(placement.table_to_npu):
-                for j in range(lps):
-                    trace.append(GatherRequest(t, int(rows[t][sample, j]), owner))
-        out[npu] = trace
-    return out
+    owners = placement.table_to_npu
+    return [GatherRequest(t, row, owners[t])
+            for sample in range(hi - lo)
+            for t in range(len(owners))
+            for row in rows[t][sample]]

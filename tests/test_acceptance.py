@@ -23,6 +23,7 @@ from npusim.numa import (
     run_baseline_copy,
     run_demand_paging,
     run_numa,
+    translate_gathers,
 )
 from npusim.page_table import build
 from npusim.workloads import (
@@ -246,10 +247,11 @@ def test_criterion_09_numa_case_study():
     model = EmbeddingModel(
         tables=tuple(EmbeddingTableSpec(65536) for _ in range(8)),
         batch=256, seed=5)
-    trace = gather_trace(model, Placement.round_robin(8, 8))[0]
+    trace = gather_trace(model, Placement.round_robin(8, 8), 0)
     copy = run_baseline_copy(trace, model)
-    slow = run_numa(trace, model, "slow", mmu=DEFAULT_NUMA_MMU)
-    fast = run_numa(trace, model, "fast", mmu=DEFAULT_NUMA_MMU)
+    translation = translate_gathers(trace, model, DEFAULT_NUMA_MMU)
+    slow = run_numa(trace, model, translation, "slow")
+    fast = run_numa(trace, model, translation, "fast")
     red_slow = 1 - slow.total_cycles / copy.total_cycles
     red_fast = 1 - fast.total_cycles / copy.total_cycles
     dt = time.monotonic() - t0
@@ -267,7 +269,7 @@ def test_criterion_10_large_page_pitfall():
         tables=tuple(EmbeddingTableSpec(1 << 20) for _ in range(4)),
         batch=64, seed=9)
     placement = Placement.round_robin(4, 4)
-    trace = gather_trace(model, placement)[0]
+    trace = gather_trace(model, placement, 0)
     touches = {}
     for g in trace:
         key = (g.table, g.row * 256 // 4096)

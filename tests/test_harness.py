@@ -204,6 +204,36 @@ def test_cli_seed_flag_overrides_master(tmp_path):
     assert harness.read_csv(str(out))[0]["seed"] == "99"
 
 
+def test_cli_seed_flag_is_checked_like_the_config(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert cli.main(["run", "--seed", "-1", "--out", str(out)]) == 1
+    assert "seeds.master: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--jobs", jobs, "--set", "num_ptws=1,8",
+                     "--out", str(out)]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_embedding_rejects_fewer_samples_than_npus(monkeypatch, capsys):
+    cfg = small_cfg(**{"workload.kind": "embedding", "workload.num_npus": 4,
+                       "workload.batch_samples": 2})
+    with pytest.raises(ValueError, match="NPU 0 gathers nothing"):
+        harness.run_single(cfg)
+    monkeypatch.setenv("NPUSIM_WORKLOAD__KIND", "embedding")
+    monkeypatch.setenv("NPUSIM_WORKLOAD__BATCH_SAMPLES", "2")
+    assert cli.main(["run"]) == 1
+    assert "batch_samples (2) must be >= num_npus (4)" in capsys.readouterr().err
+    # one sample per NPU is enough
+    cfg["workload"]["batch_samples"] = 4
+    assert all(r["total_cycles"] > 0 for r in harness.run_single(cfg))
+
+
 def test_cli_run_reports_unfittable_weight_partition(monkeypatch, capsys):
     monkeypatch.setenv("NPUSIM_NPU__SPM_WEIGHT_BYTES", "1")
     assert cli.main(["run"]) == 1

@@ -200,12 +200,12 @@ def test_mirrored_output_tiles_land_at_their_columns(mode):
     out = layer.out_segment
     pt = build([layer.ia_segment, layer.w_segment, out], PS4K)
     touched = set()
-    walk_path = pt.walk_path
+    walk_outcome = pt.walk_outcome
 
     def spy(vpn, ps):
         touched.add(vpn)
-        return walk_path(vpn, ps)
-    pt.walk_path = spy
+        return walk_outcome(vpn, ps)
+    pt.walk_outcome = spy
     run_layer(layer, npu, TranslationEngine(MmuConfig(mode=mode), pt, PS4K),
               Dram(DramConfig()))
     assert set(out.vpn_range(PS4K)) <= touched

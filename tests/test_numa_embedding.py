@@ -4,19 +4,24 @@ import math
 
 import pytest
 
-from npusim.address_space import PageSize
+from npusim import config as cfgmod
+from npusim import harness, numa as numa_mod
+from npusim.address_space import PageSize, vpn
 from npusim.memory import DramConfig, NVLINK_LINK, PCIE_LINK
-from npusim.mmu import MmuConfig
+from npusim.mmu import MmuConfig, TranslationEngine, drain_trace
 from npusim.numa import (
     DEFAULT_NUMA_MMU,
     run_baseline_copy,
     run_demand_paging,
     run_numa,
+    translate_gathers,
 )
+from npusim.page_table import build
 from npusim.workloads import (
     EmbeddingModel,
     EmbeddingTableSpec,
     Placement,
+    embedding_segments,
     gather_trace,
     table_segment,
 )
@@ -34,7 +39,12 @@ def trace_for(num_npus=4, tables=4, batch=64, rows=4096, seed=11,
     m = EmbeddingModel(
         tables=tuple(EmbeddingTableSpec(rows) for _ in range(tables)),
         batch=batch, index_distribution=distribution, seed=seed)
-    return m, gather_trace(m, Placement.round_robin(tables, num_npus))[npu]
+    return m, gather_trace(m, Placement.round_robin(tables, num_npus), npu)
+
+
+def numa(tr, m, link_kind, **translate):
+    """One NUMA row: the trace's translation, then the link arithmetic."""
+    return run_numa(tr, m, translate_gathers(tr, m, **translate), link_kind)
 
 
 def test_baseline_copy_hand_composition():
@@ -63,14 +73,14 @@ def test_per_embedding_copy_pays_latency_per_vector():
 def test_numa_fast_beats_slow_beats_copy():
     m, tr = trace_for()
     copy = run_baseline_copy(tr, m)
-    slow = run_numa(tr, m, link_kind="slow")
-    fast = run_numa(tr, m, link_kind="fast")
+    slow = numa(tr, m, "slow")
+    fast = numa(tr, m, "fast")
     assert fast.total_cycles <= slow.total_cycles < copy.total_cycles
 
 
 def test_numa_remote_phase_is_max_of_translation_and_transfer():
     m, tr = trace_for()
-    bd = run_numa(tr, m, link_kind="fast")
+    bd = numa(tr, m, "fast")
     remote_bytes = bd.remote_count * 256
     transfer = math.ceil(remote_bytes / NVLINK_LINK.bandwidth_bytes_per_cycle)
     assert bd.numa_transfer_cycles == 150 + transfer
@@ -81,8 +91,8 @@ def test_numa_remote_phase_is_max_of_translation_and_transfer():
 def test_numa_payload_conserved_across_strategies():
     m, tr = trace_for()
     results = [run_baseline_copy(tr, m),
-               run_numa(tr, m, "slow"),
-               run_numa(tr, m, "fast"),
+               numa(tr, m, "slow"),
+               numa(tr, m, "fast"),
                run_demand_paging(tr, m, PS4K, PLACEMENT)[0]]
     assert len({bd.payload_bytes for bd in results}) == 1
     assert len({(bd.local_count, bd.remote_count) for bd in results}) == 1
@@ -135,7 +145,7 @@ def test_page_ratio_is_512():
 
 def test_local_only_trace_has_no_remote_terms():
     m, tr = trace_for(num_npus=1)
-    for bd in (run_baseline_copy(tr, m), run_numa(tr, m, "fast")):
+    for bd in (run_baseline_copy(tr, m), numa(tr, m, "fast")):
         assert bd.remote_count == 0
         assert bd.remote_leg1 == bd.staging == bd.remote_leg2 == 0
         assert bd.numa_transfer_cycles == 0
@@ -147,12 +157,56 @@ def test_numa_requires_mapped_tables():
     m, tr = trace_for()
     from npusim.page_table import PageTable
     with pytest.raises(RuntimeError):
-        run_numa(tr, m, "fast", page_table=PageTable())
+        translate_gathers(tr, m, page_table=PageTable())
 
 
 def test_more_walkers_shrink_translation_cycles():
     m, tr = trace_for(batch=256)
-    few = run_numa(tr, m, "fast", mmu=MmuConfig(num_ptws=4, prmb_slots=4,
-                                                translation_cache="tpr"))
-    many = run_numa(tr, m, "fast", mmu=DEFAULT_NUMA_MMU)
+    few = numa(tr, m, "fast", mmu=MmuConfig(num_ptws=4, prmb_slots=4,
+                                            translation_cache="tpr"))
+    many = numa(tr, m, "fast", mmu=DEFAULT_NUMA_MMU)
     assert many.translation_cycles <= few.translation_cycles
+
+
+def per_link_numa(tr, m, link, mmu):
+    """A NUMA row with its own table, engine and translation, link by link."""
+    eb = 256
+    engine = TranslationEngine(mmu, build(embedding_segments(m), PS4K), PS4K)
+    vpns = [vpn(table_segment(m, g.table).base + g.row * eb, PS4K) for g in tr]
+    translation, comps = drain_trace(engine, vpns)
+    assert not any(c.fault for c in comps)
+    local = sum(1 for g in tr if g.owner_npu == 0)
+    remote_bytes = (len(tr) - local) * eb
+    transfer = math.ceil(remote_bytes / link.bandwidth_bytes_per_cycle)
+    local_cycles = 100 + math.ceil(local * eb / 600)
+    return (translation, link.numa_latency + transfer,
+            local_cycles + link.numa_latency + max(translation, transfer))
+
+
+@pytest.mark.parametrize("mmu", [DEFAULT_NUMA_MMU, MmuConfig()])
+def test_shared_translation_equals_per_link_runs(mmu):
+    m, tr = trace_for(batch=128)
+    translation = translate_gathers(tr, m, mmu)
+    for kind, link in (("slow", PCIE_LINK), ("fast", NVLINK_LINK)):
+        bd = run_numa(tr, m, translation, kind)
+        assert bd.strategy == f"numa_{kind}"
+        assert ((bd.translation_cycles, bd.numa_transfer_cycles, bd.total_cycles)
+                == per_link_numa(tr, m, link, mmu))
+
+
+def test_strategy_all_translates_once(monkeypatch):
+    drains = []
+    real = numa_mod.drain_trace
+
+    def counting(engine, vpns, *args):
+        drains.append(len(vpns))
+        return real(engine, vpns, *args)
+
+    monkeypatch.setattr(numa_mod, "drain_trace", counting)
+    cfg = cfgmod.load_config(None)
+    cfg["workload"].update(kind="embedding", strategy="all", rows=4096,
+                           batch_samples=64)
+    rows = {r["strategy"]: r for r in harness.run_single(cfg)}
+    assert drains == [(64 // 4) * 4]  # once, for NPU 0's 16 samples x 4 tables
+    assert (rows["numa_slow"]["translation_cycles"]
+            == rows["numa_fast"]["translation_cycles"] > 0)

@@ -12,6 +12,7 @@ from npusim.page_table import (
     PageFaultError,
     PageTable,
     build,
+    fault_depth,
 )
 
 PS4K = PageSize.SMALL_4K
@@ -170,3 +171,36 @@ def test_map_range_clears_the_leaf_memo():
     assert pt.leaf(page + 2, PS4K) == (None, 4)
     pt.map_range(page, 3, PS4K)
     assert pt.leaf(page + 2, PS4K) == (2, None)
+
+
+def reduced_walk(pt, page, ps):
+    """The reference walk's outcome and depth, read off its step list."""
+    path = pt.walk_path(page, ps)
+    last = path[-1]
+    if last.present and last.is_leaf:
+        return (last.value, None), len(path)
+    return (None, last.level), len(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([PS4K, PS2M]))
+def test_walk_outcome_is_walk_path_reduced(data, ps):
+    segs = data.draw(page_disjoint_segments(ps))
+    pt = build(segs, ps)
+    near = st.sampled_from([p + d for s in segs for p in s.vpn_range(ps)
+                            for d in (-513, -1, 0, 1, 512)])
+    anywhere = st.integers(0, (1 << (48 - ps.offset_bits)) - 1)
+    toggles = data.draw(st.lists(near, max_size=20))
+    probes = data.draw(st.lists(st.one_of(near, anywhere), min_size=1,
+                                max_size=40))
+    for page in toggles:
+        if pt.is_mapped(page, ps):
+            pt.unmap_page(page, ps)
+        else:
+            pt.map_page(page, ps)
+    for page in toggles + probes:
+        (frame, level), depth = reduced_walk(pt, page, ps)
+        assert pt.walk_outcome(page, ps) == (frame, level)
+        assert pt.leaf(page, ps) == (frame, level)
+        assert pt.is_mapped(page, ps) == (frame is not None)
+        assert depth == (ps.levels if frame is not None else fault_depth(level))

@@ -44,18 +44,21 @@ def test_make_layer_sizes_segments_to_operands():
 
 def test_gather_trace_deterministic():
     p = Placement.round_robin(4, 2)
-    a = gather_trace(model(), p)
-    b = gather_trace(model(), p)
-    assert a == b
-    c = gather_trace(model(seed=4), p)
-    assert a != c
+    for npu in range(2):
+        a = gather_trace(model(), p, npu)
+        b = gather_trace(model(), p, npu)
+        assert a == b
+        c = gather_trace(model(seed=4), p, npu)
+        assert a != c
 
 
 def test_all_to_all_counts():
     m = model(batch=16, lookups_per_sample=2)
     p = Placement.round_robin(4, 2)
-    traces = gather_trace(m, p)
+    traces = {npu: gather_trace(m, p, npu) for npu in range(p.num_npus)}
     assert set(traces) == {0, 1}
+    with pytest.raises(ValueError):
+        gather_trace(m, p, 2)
     # each NPU's batch slice gathers from every table
     for npu, trace in traces.items():
         assert len(trace) == (16 // 2) * 4 * 2
@@ -65,28 +68,28 @@ def test_all_to_all_counts():
 
 def test_replacement_keeps_rows_fixed():
     m = model()
-    rows_a = [g.row for g in gather_trace(m, Placement.round_robin(4, 2))[0]]
-    rows_b = [g.row for g in gather_trace(m, Placement.round_robin(4, 4))[0]]
+    rows_a = [g.row for g in gather_trace(m, Placement.round_robin(4, 2), 0)]
+    rows_b = [g.row for g in gather_trace(m, Placement.round_robin(4, 4), 0)]
     # same draw, different owners and batch split; prefix slice matches
     assert rows_b == rows_a[:len(rows_b)]
 
 
 def test_owners_follow_placement():
     p = Placement(2, (1, 0, 1, 0))
-    for g in gather_trace(model(), p)[0]:
+    for g in gather_trace(model(), p, 0):
         assert g.owner_npu == p.table_to_npu[g.table]
 
 
 def test_zipf_is_more_concentrated_than_uniform():
     p = Placement.round_robin(1, 1)
     big = dict(tables=(EmbeddingTableSpec(4096),), batch=4096)
-    uni = gather_trace(model(index_distribution="uniform", **big), p)[0]
-    zipf = gather_trace(model(index_distribution="zipf", zipf_s=1.2, **big), p)[0]
+    uni = gather_trace(model(index_distribution="uniform", **big), p, 0)
+    zipf = gather_trace(model(index_distribution="zipf", zipf_s=1.2, **big), p, 0)
     assert len({g.row for g in zipf}) < len({g.row for g in uni})
 
 
 def test_rows_in_range():
-    for g in gather_trace(model(), Placement.round_robin(4, 1))[0]:
+    for g in gather_trace(model(), Placement.round_robin(4, 1), 0):
         assert 0 <= g.row < 1024
 
 
