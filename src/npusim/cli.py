@@ -51,12 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config (merged over defaults)")
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweeps")
 
     common(sub.add_parser("run", help="run one configuration"))
     sw = sub.add_parser("sweep", help="cross-product parameter sweep")
     common(sw)
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (>= 1)")
     sw.add_argument("--set", action="append", default=[], metavar="KEY=V1,V2",
                     help="sweep axis, values parsed as YAML scalars; "
                          "repeatable, order defines nesting")

@@ -70,7 +70,13 @@ class Dram:
         """Accept a transaction at `now`; return its completion cycle."""
         if nbytes <= 0:
             raise ValueError("transaction must carry at least one byte")
-        self._take(nbytes, now)
+        if now > self._cursor:
+            self._cursor = now
+            self._tokens = self.cfg.bandwidth_bytes_per_cycle
+        if nbytes <= self._tokens:        # fits in the current cycle
+            self._tokens -= nbytes
+        else:
+            self._take(nbytes, now)
         self.bytes_issued += nbytes
         self.txns += 1
         return self._cursor + self.cfg.access_latency

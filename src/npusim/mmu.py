@@ -10,10 +10,18 @@ Request life cycle per cycle-accurate submit/tick protocol:
   walker starts a radix walk; if none is free (or the merge buffer is full)
   the request is Blocked and the caller retries next cycle.
 
-  tick(now) must be called once per cycle, after that cycle's submits. It
+  tick(now) is called once per cycle, after that cycle's submits. It
   delivers due completions: a finishing walk fills the TLB, updates the
   configured translation cache, completes its leading request, then drains
   one merged request per subsequent cycle.
+
+  A tick may be skipped for a cycle before the next pending event, since it
+  would deliver nothing. `skip_blocked` is how that happens: called after a
+  BLOCKED submit and before that cycle's tick, it makes the request's
+  retries up to the cycle of the next event, one `submit` per cycle, and
+  returns that cycle; the caller resumes there without ticking the cycles
+  in between. Nothing changes before an event fires, so every one of those
+  retries is blocked too.
 
 With merge buffers disabled (prmb_slots == 0) there is no scoreboard:
 duplicate in-flight VPNs each dispatch their own redundant walk, as long as
@@ -41,10 +49,10 @@ cycle with the reference walker's frame.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from heapq import heappop, heappush
 from typing import List, NamedTuple, Optional, Sequence
 
 from .address_space import PAGE_SIZES, PageSize, radix_indices
@@ -183,12 +191,14 @@ class TranslationEngine:
         if frame is not None:
             self._tlb.move_to_end(vpn)
             stats.tlb_hits += 1
-            rid = self._new_request()
-            done = now + cfg.tlb_hit_latency
-            self._push(done, "deliver",
-                       TranslationCompletion(rid, vpn, frame, done))
             stats.accepted += 1
-            return SubmitResult(SubmitStatus.TLB_HIT, rid, done_cycle=done)
+            rid = self._next_req
+            self._next_req = rid + 1
+            done = now + cfg.tlb_hit_latency
+            self._seq = seq = self._seq + 1
+            heappush(self._events, (done, seq, "deliver",
+                                    TranslationCompletion(rid, vpn, frame, done)))
+            return SubmitResult(SubmitStatus.TLB_HIT, rid, done)
         stats.tlb_misses += 1
 
         if cfg.prmb_slots > 0:
@@ -196,7 +206,8 @@ class TranslationEngine:
             if wid is not None:
                 walker = self._walkers[wid]
                 if len(walker.merged) < cfg.prmb_slots:
-                    rid = self._new_request()
+                    rid = self._next_req
+                    self._next_req = rid + 1
                     walker.merged.append(rid)
                     stats.scoreboard_merges += 1
                     stats.merge_buffer_accesses += 1
@@ -208,7 +219,8 @@ class TranslationEngine:
         if not self._free:
             stats.blocked_cycles += 1
             return _BLOCKED
-        rid = self._new_request()
+        rid = self._next_req
+        self._next_req = rid + 1
         self._start_walk(vpn, now, rid)
         stats.accepted += 1
         return SubmitResult(SubmitStatus.NEW_WALK, rid)
@@ -220,12 +232,15 @@ class TranslationEngine:
         events = self._events
         if not events or events[0][0] > now:
             return ()                     # idle cycle: nothing due
+        stats = self.stats
         out: List[TranslationCompletion] = []
         while events and events[0][0] <= now:
-            _, _, kind, payload = heapq.heappop(events)
+            _, _, kind, payload = heappop(events)
             if kind == "deliver":
                 out.append(payload)
-                self._account_completion(payload)
+                stats.completions += 1
+                if payload.fault:
+                    stats.faults += 1
             elif kind == "walk_done":
                 self._finish_walk(payload, now, out)
             else:  # "free"
@@ -233,6 +248,27 @@ class TranslationEngine:
                 walker.busy = False
                 self._free.append(payload)
         return out
+
+    def skip_blocked(self, vpn: int, now: int) -> int:
+        """Retry a blocked `vpn` until the next event; return that cycle.
+
+        Call it after `submit(vpn, now)` came back BLOCKED and before
+        `tick(now)`. Let `due` be the cycle of the earliest pending event,
+        read before that tick (a walker it frees would otherwise be missed).
+        If `due > now`, nothing can change before `due`: the retries at
+        now + 1 .. due - 1 are made here, each a `submit` that comes back
+        BLOCKED and is counted like any other, and `due` is returned; the
+        caller skips the ticks of cycles now .. due - 1, which would all be
+        idle, and resumes at cycle `due`. Otherwise it returns `now`.
+        """
+        events = self._events
+        due = events[0][0] if events else now
+        if due <= now:
+            return now
+        submit = self.submit
+        for t in range(now + 1, due):
+            submit(vpn, t)
+        return due
 
     def drain(self, now: int) -> tuple[int, List[TranslationCompletion]]:
         """Tick until nothing is in flight; returns (next free cycle, completions)."""
@@ -244,22 +280,13 @@ class TranslationEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _new_request(self) -> int:
-        rid = self._next_req
-        self._next_req += 1
-        return rid
-
     def _push(self, cycle: int, kind: str, payload) -> None:
         self._seq += 1
-        heapq.heappush(self._events, (cycle, self._seq, kind, payload))
-
-    def _account_completion(self, comp: TranslationCompletion) -> None:
-        self.stats.completions += 1
-        if comp.fault:
-            self.stats.faults += 1
+        heappush(self._events, (cycle, self._seq, kind, payload))
 
     def _submit_oracle(self, vpn: int, now: int) -> SubmitResult:
-        rid = self._new_request()
+        rid = self._next_req
+        self._next_req = rid + 1
         frame, fault_level = self.pt.leaf(vpn, self.ps)
         if frame is not None:
             comp = TranslationCompletion(rid, vpn, frame, now)
@@ -329,7 +356,9 @@ class TranslationEngine:
             comp = TranslationCompletion(walker.leading, vpn, None, now,
                                          fault=True, fault_level=walker.fault_level)
         out.append(comp)
-        self._account_completion(comp)
+        self.stats.completions += 1
+        if comp.fault:
+            self.stats.faults += 1
 
         # Merged requests drain one per cycle after the leading completion.
         for i, rid in enumerate(walker.merged):
@@ -444,16 +473,25 @@ class TranslationEngine:
 def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0):
     """Feed VPNs at one submit per cycle (retrying blocks) and run to drain.
 
-    Returns (cycles_elapsed, completions in delivery order).
+    Returns (cycles_elapsed, completions in delivery order). A blocked
+    stretch skips its idle ticks through `TranslationEngine.skip_blocked`.
     """
-    submit, tick = engine.submit, engine.tick
+    submit, tick, skip = engine.submit, engine.tick, engine.skip_blocked
+    blocked = SubmitStatus.BLOCKED
     n = len(vpns)
     cycle = start
     i = 0
     comps: List[TranslationCompletion] = []
     while i < n or engine.in_flight > 0:
-        if i < n and submit(vpns[i], cycle).accepted:
-            i += 1
+        if i < n:
+            vpn = vpns[i]
+            if submit(vpn, cycle).status is not blocked:
+                i += 1
+            else:
+                due = skip(vpn, cycle)
+                if due > cycle:
+                    cycle = due
+                    continue
         comps.extend(tick(cycle))
         cycle += 1
     return cycle - start, comps

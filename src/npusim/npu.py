@@ -14,7 +14,10 @@ compute starts only after its fetch fully lands (barrier), and a buffer is
 reusable only after the compute reading it ends.
 
 Both fetch loops walk the same runs. `simulate_fetch` drives the
-translation engine cycle by cycle, one submit per cycle. Under an oracle
+translation engine cycle by cycle, one submit per cycle. While the MMU
+blocks a group (walkers busy or merge buffer full), nothing changes until
+the engine's next event, so the engine's `skip_blocked` makes the group's
+retries up to that cycle and the loop skips its idle ticks. Under an oracle
 MMU every translation completes in the cycle it is submitted, so
 `_oracle_fetch` skips the engine's event loop: group i and its data go out
 at cycle start + i, one page-table read and one closed-form DRAM debit per
@@ -34,7 +37,7 @@ from typing import List, Optional, Tuple
 
 from .address_space import VA_MASK, PageSize, Segment
 from .memory import Dram
-from .mmu import TranslationEngine
+from .mmu import SubmitStatus, TranslationEngine
 from .schema import Record, knob
 
 MB = 1024 * 1024
@@ -238,12 +241,16 @@ def simulate_fetch(
     """Run one tile fetch through the MMU and DRAM; return its end cycle.
 
     Submits one translation group per cycle (retrying while blocked); each
-    completed translation releases its group's chunks to DRAM. The fetch
+    completed translation releases its group's chunks to DRAM. A blocked
+    stretch runs through `engine.skip_blocked`, which makes the retries and
+    lets the loop skip the idle ticks until the next engine event. The fetch
     ends when its last data lands, and no earlier than the cycle after the
     engine's last tick: with a zero DRAM latency data lands in the cycle it
     was translated, and the next fetch must not tick that cycle again.
     """
-    submit, tick, issue = engine.submit, engine.tick, dram.issue
+    submit, tick, skip = engine.submit, engine.tick, engine.skip_blocked
+    issue = dram.issue
+    blocked = SubmitStatus.BLOCKED
     pending: dict[int, Tuple[int, ...]] = {}
     rest = iter(runs)
     vpn, left, chunks = next(rest, _NO_RUN)  # left: groups not yet accepted
@@ -251,11 +258,16 @@ def simulate_fetch(
     while left or engine.in_flight > 0:
         if left:
             res = submit(vpn, cycle)
-            if res.accepted:
+            if res.status is not blocked:
                 pending[res.request_id] = chunks
                 left -= 1
                 if not left:
                     vpn, left, chunks = next(rest, _NO_RUN)
+            else:
+                due = skip(vpn, cycle)
+                if due > cycle:           # cycles before `due` tick idle
+                    cycle = due
+                    continue
         for comp in tick(cycle):
             if comp.fault:
                 raise SimulationFault(comp.vpn, comp.fault_level)

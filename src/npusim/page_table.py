@@ -120,6 +120,10 @@ class PageTable:
     succeeds and `fault_depth(level)` when it faults, so modelled walks
     without a unified cache and demand paging need nothing more.
 
+    A table holds pages of one size, fixed by its first mapping. Mapping,
+    unmapping or walking with another size raises ValueError: a walk with
+    a smaller page would read a large page's leaf entry as a child node.
+
     `leaf` answers the oracle's question from a memo of `walk_outcome`
     keyed by (vpn, page size), so an oracle MMU walks each page once rather
     than once per access. Every `map_range`, `map_page` and `unmap_page`
@@ -134,6 +138,7 @@ class PageTable:
         self.root = 0
         self._next_node = 1
         self.mapped_pages = 0
+        self.page_size: Optional[PageSize] = None  # set by the first mapping
         # (vpn, ps) -> (frame, None) or (None, fault level)
         self._leaves: dict[tuple[int, PageSize], tuple[Optional[int], Optional[int]]] = {}
 
@@ -143,11 +148,22 @@ class PageTable:
         self.nodes[nid] = {}
         return nid
 
+    def _check_size(self, ps: PageSize, mapping: bool = False) -> None:
+        """Called when `ps` is not the table's page size: fix it on the
+        first mapping, allow any walk of an empty table, refuse the rest."""
+        if self.page_size is None:
+            if mapping:
+                self.page_size = ps
+            return
+        raise ValueError(f"page table holds {self.page_size.name} pages, "
+                         f"not {ps.name}")
+
     # -- mutation -----------------------------------------------------------
 
-    def _leaf_entries(self, vpn: int, indices: tuple) -> dict[int, tuple[bool, int]]:
-        """Entries of the node that holds `vpn`'s leaf, allocating missing
-        interior nodes on the way down."""
+    def _leaf_entries(self, indices: tuple) -> dict[int, tuple[bool, int]]:
+        """Entries of the node that holds a page's leaf, allocating missing
+        interior nodes on the way down (one page size: no leaf sits above
+        the leaf level)."""
         nodes = self.nodes
         node = self.root
         for index in indices[:-1]:
@@ -156,18 +172,16 @@ class PageTable:
             if entry is None:
                 node = self._alloc_node()
                 entries[index] = (False, node)
-            elif entry[0]:
-                raise MappingError(
-                    f"vpn {vpn:#x}: interior slot already holds a leaf"
-                )
             else:
                 node = entry[1]
         return nodes[node]
 
     def map_page(self, vpn: int, ps: PageSize, frame: Optional[int] = None) -> int:
+        if ps is not self.page_size:
+            self._check_size(ps, mapping=True)
         self._leaves.clear()
         indices = radix_indices(vpn, ps)
-        entries = self._leaf_entries(vpn, indices)
+        entries = self._leaf_entries(indices)
         leaf_index = indices[-1]
         if leaf_index in entries:
             raise MappingError(f"vpn {vpn:#x} already mapped")
@@ -184,11 +198,13 @@ class PageTable:
         descent per leaf node. A run that meets an already-mapped VPN raises
         MappingError before any VPN of that leaf node's run is mapped.
         """
+        if ps is not self.page_size:
+            self._check_size(ps, mapping=True)
         self._leaves.clear()
         vpn, end = first, first + count
         while vpn < end:
             indices = radix_indices(vpn, ps)
-            entries = self._leaf_entries(vpn, indices)
+            entries = self._leaf_entries(indices)
             lo = indices[-1]
             n = min(512 - lo, end - vpn)
             run = range(lo, lo + n)
@@ -202,12 +218,14 @@ class PageTable:
             vpn += n
 
     def unmap_page(self, vpn: int, ps: PageSize) -> None:
+        if ps is not self.page_size:
+            self._check_size(ps)
         self._leaves.clear()
         indices = radix_indices(vpn, ps)
         node = self.root
         for index in indices[:-1]:
             entry = self.nodes[node].get(index)
-            if entry is None or entry[0]:
+            if entry is None:
                 raise MappingError(f"vpn {vpn:#x} not mapped")
             node = entry[1]
         if indices[-1] not in self.nodes[node]:
@@ -226,6 +244,8 @@ class PageTable:
         The final step either carries the leaf entry (present, is_leaf) or
         records the read of the absent entry that faults the walk.
         """
+        if ps is not self.page_size:
+            self._check_size(ps)
         nodes = self.nodes
         steps: List[WalkStep] = []
         node = self.root
@@ -246,8 +266,11 @@ class PageTable:
     def walk_outcome(self, vpn: int,
                      ps: PageSize) -> tuple[Optional[int], Optional[int]]:
         """`walk_path`'s last step, reduced: (frame, None), or (None, level)
-        when the walk faults at `level` (an absent entry, or a final entry
-        that is not a leaf)."""
+        when the walk faults on an absent entry at `level`. A table holds
+        one page size, so every entry on the path above the leaf level is
+        a node and every entry at it is a leaf."""
+        if ps is not self.page_size:
+            self._check_size(ps)
         nodes = self.nodes
         node = self.root
         level = ROOT_LEVEL
@@ -255,11 +278,9 @@ class PageTable:
             entry = nodes[node].get(index)
             if entry is None:
                 return None, level
-            is_leaf, node = entry
+            node = entry[1]
             level -= 1
-        if is_leaf:
-            return node, None
-        return None, level + 1
+        return node, None
 
     def leaf(self, vpn: int, ps: PageSize) -> tuple[Optional[int], Optional[int]]:
         """`walk_outcome`, memoised until the next mapping change."""

@@ -4,19 +4,21 @@ gather traces with model-parallel table placement.
 Dense suite shapes are representative stand-ins for the public model
 families they are named after (lowered to GEMM); they are not measured
 layer lists. Embedding traces draw per-sample rows from a uniform or
-bounded-Zipf distribution, deterministically from a seed.
+bounded-Zipf distribution, deterministically from a seed. NumPy is imported
+only when a trace is drawn, so importing the simulator does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, NamedTuple
 
 from .address_space import Segment, default_segment_base
 from .npu import LayerConfig
 from .schema import Record, knob
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DENSE_SHAPES: Dict[str, List[tuple]] = {
     # name -> [(layer name, m, k, n), ...]
@@ -154,6 +156,8 @@ def embedding_segments(model: EmbeddingModel) -> List[Segment]:
 
 def _draw_rows(rng: np.random.Generator, spec: EmbeddingTableSpec,
                count: int, model: EmbeddingModel) -> np.ndarray:
+    import numpy as np
+
     if model.index_distribution == "uniform":
         return rng.integers(0, spec.rows, size=count)
     # bounded Zipf: prob(rank r) ~ r^-s over 1..rows
@@ -178,6 +182,8 @@ def gather_trace(model: EmbeddingModel, placement: Placement,
     nn = placement.num_npus
     if not 0 <= npu < nn:
         raise ValueError(f"npu {npu} out of range for {nn} NPUs")
+    import numpy as np                    # here, so start-up does not load it
+
     rng = np.random.default_rng(model.seed)
     lps = model.lookups_per_sample
     lo = npu * model.batch // nn

@@ -220,6 +220,14 @@ def test_cli_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_cli_run_has_no_jobs_option(capsys):
+    # `run` used to accept `--jobs`, shared with `sweep`, and ignore it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--jobs", "-2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs -2" in capsys.readouterr().err
+
+
 def test_embedding_rejects_fewer_samples_than_npus(monkeypatch, capsys):
     cfg = small_cfg(**{"workload.kind": "embedding", "workload.num_npus": 4,
                        "workload.batch_samples": 2})

@@ -173,6 +173,34 @@ def test_map_range_clears_the_leaf_memo():
     assert pt.leaf(page + 2, PS4K) == (2, None)
 
 
+def test_a_table_holds_one_page_size():
+    s = seg(0, 4 * 1024 * 1024)
+    pt = build([s], PS2M)
+    assert pt.page_size is PS2M
+    small = s.base >> PS4K.offset_bits
+    # a 4 KB walk used to read the 2 MB leaf's frame 0 as node 0 (the root)
+    # and report a fault at level 1
+    for walk in (pt.walk_path, pt.walk_outcome, pt.leaf, pt.is_mapped):
+        with pytest.raises(ValueError, match="LARGE_2M pages, not SMALL_4K"):
+            walk(small, PS4K)
+    for change in (pt.map_page, pt.unmap_page):
+        with pytest.raises(ValueError):
+            change(small + (8 << 20 >> 12), PS4K)
+    with pytest.raises(ValueError):
+        pt.map_range(small + (8 << 20 >> 12), 1, PS4K)
+    assert pt.walk_outcome(s.base >> PS2M.offset_bits, PS2M) == (0, None)
+
+    # an empty table walks at any size; its first mapping fixes the size
+    empty = PageTable()
+    assert empty.walk_outcome(small, PS4K) == (None, 4)
+    assert empty.walk_outcome(small >> 9, PS2M) == (None, 4)
+    assert empty.page_size is None
+    empty.map_page(small >> 9, PS2M)
+    assert empty.page_size is PS2M
+    with pytest.raises(ValueError):
+        empty.walk_outcome(small, PS4K)
+
+
 def reduced_walk(pt, page, ps):
     """The reference walk's outcome and depth, read off its step list."""
     path = pt.walk_path(page, ps)
