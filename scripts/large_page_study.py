@@ -8,11 +8,14 @@ counts, and total latency side by side.
 
 import argparse
 
-from npusim.numa import run_demand_paging
 from npusim.address_space import PageSize
+from npusim.memory import LinksConfig
+from npusim.mmu import MmuConfig
+from npusim.numa import run_demand_paging
 from npusim.workloads import (
     EmbeddingModel,
     EmbeddingTableSpec,
+    GatherRequest,
     Placement,
     gather_trace,
 )
@@ -37,11 +40,11 @@ def main():
         placement = Placement.round_robin(args.tables, args.tables)
         trace = gather_trace(model, placement, 0)
         if pattern == "sequential":
-            from npusim.workloads import GatherRequest
             trace = [GatherRequest(t, r, t % args.tables)
                      for t in range(args.tables) for r in range(2048)]
         for ps in (PageSize.SMALL_4K, PageSize.LARGE_2M):
-            bd, _ = run_demand_paging(trace, model, ps, placement)
+            bd, _ = run_demand_paging(trace, model, ps, placement,
+                                      LinksConfig().nvlink, MmuConfig())
             tag = "4k" if ps is PageSize.SMALL_4K else "2m"
             print(f"{pattern:12s} {tag:5s} {bd.faults:7d} "
                   f"{bd.migration_bytes / 2**20:12.1f} "

@@ -135,26 +135,21 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     dram = DramConfig(**cfg["memory"])
     links = LinksConfig(**cfg["links"])
     mmu = MmuConfig(**cfg["mmu"])
-    ps = PAGE_SIZES[mmu.page_size]
 
     strategies = STRATEGIES if wl.strategy == "all" else (wl.strategy,)
     breakdowns: List[LatencyBreakdown] = []
     translation_cycles = None  # shared by both NUMA links
     for strat in strategies:
         if strat == "baseline_copy":
-            breakdowns.append(run_baseline_copy(trace, model, cpu_link=links.pcie,
-                                                dram=dram))
+            breakdowns.append(run_baseline_copy(trace, model, links.pcie, dram))
         elif strat in ("numa_slow", "numa_fast"):
-            kind = strat.split("_")[1]
-            link = links.nvlink if kind == "fast" else links.pcie
             if translation_cycles is None:
-                translation_cycles = translate_gathers(trace, model, mmu, ps)
-            breakdowns.append(run_numa(trace, model, translation_cycles,
-                                       link_kind=kind, dram=dram, link=link))
+                translation_cycles = translate_gathers(trace, model, mmu)
+            link = links.nvlink if strat == "numa_fast" else links.pcie
+            breakdowns.append(run_numa(trace, model, translation_cycles, link, dram))
         else:
             bd, _ = run_demand_paging(trace, model, PAGE_SIZES[strat.split("_")[1]],
-                                      placement, link=links.nvlink, dram=dram,
-                                      mmu=mmu)
+                                      placement, links.nvlink, mmu, dram)
             breakdowns.append(bd)
 
     rows = []
@@ -223,7 +218,9 @@ def sweep(
         for (key, _), value in zip(items, combo):
             cfgmod.set_by_path(sub, key, value)
             suffix.append(f"{key.split('.')[-1]}={value}")
-        sub["config_id"] = cfg["config_id"] + "+" + ",".join(suffix)
+        sub["config_id"] = cfg["config_id"]
+        if suffix:
+            sub["config_id"] += "+" + ",".join(suffix)
         tasks.append((sub, seed))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

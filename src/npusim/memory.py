@@ -48,10 +48,6 @@ class LinksConfig(Record):
         return LinkConfig("nvlink", self.nvlink_bandwidth, self.numa_latency)
 
 
-PCIE_LINK = LinksConfig().pcie
-NVLINK_LINK = LinksConfig().nvlink
-
-
 class Dram:
     """Work-conserving token-bucket DRAM.
 

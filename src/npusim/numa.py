@@ -18,7 +18,7 @@ an all-to-all gather:
 
 CPU staging cost is modeled as one DRAM write plus one DRAM read with the
 same fixed-latency DRAM parameters (a documented floor, not a measured CPU
-model). Fault-handling software overhead defaults to zero cycles.
+model).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .address_space import PageSize, vpn as vpn_of
-from .memory import DramConfig, LinkConfig, NVLINK_LINK, PCIE_LINK
+from .address_space import PAGE_SIZES, PageSize, vpn as vpn_of
+from .memory import DramConfig, LinkConfig, link_transfer_cycles
 from .mmu import MmuConfig, TranslationEngine, drain_trace
 from .page_table import PageTable, build, fault_depth
 from .workloads import (
@@ -38,10 +38,6 @@ from .workloads import (
     embedding_segments,
     table_segment,
 )
-
-# Throughput-oriented MMU used by the NUMA and demand-paging paths.
-DEFAULT_NUMA_MMU = MmuConfig(num_ptws=128, prmb_slots=32, translation_cache="tpr")
-
 
 @dataclass
 class LatencyBreakdown:
@@ -56,18 +52,19 @@ class LatencyBreakdown:
     fault_handling_cycles: int = 0
     migration_cycles: int = 0
     migration_bytes: int = 0
-    bloat_bytes: int = 0
     faults: int = 0
     payload_bytes: int = 0
-    local_count: int = 0
-    remote_count: int = 0
+
+
+# NUMA strategy name by the kind of link it reads over
+_NUMA_STRATEGY = {"pcie": "numa_slow", "nvlink": "numa_fast"}
 
 
 def _split(trace: List[GatherRequest], npu_id: int,
-           embedding_bytes: int) -> Tuple[int, int, int, int]:
-    local = sum(1 for g in trace if g.owner_npu == npu_id)
-    remote = len(trace) - local
-    return local, remote, local * embedding_bytes, remote * embedding_bytes
+           embedding_bytes: int) -> Tuple[int, int]:
+    """Local and remote payload bytes of `trace` as seen by NPU `npu_id`."""
+    local = sum(1 for g in trace if g.owner_npu == npu_id) * embedding_bytes
+    return local, len(trace) * embedding_bytes - local
 
 
 def _dram_read(nbytes: int, dram: DramConfig) -> int:
@@ -79,29 +76,17 @@ def _dram_read(nbytes: int, dram: DramConfig) -> int:
 def run_baseline_copy(
     trace: List[GatherRequest],
     model: EmbeddingModel,
-    npu_id: int = 0,
-    cpu_link: LinkConfig = PCIE_LINK,
+    cpu_link: LinkConfig,
     dram: DramConfig = DramConfig(),
-    per_embedding: bool = False,
+    npu_id: int = 0,
 ) -> LatencyBreakdown:
     """MMU-less bounce copy through CPU memory (two interconnect legs)."""
-    eb = model.tables[0].embedding_bytes
-    local_n, remote_n, local_bytes, remote_bytes = _split(trace, npu_id, eb)
-    bd = LatencyBreakdown("baseline_copy", payload_bytes=local_bytes + remote_bytes,
-                          local_count=local_n, remote_count=remote_n)
+    local_bytes, remote_bytes = _split(trace, npu_id, model.tables[0].embedding_bytes)
+    bd = LatencyBreakdown("baseline_copy", payload_bytes=local_bytes + remote_bytes)
     bd.local_cycles = _dram_read(local_bytes, dram)
     if remote_bytes:
-        if per_embedding:
-            leg = remote_n * (cpu_link.numa_latency
-                              + math.ceil(eb / cpu_link.bandwidth_bytes_per_cycle))
-            stage = remote_n * 2 * _dram_read(eb, dram)
-        else:
-            leg = (cpu_link.numa_latency
-                   + math.ceil(remote_bytes / cpu_link.bandwidth_bytes_per_cycle))
-            stage = 2 * _dram_read(remote_bytes, dram)
-        bd.remote_leg1 = leg
-        bd.staging = stage
-        bd.remote_leg2 = leg
+        bd.remote_leg1 = bd.remote_leg2 = link_transfer_cycles(remote_bytes, cpu_link)
+        bd.staging = 2 * _dram_read(remote_bytes, dram)
     bd.total_cycles = bd.local_cycles + bd.remote_leg1 + bd.staging + bd.remote_leg2
     return bd
 
@@ -109,16 +94,17 @@ def run_baseline_copy(
 def translate_gathers(
     trace: List[GatherRequest],
     model: EmbeddingModel,
-    mmu: MmuConfig = DEFAULT_NUMA_MMU,
-    ps: PageSize = PageSize.SMALL_4K,
+    mmu: MmuConfig,
     page_table: Optional[PageTable] = None,
 ) -> int:
     """Cycles to translate every gather of `trace` through the MMU.
 
     Gathers are submitted at one per cycle, blocked ones retried, until the
-    last translation completes. `page_table` must map every table (built
-    from `embedding_segments` when not given); a fault raises RuntimeError.
+    last translation completes. Pages are `mmu.page_size`. `page_table`
+    must map every table (built from `embedding_segments` when not given);
+    a fault raises RuntimeError.
     """
+    ps = PAGE_SIZES[mmu.page_size]
     if page_table is None:
         page_table = build(embedding_segments(model), ps)
     engine = TranslationEngine(mmu, page_table, ps)
@@ -135,30 +121,26 @@ def run_numa(
     trace: List[GatherRequest],
     model: EmbeddingModel,
     translation_cycles: int,
-    link_kind: str = "fast",
-    npu_id: int = 0,
+    link: LinkConfig,
     dram: DramConfig = DramConfig(),
-    link: Optional[LinkConfig] = None,
+    npu_id: int = 0,
 ) -> LatencyBreakdown:
     """Fine-grained NUMA gathers over the slow (PCIe) or fast (NVLink) link.
 
     `translation_cycles` is `translate_gathers` of the same trace; the
     translations overlap the remote transfer stream, so the slower of the
-    two paces the remote phase. `link` defaults to the module's PCIe or
-    NVLink constant for `link_kind`.
+    two paces the remote phase.
     """
-    if link is None:
-        link = NVLINK_LINK if link_kind == "fast" else PCIE_LINK
-    eb = model.tables[0].embedding_bytes
-    local_n, remote_n, local_bytes, remote_bytes = _split(trace, npu_id, eb)
-    bd = LatencyBreakdown(f"numa_{link_kind}", payload_bytes=local_bytes + remote_bytes,
-                          local_count=local_n, remote_count=remote_n,
+    local_bytes, remote_bytes = _split(trace, npu_id, model.tables[0].embedding_bytes)
+    bd = LatencyBreakdown(_NUMA_STRATEGY[link.kind],
+                          payload_bytes=local_bytes + remote_bytes,
                           translation_cycles=translation_cycles)
     bd.local_cycles = _dram_read(local_bytes, dram)
-    transfer = math.ceil(remote_bytes / link.bandwidth_bytes_per_cycle) if remote_bytes else 0
-    bd.numa_transfer_cycles = (link.numa_latency + transfer) if remote_bytes else 0
-    remote_phase = (link.numa_latency + max(translation_cycles, transfer)
-                    if remote_bytes else translation_cycles)
+    remote_phase = translation_cycles
+    if remote_bytes:
+        bd.numa_transfer_cycles = link_transfer_cycles(remote_bytes, link)
+        remote_phase = max(link.numa_latency + translation_cycles,
+                           bd.numa_transfer_cycles)
     bd.total_cycles = bd.local_cycles + remote_phase
     return bd
 
@@ -168,25 +150,23 @@ def run_demand_paging(
     model: EmbeddingModel,
     ps: PageSize,
     placement: Placement,
-    npu_id: int = 0,
-    link: LinkConfig = NVLINK_LINK,
+    link: LinkConfig,
+    mmu: MmuConfig,
     dram: DramConfig = DramConfig(),
-    mmu: MmuConfig = DEFAULT_NUMA_MMU,
-    fault_overhead_cycles: int = 0,
+    npu_id: int = 0,
     page_table: Optional[PageTable] = None,
 ) -> Tuple[LatencyBreakdown, PageTable]:
     """Fault-and-migrate remote pages into local memory, then gather locally.
 
     The local table starts with the tables `placement` gives this NPU
-    mapped, whether or not the trace gathers from them. Returns the
-    breakdown and the (mutated) local page table so a second pass can
-    demonstrate fault idempotence.
+    mapped, whether or not the trace gathers from them. Of `mmu`, only the
+    walk and TLB-hit latencies are read. Returns the breakdown and the
+    (mutated) local page table so a second pass can demonstrate fault
+    idempotence.
     """
     eb = model.tables[0].embedding_bytes
-    local_n, remote_n, local_bytes, remote_bytes = _split(trace, npu_id, eb)
     tag = "4k" if ps is PageSize.SMALL_4K else "2m"
-    bd = LatencyBreakdown(f"demand_{tag}", payload_bytes=local_bytes + remote_bytes,
-                          local_count=local_n, remote_count=remote_n)
+    bd = LatencyBreakdown(f"demand_{tag}", payload_bytes=len(trace) * eb)
 
     if page_table is None:
         page_table = build(
@@ -203,17 +183,14 @@ def run_demand_paging(
         frame, fault_level = page_table.walk_outcome(page, ps)
         if frame is None:
             bd.fault_handling_cycles += (fault_depth(fault_level)
-                                         * mmu.walk_cycles_per_level
-                                         + fault_overhead_cycles)
-            bd.migration_cycles += (link.numa_latency
-                                    + math.ceil(ps.bytes / link.bandwidth_bytes_per_cycle))
-            bd.migration_bytes += ps.bytes
+                                         * mmu.walk_cycles_per_level)
             bd.faults += 1
             page_table.map_page(page, ps)
 
+    bd.migration_cycles = bd.faults * link_transfer_cycles(ps.bytes, link)
+    bd.migration_bytes = bd.faults * ps.bytes
     bd.local_cycles = (_dram_read(len(trace) * eb, dram)
                        + len(trace) * mmu.tlb_hit_latency)
-    bd.bloat_bytes = max(0, bd.migration_bytes - remote_bytes)
     bd.total_cycles = (bd.local_cycles + bd.fault_handling_cycles
                        + bd.migration_cycles)
     return bd, page_table

@@ -7,6 +7,7 @@ check; thresholds and time budgets live next to the asserts. Run with
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from npusim import config as cfgmod
 from npusim import harness
 from npusim.address_space import PageSize, Segment, default_segment_base, vpn
 from npusim.energy import account
-from npusim.memory import Dram, DramConfig
+from npusim.memory import Dram, DramConfig, LinksConfig
 from npusim.mmu import MmuConfig, TranslationEngine, drain_trace
 from npusim.npu import MB, NpuConfig, linearize, run_layer, tile_steps
 from npusim.numa import (
-    DEFAULT_NUMA_MMU,
     run_baseline_copy,
     run_demand_paging,
     run_numa,
@@ -37,6 +37,10 @@ from npusim.workloads import (
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NEUMMU = MmuConfig(**cfgmod.load_config(str(CONFIGS / "neummu.yaml"))["mmu"])
+LINKS = LinksConfig()
 
 
 def check(num: int, desc: str, ok: bool) -> None:
@@ -68,7 +72,7 @@ def test_criterion_01_translation_correctness():
     configs = [
         MmuConfig(),
         MmuConfig(num_ptws=32, prmb_slots=8),
-        MmuConfig(num_ptws=128, prmb_slots=32, translation_cache="tpr"),
+        NEUMMU,
         MmuConfig(num_ptws=8, prmb_slots=1, translation_cache="tpc",
                   cache_entries=4),
         MmuConfig(num_ptws=16, translation_cache="uptc", cache_entries=32),
@@ -117,8 +121,7 @@ def test_criterion_02_oracle_bound_and_monotonicity():
     oracle_ok = True
     for trace, pt in ((distinct, pt4k), (two_pass, pt4k), (burst, pt_b)):
         o = cycles(MmuConfig(mode="oracle"), trace, pt)
-        for cfg in (MmuConfig(), MmuConfig(num_ptws=128, prmb_slots=32,
-                                           translation_cache="tpr")):
+        for cfg in (MmuConfig(), NEUMMU):
             if cycles(cfg, trace, pt) < o:
                 oracle_ok = False
 
@@ -126,7 +129,8 @@ def test_criterion_02_oracle_bound_and_monotonicity():
              for w in (8, 16, 32, 64, 128)]
     prmb_c = [cycles(MmuConfig(num_ptws=8, prmb_slots=s), burst, pt_b)
               for s in (1, 2, 8, 16, 32)]
-    tlb_c = [cycles(MmuConfig(num_ptws=128, tlb_entries=e), two_pass, pt4k)
+    tlb_c = [cycles(MmuConfig(num_ptws=NEUMMU.num_ptws, tlb_entries=e),
+                    two_pass, pt4k)
              for e in (128, 256, 512, 1024, 2048)]
     for name, seq in (("num_ptws", ptw_c), ("prmb_slots", prmb_c),
                       ("tlb_entries", tlb_c)):
@@ -165,8 +169,7 @@ def test_criterion_04_full_system_gap():
     oracle = cycles(MmuConfig(mode="oracle"))
     baseline = cycles(MmuConfig(num_ptws=8, prmb_slots=0,
                                 translation_cache="none", tlb_entries=2048))
-    full = cycles(MmuConfig(num_ptws=128, prmb_slots=32,
-                            translation_cache="tpr", tlb_entries=2048))
+    full = cycles(NEUMMU)
     perf_base = oracle / baseline
     perf_full = oracle / full
     dt = time.monotonic() - t0
@@ -225,7 +228,8 @@ def test_criterion_08_energy_ordering():
     brute = TranslationEngine(MmuConfig(num_ptws=1024, prmb_slots=0),
                               pt, PS4K)
     drain_trace(brute, trace)
-    filtered = TranslationEngine(MmuConfig(num_ptws=128, prmb_slots=32),
+    filtered = TranslationEngine(MmuConfig(num_ptws=NEUMMU.num_ptws,
+                                           prmb_slots=NEUMMU.prmb_slots),
                                  pt, PS4K)
     drain_trace(filtered, trace)
     e_brute = account(brute.stats).total_pj
@@ -248,10 +252,10 @@ def test_criterion_09_numa_case_study():
         tables=tuple(EmbeddingTableSpec(65536) for _ in range(8)),
         batch=256, seed=5)
     trace = gather_trace(model, Placement.round_robin(8, 8), 0)
-    copy = run_baseline_copy(trace, model)
-    translation = translate_gathers(trace, model, DEFAULT_NUMA_MMU)
-    slow = run_numa(trace, model, translation, "slow")
-    fast = run_numa(trace, model, translation, "fast")
+    copy = run_baseline_copy(trace, model, LINKS.pcie)
+    translation = translate_gathers(trace, model, NEUMMU)
+    slow = run_numa(trace, model, translation, LINKS.pcie)
+    fast = run_numa(trace, model, translation, LINKS.nvlink)
     red_slow = 1 - slow.total_cycles / copy.total_cycles
     red_fast = 1 - fast.total_cycles / copy.total_cycles
     dt = time.monotonic() - t0
@@ -276,13 +280,17 @@ def test_criterion_10_large_page_pitfall():
         touches[key] = touches.get(key, 0) + 1
     sparse_enough = sum(touches.values()) / len(touches) < 2
 
-    small, _ = run_demand_paging(trace, model, PS4K, placement)
-    large, _ = run_demand_paging(trace, model, PS2M, placement)
+    def demand(trace, ps):
+        return run_demand_paging(trace, model, ps, placement, LINKS.nvlink,
+                                 MmuConfig())[0]
+
+    small = demand(trace, PS4K)
+    large = demand(trace, PS2M)
     bloat = large.migration_bytes / large.payload_bytes
 
     seq = [GatherRequest(t, r, t % 4) for t in range(4) for r in range(512)]
-    sm_seq, _ = run_demand_paging(seq, model, PS4K, placement)
-    lg_seq, _ = run_demand_paging(seq, model, PS2M, placement)
+    sm_seq = demand(seq, PS4K)
+    lg_seq = demand(seq, PS2M)
     check(10, f"sparse: 2M migrates {bloat:.0f}x payload (>=100x), total "
               f"{large.total_cycles} > {small.total_cycles}; sequential: "
               f"fault cycles {lg_seq.fault_handling_cycles} < "

@@ -59,6 +59,12 @@ def test_documented_example_matches_defaults():
     assert example == defaults
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    assert cfgmod.validate(cfgmod.load_config(str(path))) == []
+
+
 # -- every knob acts ----------------------------------------------------------
 
 EMB = {"workload.kind": "embedding", "workload.rows": 4096,

@@ -9,16 +9,20 @@ must say so. Regenerate only for an intended semantic change:
 from pathlib import Path
 
 import pytest
+import yaml
 
 from npusim import config as cfgmod
 from npusim import harness
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+# the MMU keys configs/neummu.yaml sets over the defaults
+NEUMMU = {f"mmu.{key}": value for key, value in
+          yaml.safe_load((ROOT / "configs" / "neummu.yaml").read_text())["mmu"].items()}
 
 POINTS = {
     "default": {},
-    "ptw128-prmb32-tpr": {"mmu.num_ptws": 128, "mmu.prmb_slots": 32,
-                          "mmu.translation_cache": "tpr"},
+    "ptw128-prmb32-tpr": NEUMMU,
     "prmb4-uptc8": {"mmu.prmb_slots": 4, "mmu.translation_cache": "uptc",
                     "mmu.cache_entries": 8},
     # DMA side: the reuse window, short 100 B chunk tails, mirrored write-back

@@ -116,6 +116,12 @@ def test_sweep_is_a_stable_cross_product():
     assert ids[-1].endswith("num_ptws=8,prmb_slots=4")
 
 
+def test_sweep_without_axes_names_rows_by_config_id(tmp_path):
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--out", str(out)]) == 0
+    assert {r["config_id"] for r in harness.read_csv(str(out))} == {"default"}
+
+
 def test_sweep_parallel_matches_serial():
     cfg = small_cfg()
     items = [("mmu.num_ptws", [1, 8])]

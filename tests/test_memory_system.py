@@ -7,10 +7,12 @@ from npusim.memory import (
     Dram,
     DramConfig,
     LinkConfig,
-    NVLINK_LINK,
-    PCIE_LINK,
+    LinksConfig,
     link_transfer_cycles,
 )
+
+PCIE = LinksConfig().pcie
+NVLINK = LinksConfig().nvlink
 
 
 def test_single_access_sees_fixed_latency():
@@ -48,14 +50,14 @@ def test_consume_debits_without_latency():
 
 
 def test_link_transfer_examples():
-    assert link_transfer_cycles(32, PCIE_LINK) == 152       # 150 + ceil(32/16)
-    assert link_transfer_cycles(2560, NVLINK_LINK) == 166   # 150 + 2560/160
+    assert link_transfer_cycles(32, PCIE) == 152       # 150 + ceil(32/16)
+    assert link_transfer_cycles(2560, NVLINK) == 166   # 150 + 2560/160
 
 
 def test_link_bandwidth_ordering():
     for nbytes in (1, 64, 4096, 1 << 20):
-        assert (link_transfer_cycles(nbytes, NVLINK_LINK)
-                <= link_transfer_cycles(nbytes, PCIE_LINK))
+        assert (link_transfer_cycles(nbytes, NVLINK)
+                <= link_transfer_cycles(nbytes, PCIE))
 
 
 @given(st.integers(min_value=1, max_value=1 << 24))

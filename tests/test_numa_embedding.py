@@ -1,16 +1,19 @@
 """Remote-embedding strategies: bounce copy, fine-grained NUMA, demand paging."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from npusim import config as cfgmod
 from npusim import harness, numa as numa_mod
 from npusim.address_space import PageSize, vpn
-from npusim.memory import DramConfig, NVLINK_LINK, PCIE_LINK
+from npusim.memory import LinksConfig
 from npusim.mmu import MmuConfig, TranslationEngine, drain_trace
 from npusim.numa import (
-    DEFAULT_NUMA_MMU,
     run_baseline_copy,
     run_demand_paging,
     run_numa,
@@ -25,6 +28,11 @@ from npusim.workloads import (
     gather_trace,
     table_segment,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+NEUMMU = MmuConfig(**cfgmod.load_config(str(ROOT / "configs" / "neummu.yaml"))["mmu"])
+PCIE = LinksConfig().pcie
+NVLINK = LinksConfig().nvlink
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
@@ -42,14 +50,26 @@ def trace_for(num_npus=4, tables=4, batch=64, rows=4096, seed=11,
     return m, gather_trace(m, Placement.round_robin(tables, num_npus), npu)
 
 
-def numa(tr, m, link_kind, **translate):
+def numa(tr, m, link, mmu=NEUMMU):
     """One NUMA row: the trace's translation, then the link arithmetic."""
-    return run_numa(tr, m, translate_gathers(tr, m, **translate), link_kind)
+    return run_numa(tr, m, translate_gathers(tr, m, mmu), link)
+
+
+def copy(tr, m):
+    return run_baseline_copy(tr, m, PCIE)
+
+
+def demand(tr, m, ps, placement=PLACEMENT, **kwargs):
+    return run_demand_paging(tr, m, ps, placement, NVLINK, NEUMMU, **kwargs)
+
+
+def remote_bytes(tr):
+    return sum(g.owner_npu != 0 for g in tr) * 256
 
 
 def test_baseline_copy_hand_composition():
     m, tr = trace_for()
-    bd = run_baseline_copy(tr, m)
+    bd = copy(tr, m)
     eb = 256
     local = sum(1 for g in tr if g.owner_npu == 0)
     remote = len(tr) - local
@@ -60,29 +80,20 @@ def test_baseline_copy_hand_composition():
     assert bd.total_cycles == (bd.local_cycles + bd.remote_leg1
                                + bd.staging + bd.remote_leg2)
     assert bd.payload_bytes == len(tr) * eb
-    assert bd.local_count == local and bd.remote_count == remote
-
-
-def test_per_embedding_copy_pays_latency_per_vector():
-    m, tr = trace_for()
-    batched = run_baseline_copy(tr, m)
-    granular = run_baseline_copy(tr, m, per_embedding=True)
-    assert granular.total_cycles > batched.total_cycles
 
 
 def test_numa_fast_beats_slow_beats_copy():
     m, tr = trace_for()
-    copy = run_baseline_copy(tr, m)
-    slow = numa(tr, m, "slow")
-    fast = numa(tr, m, "fast")
-    assert fast.total_cycles <= slow.total_cycles < copy.total_cycles
+    bounce = copy(tr, m)
+    slow = numa(tr, m, PCIE)
+    fast = numa(tr, m, NVLINK)
+    assert fast.total_cycles <= slow.total_cycles < bounce.total_cycles
 
 
 def test_numa_remote_phase_is_max_of_translation_and_transfer():
     m, tr = trace_for()
-    bd = numa(tr, m, "fast")
-    remote_bytes = bd.remote_count * 256
-    transfer = math.ceil(remote_bytes / NVLINK_LINK.bandwidth_bytes_per_cycle)
+    bd = numa(tr, m, NVLINK)
+    transfer = math.ceil(remote_bytes(tr) / NVLINK.bandwidth_bytes_per_cycle)
     assert bd.numa_transfer_cycles == 150 + transfer
     assert bd.total_cycles == (bd.local_cycles + 150
                                + max(bd.translation_cycles, transfer))
@@ -90,27 +101,26 @@ def test_numa_remote_phase_is_max_of_translation_and_transfer():
 
 def test_numa_payload_conserved_across_strategies():
     m, tr = trace_for()
-    results = [run_baseline_copy(tr, m),
-               numa(tr, m, "slow"),
-               numa(tr, m, "fast"),
-               run_demand_paging(tr, m, PS4K, PLACEMENT)[0]]
-    assert len({bd.payload_bytes for bd in results}) == 1
-    assert len({(bd.local_count, bd.remote_count) for bd in results}) == 1
+    results = [copy(tr, m),
+               numa(tr, m, PCIE),
+               numa(tr, m, NVLINK),
+               demand(tr, m, PS4K)[0]]
+    assert {bd.payload_bytes for bd in results} == {len(tr) * 256}
 
 
 def test_demand_paging_migrates_whole_pages():
     m, tr = trace_for()
-    bd, _ = run_demand_paging(tr, m, PS4K, PLACEMENT)
+    bd, _ = demand(tr, m, PS4K)
     assert bd.faults > 0
     assert bd.migration_bytes == bd.faults * 4096
     assert bd.migration_bytes % 4096 == 0
-    assert bd.bloat_bytes == max(0, bd.migration_bytes - bd.remote_count * 256)
+    assert bd.migration_cycles == bd.faults * (150 + math.ceil(4096 / 160))
 
 
 def test_demand_paging_second_pass_is_fault_free():
     m, tr = trace_for()
-    bd1, pt = run_demand_paging(tr, m, PS4K, PLACEMENT)
-    bd2, _ = run_demand_paging(tr, m, PS4K, PLACEMENT, page_table=pt)
+    bd1, pt = demand(tr, m, PS4K)
+    bd2, _ = demand(tr, m, PS4K, page_table=pt)
     assert bd1.faults > 0
     assert bd2.faults == 0
     assert bd2.migration_bytes == 0
@@ -123,7 +133,7 @@ def test_demand_paging_maps_own_tables_without_gathers():
     own = [t for t, owner in enumerate(PLACEMENT.table_to_npu) if owner == 0]
     rest = [g for g in tr if g.table not in own]
     assert own and len(rest) < len(tr)
-    _, pt = run_demand_paging(rest, m, PS4K, PLACEMENT)
+    _, pt = demand(rest, m, PS4K)
     for t in own:
         assert all(pt.is_mapped(p, PS4K)
                    for p in table_segment(m, t).vpn_range(PS4K))
@@ -132,8 +142,8 @@ def test_demand_paging_maps_own_tables_without_gathers():
 def test_large_pages_fault_less_but_move_more():
     # sparse uniform access over a large table: few 2M faults cover many rows
     m, tr = trace_for(rows=65536, batch=256)
-    small, _ = run_demand_paging(tr, m, PS4K, PLACEMENT)
-    large, _ = run_demand_paging(tr, m, PS2M, PLACEMENT)
+    small, _ = demand(tr, m, PS4K)
+    large, _ = demand(tr, m, PS2M)
     assert large.faults < small.faults
     assert large.migration_bytes > small.migration_bytes
     assert large.fault_handling_cycles < small.fault_handling_cycles
@@ -145,11 +155,11 @@ def test_page_ratio_is_512():
 
 def test_local_only_trace_has_no_remote_terms():
     m, tr = trace_for(num_npus=1)
-    for bd in (run_baseline_copy(tr, m), numa(tr, m, "fast")):
-        assert bd.remote_count == 0
+    assert tr and remote_bytes(tr) == 0
+    for bd in (copy(tr, m), numa(tr, m, NVLINK)):
         assert bd.remote_leg1 == bd.staging == bd.remote_leg2 == 0
         assert bd.numa_transfer_cycles == 0
-    bd, _ = run_demand_paging(tr, m, PS4K, Placement.round_robin(4, 1))
+    bd, _ = demand(tr, m, PS4K, Placement.round_robin(4, 1))
     assert bd.faults == 0
 
 
@@ -157,14 +167,14 @@ def test_numa_requires_mapped_tables():
     m, tr = trace_for()
     from npusim.page_table import PageTable
     with pytest.raises(RuntimeError):
-        translate_gathers(tr, m, page_table=PageTable())
+        translate_gathers(tr, m, NEUMMU, page_table=PageTable())
 
 
 def test_more_walkers_shrink_translation_cycles():
     m, tr = trace_for(batch=256)
-    few = numa(tr, m, "fast", mmu=MmuConfig(num_ptws=4, prmb_slots=4,
-                                            translation_cache="tpr"))
-    many = numa(tr, m, "fast", mmu=DEFAULT_NUMA_MMU)
+    few = numa(tr, m, NVLINK, MmuConfig(num_ptws=4, prmb_slots=4,
+                                        translation_cache="tpr"))
+    many = numa(tr, m, NVLINK, NEUMMU)
     assert many.translation_cycles <= few.translation_cycles
 
 
@@ -183,12 +193,12 @@ def per_link_numa(tr, m, link, mmu):
             local_cycles + link.numa_latency + max(translation, transfer))
 
 
-@pytest.mark.parametrize("mmu", [DEFAULT_NUMA_MMU, MmuConfig()])
+@pytest.mark.parametrize("mmu", [NEUMMU, MmuConfig()])
 def test_shared_translation_equals_per_link_runs(mmu):
     m, tr = trace_for(batch=128)
     translation = translate_gathers(tr, m, mmu)
-    for kind, link in (("slow", PCIE_LINK), ("fast", NVLINK_LINK)):
-        bd = run_numa(tr, m, translation, kind)
+    for kind, link in (("slow", PCIE), ("fast", NVLINK)):
+        bd = run_numa(tr, m, translation, link)
         assert bd.strategy == f"numa_{kind}"
         assert ((bd.translation_cycles, bd.numa_transfer_cycles, bd.total_cycles)
                 == per_link_numa(tr, m, link, mmu))
@@ -210,3 +220,21 @@ def test_strategy_all_translates_once(monkeypatch):
     assert drains == [(64 // 4) * 4]  # once, for NPU 0's 16 samples x 4 tables
     assert (rows["numa_slow"]["translation_cycles"]
             == rows["numa_fast"]["translation_cycles"] > 0)
+
+
+def test_large_page_study_script_output():
+    # the six table rows at 4096 rows x 4 tables, seed 0
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_page_study.py"),
+         "--rows", "4096", "--tables", "4", "--seed", "0"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True,
+        check=True).stdout
+    assert [line.split() for line in out.splitlines()[1:]] == [
+        ["sequential", "4k", "384", "1.5", "2048.0", "152700", "264840"],
+        ["sequential", "2m", "3", "6.0", "2048.0", "300", "84630"],
+        ["zipf", "4k", "54", "0.2", "64.0", "20700", "31694"],
+        ["zipf", "2m", "3", "6.0", "64.0", "300", "41564"],
+        ["sparse", "4k", "46", "0.2", "16.0", "17500", "26044"],
+        ["sparse", "2m", "3", "6.0", "16.0", "300", "40522"],
+    ]
