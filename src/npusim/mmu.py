@@ -8,12 +8,37 @@ Request life cycle per cycle-accurate submit/tick protocol:
   checked: if a walker is already translating this VPN and has a free merge
   slot, the request is absorbed and waits for that walk. Otherwise a free
   walker starts a radix walk; if none is free (or the merge buffer is full)
-  the request is Blocked and the caller retries next cycle.
+  the request is Blocked and the caller retries next cycle. Accepted
+  requests get consecutive ids in acceptance order.
 
-  tick(now) is called once per cycle, after that cycle's submits. It
-  delivers due completions: a finishing walk fills the TLB, updates the
-  configured translation cache, completes its leading request, then drains
-  one merged request per subsequent cycle.
+  tick(now) is called after that cycle's submits. It delivers every event
+  due by `now`, in cycle order and, within a cycle, in push order: a
+  finishing walk fills the TLB, updates the configured translation cache,
+  completes its leading request, then drains its merged requests one per
+  subsequent cycle. One tick may cover several cycles, and each completion
+  carries the cycle it was due in; a submit at cycle t must follow a tick
+  that covered every event due before t.
+
+  accept_run(vpn, count, now) folds the submits of one page at cycles
+  now, now + 1, ... into one call, for as many of them as would be TLB
+  hits, or as would merge into the walk of that page. Only a finishing
+  walk can change either outcome: it fills the TLB, which may evict the
+  page or reorder the LRU list; it takes its page off the scoreboard; and
+  if it faults, the caller stops. A cycle's submit comes before its tick,
+  so the window runs up to and including the cycle in which the next walk
+  ends, and a merge run also stops at the walker's free slots. No other
+  submit is made inside the window, and only the tick of its last cycle
+  can push an event, after all of the window's submits. So a hit run is
+  one pending event whose push-order place, taken at accept time, is
+  where each of its requests would sort, and a merge run is one entry of
+  the merge buffer. Walk starts and blocked requests go through `submit`.
+
+  A completion covers `count` requests that complete one per cycle: one
+  request, a hit run, or a merge-buffer entry drained after its walk. A
+  tick hands a run out whole when it ends by `now` and no other event
+  falls inside it; otherwise it cuts the run there, and the rest keeps its
+  push-order place. Requests thus come out in the order, and with the
+  cycles, that one submit and one tick per cycle would give.
 
   A tick may be skipped for a cycle before the next pending event, since it
   would deliver nothing. `skip_blocked` is how that happens: called after a
@@ -98,12 +123,15 @@ _BLOCKED = SubmitResult(SubmitStatus.BLOCKED)
 
 
 class TranslationCompletion(NamedTuple):
+    """Requests request_id .. request_id + count - 1 of page `vpn`, which
+    complete at done_cycle .. done_cycle + count - 1, one per cycle."""
     request_id: int
     vpn: int
     frame: Optional[int]                  # None on fault
     done_cycle: int
     fault: bool = False
     fault_level: Optional[int] = None
+    count: int = 1
 
 
 @dataclass
@@ -140,7 +168,8 @@ class _Walker:
     vpn: int = 0
     finish: int = 0
     leading: int = 0                      # request id of the walk's owner
-    merged: list = field(default_factory=list)
+    merged: list = field(default_factory=list)  # (first request id, count)
+    merges: int = 0                       # merge slots taken
     frame: Optional[int] = None
     fault_level: Optional[int] = None
     # what a successful walk installs in the translation cache: its path
@@ -170,6 +199,7 @@ class TranslationEngine:
         self._scoreboard: dict[int, int] = {}
         self._cache: OrderedDict = OrderedDict()  # shared tpc/uptc entries
         self._events: list = []           # (cycle, seq, kind, payload)
+        self._walk_ends: list = []        # finish cycles of pending walks (heap)
         self._seq = 0
         self._next_req = 0
         self._last_tick = -1
@@ -179,6 +209,11 @@ class TranslationEngine:
     @property
     def in_flight(self) -> int:
         return self.stats.accepted - self.stats.completions
+
+    @property
+    def next_request_id(self) -> int:
+        """The id the next accepted request gets."""
+        return self._next_req
 
     def submit(self, vpn: int, now: int) -> SubmitResult:
         stats, cfg = self.stats, self.cfg
@@ -205,10 +240,11 @@ class TranslationEngine:
             wid = self._scoreboard.get(vpn)
             if wid is not None:
                 walker = self._walkers[wid]
-                if len(walker.merged) < cfg.prmb_slots:
+                if walker.merges < cfg.prmb_slots:
                     rid = self._next_req
                     self._next_req = rid + 1
-                    walker.merged.append(rid)
+                    walker.merged.append((rid, 1))
+                    walker.merges += 1
                     stats.scoreboard_merges += 1
                     stats.merge_buffer_accesses += 1
                     stats.accepted += 1
@@ -225,7 +261,56 @@ class TranslationEngine:
         stats.accepted += 1
         return SubmitResult(SubmitStatus.NEW_WALK, rid)
 
+    def accept_run(self, vpn: int, count: int, now: int) -> int:
+        """Accept the requests for `vpn` of cycles now, now + 1, ... (at
+        most `count`) that `submit` would take as TLB hits, or as merges
+        into the walk of `vpn`; return how many it took.
+
+        The run stops with the cycle in which the next walk ends and, for
+        merges, at the walker's free slots. Its requests are counted as
+        that many submits would count them, and get the ids from
+        `next_request_id` on. 0 means the request of cycle `now` would
+        start a walk or block: submit it instead. Like a submit, it must
+        follow a tick that covered every event due before `now`.
+        """
+        ends = self._walk_ends
+        if ends and ends[0] - now < count:
+            count = ends[0] - now + 1
+        stats = self.stats
+        rid = self._next_req
+        frame = self._tlb.get(vpn)
+        if frame is not None:
+            self._tlb.move_to_end(vpn)
+            stats.tlb_hits += count
+            done = now + self.cfg.tlb_hit_latency
+            self._seq = seq = self._seq + 1
+            heappush(self._events, (done, seq, "deliver", TranslationCompletion(
+                rid, vpn, frame, done, count=count)))
+        else:
+            wid = self._scoreboard.get(vpn)   # empty without merge buffers
+            if wid is None:
+                return 0
+            walker = self._walkers[wid]
+            count = min(count, self.cfg.prmb_slots - walker.merges)
+            if count < 1:
+                return 0
+            walker.merged.append((rid, count))
+            walker.merges += count
+            stats.tlb_misses += count
+            stats.scoreboard_merges += count
+            stats.merge_buffer_accesses += count
+        self._next_req = rid + count
+        stats.submitted += count
+        stats.accepted += count
+        stats.tlb_accesses += count
+        return count
+
     def tick(self, now: int) -> Sequence[TranslationCompletion]:
+        """Deliver every event due by cycle `now`; return the completions.
+
+        `now` must exceed the cycle of the previous tick; the cycles in
+        between are covered by this one.
+        """
         if now <= self._last_tick:
             raise ValueError("tick cycles must be strictly increasing")
         self._last_tick = now
@@ -235,14 +320,29 @@ class TranslationEngine:
         stats = self.stats
         out: List[TranslationCompletion] = []
         while events and events[0][0] <= now:
-            _, _, kind, payload = heappop(events)
+            cycle, seq, kind, payload = heappop(events)
             if kind == "deliver":
+                count = payload.count
+                if count > 1:
+                    # the run goes out up to `now` and up to the next
+                    # event; the rest keeps its place in push order
+                    cut = min(now, events[0][0] - 1) if events else now
+                    if cut < cycle + count - 1:
+                        head = max(cut - cycle + 1, 1)
+                        rid, vpn, frame, _, fault, level, _ = payload
+                        heappush(events, (cycle + head, seq, kind, TranslationCompletion(
+                            rid + head, vpn, frame, cycle + head, fault, level,
+                            count - head)))
+                        payload = TranslationCompletion(rid, vpn, frame, cycle,
+                                                        fault, level, head)
+                        count = head
                 out.append(payload)
-                stats.completions += 1
+                stats.completions += count
                 if payload.fault:
-                    stats.faults += 1
+                    stats.faults += count
             elif kind == "walk_done":
-                self._finish_walk(payload, now, out)
+                heappop(self._walk_ends)
+                self._finish_walk(payload, cycle, out)
             else:  # "free"
                 walker = self._walkers[payload]
                 walker.busy = False
@@ -269,14 +369,6 @@ class TranslationEngine:
         for t in range(now + 1, due):
             submit(vpn, t)
         return due
-
-    def drain(self, now: int) -> tuple[int, List[TranslationCompletion]]:
-        """Tick until nothing is in flight; returns (next free cycle, completions)."""
-        out: List[TranslationCompletion] = []
-        while self.in_flight > 0:
-            out.extend(self.tick(now))
-            now += 1
-        return now, out
 
     # -- internals ----------------------------------------------------------
 
@@ -327,7 +419,6 @@ class TranslationEngine:
         walker.busy = True
         walker.vpn = vpn
         walker.leading = rid
-        walker.merged = []
         walker.frame = frame
         walker.fault_level = fault_level
         walker.cache_fill = fill
@@ -340,6 +431,7 @@ class TranslationEngine:
         if self.dram is not None and self.cfg.charge_walk_bandwidth:
             self.dram.consume(txns * 64, now)
         self._push(walker.finish, "walk_done", wid)
+        heappush(self._walk_ends, walker.finish)
 
     def _finish_walk(self, wid: int, now: int,
                      out: List[TranslationCompletion]) -> None:
@@ -360,23 +452,21 @@ class TranslationEngine:
         if comp.fault:
             self.stats.faults += 1
 
-        # Merged requests drain one per cycle after the leading completion.
-        for i, rid in enumerate(walker.merged):
-            self.stats.merge_buffer_accesses += 1
-            if walker.frame is not None:
-                mcomp = TranslationCompletion(rid, vpn, walker.frame, now + 1 + i)
-            else:
-                mcomp = TranslationCompletion(rid, vpn, None, now + 1 + i,
-                                              fault=True,
-                                              fault_level=walker.fault_level)
-            self._push(now + 1 + i, "deliver", mcomp)
-        free_at = now + len(walker.merged)
-        if free_at == now:
+        if not walker.merges:
             walker.busy = False
             self._free.append(wid)
-        else:
-            self._push(free_at, "free", wid)
+            return
+        # Merged requests drain one per cycle after the leading completion,
+        # one run per merge-buffer entry; the walker frees with the last.
+        t = now + 1
+        for rid, count in walker.merged:
+            self._push(t, "deliver", TranslationCompletion(
+                rid, vpn, walker.frame, t, comp.fault, walker.fault_level, count))
+            t += count
+        self._push(t - 1, "free", wid)
+        self.stats.merge_buffer_accesses += walker.merges
         walker.merged = []
+        walker.merges = 0
 
     def _tlb_fill(self, vpn: int, frame: int) -> None:
         if vpn in self._tlb:

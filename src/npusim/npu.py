@@ -8,21 +8,24 @@ becomes translation groups in one place, `linearize`: its spans are cut into
 fixed-size DMA chunks, and a group is one chunk's page, or with the reuse
 window a run of same-page chunks. `linearize` hands the groups out as page
 runs, (vpn, count, chunks): `count` consecutive groups on one page that
-carry the same chunk sizes. The DMA submits one group per cycle to the MMU
-while fetching. Compute for tile n overlaps the fetch of tile n+1; a tile's
-compute starts only after its fetch fully lands (barrier), and a buffer is
-reusable only after the compute reading it ends.
+carry the same chunk sizes. The DMA offers the MMU one group per cycle
+while fetching. Compute for tile n overlaps the fetch of tile n+1; a
+tile's compute starts only after its fetch fully lands (barrier), and a
+buffer is reusable only after the compute reading it ends.
 
 Both fetch loops walk the same runs. `simulate_fetch` drives the
-translation engine cycle by cycle, one submit per cycle. While the MMU
-blocks a group (walkers busy or merge buffer full), nothing changes until
-the engine's next event, so the engine's `skip_blocked` makes the group's
-retries up to that cycle and the loop skips its idle ticks. Under an oracle
-MMU every translation completes in the cycle it is submitted, so
-`_oracle_fetch` skips the engine's event loop: group i and its data go out
-at cycle start + i, one page-table read and one closed-form DRAM debit per
-run, with the same end cycle, DRAM state and engine counters as
-`simulate_fetch` on an oracle engine.
+translation engine with the timing of one submit and one tick per cycle,
+but a page run's TLB hits and merges go in through one
+`TranslationEngine.accept_run` call, and the engine delivers them as runs
+of groups, each debited to DRAM in one closed-form `Dram.issue_run`. While
+the MMU blocks a group (walkers busy or merge buffer full), nothing
+changes until the engine's next event, so the engine's `skip_blocked`
+makes the group's retries up to that cycle and the loop skips its idle
+ticks. Under an oracle MMU every translation completes in the cycle it is
+submitted, so `_oracle_fetch` skips the engine's event loop: group i and
+its data go out at cycle start + i, one page-table read and one
+closed-form DRAM debit per run, with the same end cycle, DRAM state and
+engine counters as `simulate_fetch` on an oracle engine.
 
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
@@ -118,8 +121,6 @@ class TilePhase:
 class RunStats:
     total_cycles: int
     tile_phases: List[TilePhase]
-    translations_submitted: int
-    dram_bytes: int
     mmu_stats: object = None          # TranslationStats snapshot
 
 
@@ -240,42 +241,80 @@ def simulate_fetch(
 ) -> int:
     """Run one tile fetch through the MMU and DRAM; return its end cycle.
 
-    Submits one translation group per cycle (retrying while blocked); each
-    completed translation releases its group's chunks to DRAM. A blocked
-    stretch runs through `engine.skip_blocked`, which makes the retries and
-    lets the loop skip the idle ticks until the next engine event. The fetch
-    ends when its last data lands, and no earlier than the cycle after the
-    engine's last tick: with a zero DRAM latency data lands in the cycle it
-    was translated, and the next fetch must not tick that cycle again.
+    Offers one translation group per cycle, in DMA order. A page run's
+    TLB hits and merges go in through one `engine.accept_run` call, and
+    the cycles it took are ticked at once; a group that starts a walk or
+    blocks goes through `engine.submit`. A blocked stretch runs through
+    `engine.skip_blocked`, which makes the retries and lets the loop skip
+    the idle ticks until the next engine event. Completed groups release
+    their chunks to DRAM: groups that complete in consecutive cycles with
+    the same chunks are debited together, in one `Dram.issue_run`, before
+    anything else reaches DRAM. The engine hands completions out in cycle
+    order, so DRAM sees walk reads and data in the per-cycle order.
+    The fetch ends when its last data lands, and no earlier than the cycle
+    after the engine's last tick: with a zero DRAM latency data lands in
+    the cycle it was translated, and the next fetch must not tick that
+    cycle again.
     """
-    submit, tick, skip = engine.submit, engine.tick, engine.skip_blocked
-    issue = dram.issue
+    accept, submit = engine.accept_run, engine.submit
+    tick, skip = engine.tick, engine.skip_blocked
+    issue_run = dram.issue_run
     blocked = SubmitStatus.BLOCKED
-    pending: dict[int, Tuple[int, ...]] = {}
+    # first request id -> (chunks, groups) of the accepted groups not yet
+    # delivered; a completion takes the groups from its first request on
+    pending: dict[int, Tuple[Tuple[int, ...], int]] = {}
+    rid = engine.next_request_id
+    # Delivered groups not yet debited: `owed` groups of `owed_chunks` from
+    # cycle `owed_at` on. Completions that carry on in the next cycle with
+    # the same chunks extend them; they are debited before anything else
+    # reaches DRAM (a submit can start a walk, which reads the page table).
+    owed_chunks: Tuple[int, ...] = ()
+    owed_at = owed = 0
     rest = iter(runs)
     vpn, left, chunks = next(rest, _NO_RUN)  # left: groups not yet accepted
     cycle = end = start
     while left or engine.in_flight > 0:
+        last = cycle                      # the last cycle this pass ticks
         if left:
-            res = submit(vpn, cycle)
-            if res.status is not blocked:
-                pending[res.request_id] = chunks
-                left -= 1
+            n = accept(vpn, left, cycle)
+            if n:
+                last = cycle + n - 1
+            else:
+                if owed:
+                    end = max(end, issue_run(owed_chunks, owed, owed_at))
+                    owed = 0
+                if submit(vpn, cycle).status is not blocked:
+                    n = 1
+                else:
+                    due = skip(vpn, cycle)
+                    if due > cycle:       # cycles before `due` tick idle
+                        cycle = due
+                        continue
+            if n:
+                pending[rid] = (chunks, n)
+                rid += n
+                left -= n
                 if not left:
                     vpn, left, chunks = next(rest, _NO_RUN)
-            else:
-                due = skip(vpn, cycle)
-                if due > cycle:           # cycles before `due` tick idle
-                    cycle = due
-                    continue
-        for comp in tick(cycle):
+        for comp in tick(last):
             if comp.fault:
+                if owed:
+                    issue_run(owed_chunks, owed, owed_at)
                 raise SimulationFault(comp.vpn, comp.fault_level)
-            for nbytes in pending.pop(comp.request_id, ()):
-                done = issue(nbytes, comp.done_cycle)
-                if done > end:
-                    end = done
-        cycle += 1
+            first, n = comp.request_id, comp.count
+            group, groups = pending.pop(first)
+            if n < groups:
+                pending[first + n] = (group, groups - n)
+            at = comp.done_cycle
+            if owed and at == owed_at + owed and group == owed_chunks:
+                owed += n
+                continue
+            if owed:
+                end = max(end, issue_run(owed_chunks, owed, owed_at))
+            owed_chunks, owed_at, owed = group, at, n
+        cycle = last + 1
+    if owed:
+        end = max(end, issue_run(owed_chunks, owed, owed_at))
     return max(end, cycle)
 
 
@@ -326,7 +365,6 @@ def run_layer(
     phases: List[TilePhase] = []
     fetch_end_prev = 0
     compute_ends: List[int] = []
-    submitted0 = engine.stats.submitted
 
     for i, step in enumerate(steps):
         buffer_free = compute_ends[i - 2] if i >= 2 else 0
@@ -354,7 +392,5 @@ def run_layer(
     return RunStats(
         total_cycles=total,
         tile_phases=phases,
-        translations_submitted=engine.stats.submitted - submitted0,
-        dram_bytes=dram.bytes_issued,
         mmu_stats=engine.stats.copy(),
     )

@@ -184,8 +184,7 @@ def test_criterion_05_walk_cost_exact():
         seg = Segment("s", default_segment_base(0), pages * ps.bytes)
         pt = build([seg], ps)
         eng = TranslationEngine(MmuConfig(num_ptws=1), pt, ps)
-        eng.submit(seg.vpn_range(ps)[0], 0)
-        done, comps = eng.drain(1)
+        _, comps = drain_trace(eng, [seg.vpn_range(ps)[0]])
         results[ps] = (eng.stats.walk_memory_transactions, comps[0].done_cycle)
     check(5, f"4KB walk = {results[PS4K]} (4 txns, 400 cyc); "
              f"2MB walk = {results[PS2M]} (3 txns, 300 cyc)",

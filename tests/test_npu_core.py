@@ -1,8 +1,11 @@
 """NPU tiling, DMA linearization, systolic timing, pipeline invariants."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npusim import config as cfgmod
 from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
 from npusim.mmu import MmuConfig, TranslationEngine
@@ -17,10 +20,11 @@ from npusim.npu import (
     tile_steps,
 )
 from npusim.page_table import build
-from npusim.workloads import make_layer
+from npusim.workloads import dense_suite, make_layer
 
 PS4K = PageSize.SMALL_4K
 MB = 1024 * 1024
+NEUMMU_YAML = Path(__file__).resolve().parents[1] / "configs" / "neummu.yaml"
 
 
 def oracle_engine(layer, ps=PS4K):
@@ -165,14 +169,15 @@ def test_modeled_run_never_faster_than_oracle():
     layer = make_layer("l", 8, 1024, 512)
     npu = NpuConfig(spm_activation_bytes=64 * 1024, spm_weight_bytes=64 * 1024)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
+    oracle_dram = Dram(DramConfig())
     oracle = run_layer(layer, npu,
                        TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K),
-                       Dram(DramConfig()))
+                       oracle_dram)
     dram = Dram(DramConfig())
     eng = TranslationEngine(MmuConfig(), pt, PS4K, dram=dram)
     modeled = run_layer(layer, npu, eng, dram)
     assert modeled.total_cycles >= oracle.total_cycles
-    assert modeled.dram_bytes == oracle.dram_bytes
+    assert dram.bytes_issued == oracle_dram.bytes_issued
 
 
 def test_unmapped_segment_raises_simulation_fault():
@@ -220,11 +225,12 @@ def test_mirrored_output_tiles_land_at_their_columns(mode):
 def test_translation_reuse_window_collapses_sequential_pages():
     layer = make_layer("l", 1, 8192, 128)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
-    base = run_layer(layer, NpuConfig(), TranslationEngine(MmuConfig(), pt, PS4K),
-                     Dram(DramConfig()))
-    reuse = run_layer(layer, NpuConfig(reuse_last_translation=True),
-                      TranslationEngine(MmuConfig(), pt, PS4K), Dram(DramConfig()))
-    assert reuse.translations_submitted < base.translations_submitted
+    base = TranslationEngine(MmuConfig(), pt, PS4K)
+    run_layer(layer, NpuConfig(), base, Dram(DramConfig()))
+    reuse = TranslationEngine(MmuConfig(), pt, PS4K)
+    run_layer(layer, NpuConfig(reuse_last_translation=True), reuse,
+              Dram(DramConfig()))
+    assert reuse.stats.submitted < base.stats.submitted
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,3 +247,29 @@ def test_plan_covers_operands_generic(m, k, n, batch):
             assert length > 0
             seg = layer.ia_segment if t.tensor == "ia" else layer.w_segment
             assert seg.base <= start and start + length <= seg.end
+
+
+class SubmitCountingEngine(TranslationEngine):
+    submits = 0
+
+    def submit(self, vpn, now):
+        self.submits += 1
+        return super().submit(vpn, now)
+
+
+@pytest.mark.parametrize("point", ["default", "neummu"])
+def test_tlb_hits_and_merges_never_reach_submit(point):
+    """The burst layer's fetches take every TLB hit and merge through
+    `accept_run`: `submit` only starts walks and makes blocked retries."""
+    mmu = MmuConfig()
+    if point == "neummu":
+        mmu = MmuConfig(**cfgmod.load_config(str(NEUMMU_YAML))["mmu"])
+    (layer,) = dense_suite("burst")["b01"]
+    pt = build([layer.ia_segment, layer.w_segment], PS4K)
+    dram = Dram(DramConfig())
+    engine = SubmitCountingEngine(mmu, pt, PS4K, dram=dram)
+    run_layer(layer, NpuConfig(), engine, dram)
+    stats = engine.stats
+    assert engine.submits == stats.walks_started + stats.blocked_cycles
+    assert stats.tlb_hits > 0
+    assert (stats.scoreboard_merges > 0) == (point == "neummu")

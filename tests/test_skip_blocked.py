@@ -1,10 +1,13 @@
-"""Blocked stretches: `TranslationEngine.skip_blocked` against per-cycle loops.
+"""Blocked stretches and page runs against per-cycle loops.
 
 `npu.simulate_fetch` and `mmu.drain_trace` skip the idle ticks of a blocked
-stretch through `skip_blocked`. The references here submit and tick every
-cycle, as the submit/tick protocol was first written. Both sides must end in
-the same cycle with the same engine counters, the same DRAM state and the
-same completions in the same order, or fault on the same page.
+stretch through `TranslationEngine.skip_blocked`, and `simulate_fetch`
+takes a page run's TLB hits and merges through `accept_run`, ticks the
+cycles they cover at once and debits DRAM a run of groups at a time. The
+references here submit, tick and debit one group in every cycle, as the
+submit/tick protocol was first written. Both sides must end in the same
+cycle with the same engine counters, the same DRAM state and the same
+completions in the same order, or fault on the same page.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +24,8 @@ MAPPED_PAGES = 6                          # page MAPPED_PAGES faults at L1
 
 
 class RecordingEngine(TranslationEngine):
-    """An engine that keeps every completion its ticks deliver, in order."""
+    """An engine that keeps every request its ticks complete, in order: a
+    completion of a run of requests is kept as one completion per request."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -29,7 +33,10 @@ class RecordingEngine(TranslationEngine):
 
     def tick(self, now):
         out = super().tick(now)
-        self.delivered.extend(out)
+        self.delivered.extend(
+            comp._replace(request_id=comp.request_id + i,
+                          done_cycle=comp.done_cycle + i, count=1)
+            for comp in out for i in range(comp.count))
         return out
 
 
@@ -89,7 +96,7 @@ def page_runs(draw):
     """Runs (page, count, chunks) over the mapped pages and the first
     unmapped one."""
     chunk_sizes = st.lists(st.sampled_from([1, 64, 100, 700]), min_size=1, max_size=3)
-    return [(draw(st.integers(0, MAPPED_PAGES)), draw(st.integers(1, 12)),
+    return [(draw(st.integers(0, MAPPED_PAGES)), draw(st.integers(1, 80)),
              tuple(draw(chunk_sizes)))
             for _ in range(draw(st.integers(0, 8)))]
 
@@ -123,6 +130,24 @@ def drain_outcome(drain, pages, mmu, dram_cfg, ps, start):
 @example(runs=[(page, 1, (64,)) for page in (0, 1, 2, 0, 3, 4)],
          mmu=MmuConfig(num_ptws=2, walk_cycles_per_level=7),
          dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0)
+# One TLB entry. Page 0 hits from cycle 34 while the walk of page 1 runs;
+# that walk ends at cycle 61 and evicts page 0, so the hit run stops there
+# and the request of cycle 62 walks again.
+@example(runs=[(0, 1, (64,)), (0, 5, (64,)), (1, 1, (64,)), (0, 40, (64,))],
+         mmu=MmuConfig(num_ptws=2, tlb_entries=1, walk_cycles_per_level=7),
+         dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0)
+# The walk of unmapped page 6 faults at cycle 59, the cycle in which a
+# pending run of page 0's hits (accepted at cycles 32 .. 59) delivers.
+@example(runs=[(0, 1, (64,)), (0, 3, (64,)), (MAPPED_PAGES, 1, (64,)),
+               (0, 40, (64,))],
+         mmu=MmuConfig(num_ptws=2, walk_cycles_per_level=7),
+         dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0)
+# Hits complete in the cycle they are accepted, and data lands then too.
+@example(runs=[(0, 1, (64,)), (0, 5, (64, 100)), (1, 1, (64,)), (0, 40, (64,))],
+         mmu=MmuConfig(num_ptws=2, tlb_hit_latency=0, prmb_slots=32,
+                       walk_cycles_per_level=7),
+         dram_cfg=DramConfig(bandwidth_bytes_per_cycle=16, access_latency=0),
+         ps=PageSize.SMALL_4K, start=0)
 @settings(max_examples=300, deadline=None)
 @given(runs=page_runs(), mmu=MMU_POINTS, dram_cfg=DRAM_POINTS,
        ps=PAGE_SIZES, start=st.integers(0, 40))

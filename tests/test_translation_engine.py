@@ -13,6 +13,7 @@ from npusim.mmu import (
     MmuConfig,
     SubmitStatus,
     TranslationEngine,
+    TranslationStats,
     drain_trace,
 )
 from npusim.page_table import PageTable, build
@@ -26,9 +27,17 @@ def make_pt(pages=64, ps=PS4K, policy="sequential", seed=0):
     return build([seg], ps, frame_policy=policy, seed=seed), seg
 
 
+def drain(engine, now):
+    """Tick from `now` until nothing is in flight; (next cycle, completions)."""
+    comps = []
+    while engine.in_flight > 0:
+        comps.extend(engine.tick(now))
+        now += 1
+    return now, comps
+
+
 def drain_all(engine, now):
-    _, comps = engine.drain(now)
-    return comps
+    return drain(engine, now)[1]
 
 
 # -- basic timing -----------------------------------------------------------
@@ -78,10 +87,10 @@ def test_tlb_lru_eviction():
     now = 0
     for p in pages:  # fills TLB with the last two pages
         eng.submit(p, now)
-        now, _ = eng.drain(now + 1)
+        now, _ = drain(eng, now + 1)
     hits_before = eng.stats.tlb_hits
     assert eng.submit(pages[0], now).status is SubmitStatus.NEW_WALK
-    now, _ = eng.drain(now + 1)
+    now, _ = drain(eng, now + 1)
     assert eng.stats.tlb_hits == hits_before
     assert eng.submit(pages[2], now).status is SubmitStatus.TLB_HIT
 
@@ -209,7 +218,7 @@ def test_fault_never_fills_tlb():
     eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
     bad = seg.vpn_range(PS4K)[0] + (1 << 27)
     eng.submit(bad, 0)
-    now, _ = eng.drain(1)
+    now, _ = drain(eng, 1)
     assert eng.submit(bad, now).status is SubmitStatus.NEW_WALK
 
 
@@ -257,6 +266,94 @@ def test_oracle_answers_follow_map_and_unmap():
     check_all()
     pt.unmap_page(page, PS4K)
     assert check_all()[0].fault_level == 1
+
+
+# -- page runs (accept_run) -------------------------------------------------
+
+def runs_of(comps):
+    return [(c.vpn, c.done_cycle, c.count) for c in comps]
+
+
+def test_accept_run_declines_a_miss_without_a_pending_walk():
+    pt, seg = make_pt()
+    a, b = seg.vpn_range(PS4K)[:2]
+    for slots in (0, 8):
+        eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=slots), pt, PS4K)
+        assert eng.accept_run(a, 10, 0) == 0
+        assert eng.stats == TranslationStats()
+        assert eng.submit(a, 0).status is SubmitStatus.NEW_WALK
+        before = eng.stats.copy()
+        assert eng.accept_run(b, 10, 1) == 0      # a's walk takes no b
+        assert eng.stats == before
+
+
+def test_accept_run_hits_stop_at_the_next_walk_end():
+    pt, seg = make_pt()
+    a, b = seg.vpn_range(PS4K)[:2]
+    eng = TranslationEngine(MmuConfig(num_ptws=2), pt, PS4K)
+    eng.submit(a, 0)
+    now, _ = drain(eng, 0)                        # a is in the TLB
+    assert eng.submit(b, now).status is SubmitStatus.NEW_WALK
+    assert eng.tick(now) == ()
+    end = now + 400                               # b's walk fills the TLB
+    # the request of cycle `end` is submitted before that cycle's tick
+    assert eng.accept_run(a, 1000, now + 1) == end - now
+    # one completion for the run, cut where b's walk (pushed first) ends
+    assert runs_of(eng.tick(end)) == [(a, now + 6, end - now - 6), (b, end, 1),
+                                      (a, end, 1)]
+    assert runs_of(eng.tick(end + 5)) == [(a, end + 1, 5)]
+    assert eng.accept_run(a, 1000, end + 6) == 1000  # no walk pending
+
+
+def test_accept_run_merges_stop_at_free_slots_and_the_walk_end():
+    pt, seg = make_pt()
+    a, b = seg.vpn_range(PS4K)[:2]
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=8), pt, PS4K)
+    assert eng.submit(a, 0).status is SubmitStatus.NEW_WALK   # ends at 400
+    assert eng.submit(a, 1).status is SubmitStatus.MERGED
+    assert eng.accept_run(a, 100, 2) == 7         # the slots left
+    assert eng.accept_run(a, 100, 9) == 0         # buffer full
+    for t in range(401):
+        out = eng.tick(t)
+    # the merge runs drain one request per cycle after the walk's own
+    assert runs_of(out) == [(a, 400, 1)]
+    assert runs_of(eng.tick(401) + eng.tick(402)) == [(a, 401, 1), (a, 402, 1)]
+    assert runs_of(eng.tick(407)) == [(a, 403, 5)]
+    # the walker frees in the cycle its last merged request completes
+    assert eng.submit(b, 408).status is SubmitStatus.BLOCKED
+    assert runs_of(eng.tick(408)) == [(a, 408, 1)]
+    assert eng.submit(b, 409).status is SubmitStatus.NEW_WALK
+
+    wide = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=1000), pt, PS4K)
+    wide.submit(a, 0)
+    assert wide.accept_run(a, 1000, 1) == 400     # cycles 1 .. 400
+
+
+@pytest.mark.parametrize("slots", [0, 32])
+def test_accept_run_counts_like_one_submit_per_cycle(slots):
+    """Hits (and, with merge buffers, merges): after the same history, a
+    run accepted in one call and ticked at once leaves every counter and
+    delivers every request as one submit and one tick per cycle do."""
+    pt, seg = make_pt()
+    a, b = seg.vpn_range(PS4K)[:2]
+    cfg = MmuConfig(num_ptws=2, prmb_slots=slots)
+    engines = [TranslationEngine(cfg, pt, PS4K) for _ in range(2)]
+    for eng in engines:
+        eng.submit(a, 0)
+        now, _ = drain(eng, 0)
+        eng.submit(b, now)
+    one, each = engines
+    n = one.accept_run(a, 50, now + 1) + one.accept_run(b, 30, now + 51)
+    assert n == 50 + (30 if slots else 0)
+    out_one = one.tick(now + n)
+    out_each = []
+    for t in range(now + 1, now + n + 1):
+        assert each.submit(a if t <= now + 50 else b, t).accepted
+        out_each.extend(each.tick(t))
+    assert one.stats == each.stats
+    assert [(c.request_id + i, c.done_cycle + i) for c in out_one
+            for i in range(c.count)] == [(c.request_id, c.done_cycle)
+                                         for c in out_each]
 
 
 # -- protocol ---------------------------------------------------------------
