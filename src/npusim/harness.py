@@ -4,6 +4,14 @@ Every run produces one CSV row per layer (dense workloads) or per strategy
 (embedding workloads) against a versioned, order-stable column set. Oracle
 cycles are always computed alongside modeled dense runs so rows carry their
 own normalization baseline; in oracle mode that run is the row's own.
+
+A dense layer's fetch plan (`npu.plan_layer`: tile steps and page runs)
+depends only on the layer, the NPU config and the page size, never on the
+MMU. Each `run_single` or `sweep` call owns one dict of plans under that
+key: the oracle and modelled runs of a layer share its plan, and a serial
+sweep shares it across every point. The dict is dropped when the call
+returns, so no plan outlives the call that built it; with `jobs > 1` each
+point builds its own.
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .address_space import PAGE_SIZES, check_disjoint
+from .address_space import PAGE_SIZES, PageSize, check_disjoint
 from .energy import EnergyTable, account
 from .memory import Dram, DramConfig, LinksConfig
 from .mmu import MmuConfig, TranslationEngine
-from .npu import NpuConfig, run_layer
+from .npu import LayerConfig, LayerPlan, NpuConfig, plan_layer, run_layer
 from .numa import (
     LatencyBreakdown,
     run_baseline_copy,
@@ -68,7 +76,11 @@ def _layer_segments(layer, mirror_writes: bool):
     return segs
 
 
-def _run_dense(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
+# A call's fetch plans, keyed on all that a plan depends on.
+Plans = Dict[Tuple[LayerConfig, NpuConfig, PageSize], LayerPlan]
+
+
+def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, Any]]:
     wl = WorkloadConfig(**cfg["workload"])
     npu = NpuConfig(**cfg["npu"])
     mmu = MmuConfig(**cfg["mmu"])
@@ -79,14 +91,18 @@ def _run_dense(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
 
     rows = []
     for layer in layers:
+        key = (layer, npu, ps)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = plan_layer(layer, npu, ps)
         pt = build(_layer_segments(layer, npu.mirror_write_traffic), ps)
         oracle_engine = TranslationEngine(MmuConfig(mode="oracle"), pt, ps)
-        oracle = run_layer(layer, npu, oracle_engine, Dram(dram_cfg))
+        oracle = run_layer(layer, npu, oracle_engine, Dram(dram_cfg), plan)
         stats = oracle  # an oracle-mode row is its own baseline
         if mmu.mode != "oracle":
             dram = Dram(dram_cfg)
             engine = TranslationEngine(mmu, pt, ps, dram=dram)
-            stats = run_layer(layer, npu, engine, dram)
+            stats = run_layer(layer, npu, engine, dram, plan)
 
         energy = account(stats.mmu_stats, etable)
         overhead = 0.0
@@ -184,13 +200,17 @@ def _require_valid(cfg: Dict[str, Any]) -> None:
         raise cfgmod.ConfigError(errors)
 
 
-def run_single(cfg: Dict[str, Any], seed: Optional[int] = None) -> List[Dict[str, Any]]:
+def _run(cfg: Dict[str, Any], seed: Optional[int], plans: Plans) -> List[Dict[str, Any]]:
     _require_valid(cfg)
     if seed is None:
         seed = cfg["seeds"]["master"]
     if cfg["workload"]["kind"] == "dense":
-        return _run_dense(cfg, seed)
+        return _run_dense(cfg, seed, plans)
     return _run_embedding(cfg, seed)
+
+
+def run_single(cfg: Dict[str, Any], seed: Optional[int] = None) -> List[Dict[str, Any]]:
+    return _run(cfg, seed, {})
 
 
 def _sweep_one(args) -> List[Dict[str, Any]]:
@@ -226,7 +246,8 @@ def sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
-        results = [_sweep_one(t) for t in tasks]
+        plans: Plans = {}
+        results = [_run(sub, s, plans) for sub, s in tasks]
     return [row for rows in results for row in rows]
 
 

@@ -13,6 +13,14 @@ while fetching. Compute for tile n overlaps the fetch of tile n+1; a
 tile's compute starts only after its fetch fully lands (barrier), and a
 buffer is reusable only after the compute reading it ends.
 
+None of that blocking depends on the MMU, so `plan_layer` does it once: a
+layer's plan holds, per tile step, the page runs of its IA and W fetches
+(and, when write traffic is mirrored, its output tile), and the step's
+compute cycles. A plan is a function of (layer, NPU config, page size)
+alone; the harness builds it once per run or sweep call and hands the same
+plan to a layer's oracle and modelled `run_layer` at every sweep point, so
+`run_layer` only walks precomputed runs.
+
 Both fetch loops walk the same runs. `simulate_fetch` drives the
 translation engine with the timing of one submit and one tick per cycle,
 but a page run's TLB hits and merges go in through one
@@ -106,6 +114,18 @@ class TileStep:
     gemm: Tuple[int, int, int]        # (m, k, n) of this sub-GEMM
     out_bytes: int
     out: Optional[TileFetch]          # output write-back; None without out segment
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    """What `run_layer` reads of one tile step; its spans are not kept."""
+    fetches: Tuple[Runs, ...]         # IA then W runs, fetched in that order
+    compute: int                      # compute cycles of the sub-GEMM
+    out: Optional[Runs]               # output runs; None unless mirrored
+
+
+# A layer's tile steps in order, as `plan_layer` builds them.
+LayerPlan = Tuple[PlanStep, ...]
 
 
 @dataclass
@@ -233,6 +253,18 @@ def compute_cycles(m: int, k: int, n: int, npu: NpuConfig) -> int:
     return math.ceil(k / p) * math.ceil(n / p) * (m + 2 * p)
 
 
+def plan_layer(layer: LayerConfig, npu: NpuConfig, ps: PageSize) -> LayerPlan:
+    """Block the layer into tile steps and linearize every fetch once."""
+    mirror = npu.mirror_write_traffic
+    if mirror and layer.out_segment is None:
+        raise ValueError("mirror_write_traffic requires an output segment")
+    return tuple(
+        PlanStep(tuple(linearize(tile, npu, ps) for tile in step.fetches),
+                 compute_cycles(*step.gemm, npu),
+                 linearize(step.out, npu, ps) if mirror else None)
+        for step in tile_steps(layer, npu))
+
+
 def simulate_fetch(
     runs: Runs,
     engine: TranslationEngine,
@@ -357,33 +389,34 @@ def run_layer(
     npu: NpuConfig,
     engine: TranslationEngine,
     dram: Dram,
+    plan: Optional[LayerPlan] = None,
 ) -> RunStats:
-    """Execute the double-buffered tile pipeline for one layer."""
-    steps = tile_steps(layer, npu)
-    ps = engine.ps
+    """Execute the double-buffered tile pipeline for one layer.
+
+    `plan` is `plan_layer(layer, npu, engine.ps)`, built here if not given.
+    """
+    if plan is None:
+        plan = plan_layer(layer, npu, engine.ps)
     fetch = _oracle_fetch if engine.cfg.mode == "oracle" else simulate_fetch
     phases: List[TilePhase] = []
     fetch_end_prev = 0
     compute_ends: List[int] = []
 
-    for i, step in enumerate(steps):
+    for i, step in enumerate(plan):
         buffer_free = compute_ends[i - 2] if i >= 2 else 0
         fetch_start = max(fetch_end_prev, buffer_free)
         if npu.mirror_write_traffic and i >= 1:
             # the DMA was busy mirroring writes until the previous compute end
             fetch_start = max(fetch_start, compute_ends[i - 1])
         cursor = fetch_start
-        for tile in step.fetches:
-            cursor = fetch(linearize(tile, npu, ps), engine, dram, cursor)
+        for runs in step.fetches:
+            cursor = fetch(runs, engine, dram, cursor)
         fetch_end = cursor
         compute_start = max(fetch_end, compute_ends[i - 1] if i >= 1 else 0)
-        compute_end = compute_start + compute_cycles(*step.gemm, npu)
-        if npu.mirror_write_traffic:
-            if step.out is None:
-                raise ValueError("mirror_write_traffic requires an output segment")
-            compute_end = fetch(linearize(step.out, npu, ps), engine, dram,
-                                compute_end)
-        phases.append(TilePhase(step.tile_id, fetch_start, fetch_end,
+        compute_end = compute_start + step.compute
+        if step.out is not None:
+            compute_end = fetch(step.out, engine, dram, compute_end)
+        phases.append(TilePhase(i, fetch_start, fetch_end,
                                 compute_start, compute_end))
         fetch_end_prev = fetch_end
         compute_ends.append(compute_end)

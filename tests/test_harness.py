@@ -1,12 +1,14 @@
 """Config plumbing, CSV schema, sweeps, reports, CLI surface."""
 
 import copy
+import itertools
 
 import pytest
 
 from npusim import cli
 from npusim import config as cfgmod
-from npusim import harness
+from npusim import harness, npu
+from npusim.workloads import dense_suite
 
 
 def small_cfg(**overrides):
@@ -128,6 +130,65 @@ def test_sweep_parallel_matches_serial():
     serial = harness.rows_to_csv(harness.sweep(cfg, items, jobs=1))
     parallel = harness.rows_to_csv(harness.sweep(cfg, items, jobs=2))
     assert serial == parallel
+
+
+def test_shared_fetch_plans_keep_every_point_exact():
+    # every axis a fetch plan depends on, plus axes it must not depend on:
+    # sharing plans across a serial sweep's points must not change a byte
+    cfg = small_cfg()
+    items = [("workload.suite", ["toy", "burst"]),
+             ("npu.dma_txn_bytes", [64, 100]),
+             ("npu.reuse_last_translation", [False, True]),
+             ("npu.mirror_write_traffic", [False, True]),
+             ("mmu.page_size", ["4k", "2m"]),
+             ("mmu.mode", ["modeled", "oracle"])]
+    serial = harness.rows_to_csv(harness.sweep(cfg, items, jobs=1))
+    single = []
+    for combo in itertools.product(*[values for _, values in items]):
+        point = copy.deepcopy(cfg)
+        for (key, _), value in zip(items, combo):
+            cfgmod.set_by_path(point, key, value)
+        point["config_id"] += "+" + ",".join(
+            f"{key.split('.')[-1]}={value}" for (key, _), value in zip(items, combo))
+        single.extend(harness.run_single(point))
+    assert serial == harness.rows_to_csv(single)
+    assert serial == harness.rows_to_csv(harness.sweep(cfg, items, jobs=2))
+
+
+def counted_linearize(monkeypatch):
+    calls = []
+    real = npu.linearize
+
+    def counting(tile, *args):
+        calls.append(tile)
+        return real(tile, *args)
+
+    monkeypatch.setattr(npu, "linearize", counting)
+    return calls
+
+
+def burst_tile_fetches(cfg):
+    (layer,) = dense_suite("burst")[cfg["workload"]["batch"]]
+    return sum(len(step.fetches)
+               for step in npu.tile_steps(layer, npu.NpuConfig(**cfg["npu"])))
+
+
+def test_serial_sweep_linearizes_each_tile_fetch_once(monkeypatch):
+    calls = counted_linearize(monkeypatch)
+    cfg = small_cfg(**{"workload.suite": "burst"})
+    rows = harness.sweep(cfg, [("mmu.num_ptws", [8, 128]),
+                               ("mmu.translation_cache", ["none", "tpr"])])
+    assert len(rows) == 4
+    assert len(calls) == burst_tile_fetches(cfg) > 1
+
+
+def test_each_run_single_call_builds_its_own_plans(monkeypatch):
+    calls = counted_linearize(monkeypatch)
+    cfg = small_cfg(**{"workload.suite": "burst"})
+    first = harness.run_single(cfg)
+    assert len(calls) == burst_tile_fetches(cfg)
+    assert harness.run_single(cfg) == first
+    assert len(calls) == 2 * burst_tile_fetches(cfg)
 
 
 def test_embedding_rows_cover_strategies():

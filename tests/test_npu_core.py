@@ -1,5 +1,6 @@
 """NPU tiling, DMA linearization, systolic timing, pipeline invariants."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,18 @@ def test_mirrored_output_tiles_land_at_their_columns(mode):
     written = sorted(span for step in steps for span in step.out.spans)
     assert written == [(out.base + r * 8192 + c * 1024, 1024)
                        for r in range(4) for c in range(8)]
+
+
+@pytest.mark.parametrize("mode", ["oracle", "modeled"])
+def test_mirrored_writes_without_output_segment_fail_before_any_fetch(mode):
+    layer = replace(make_layer("l", 4, 64, 64), out_segment=None)
+    pt = build([layer.ia_segment, layer.w_segment], PS4K)
+    dram = Dram(DramConfig())
+    engine = TranslationEngine(MmuConfig(mode=mode), pt, PS4K, dram=dram)
+    with pytest.raises(ValueError, match="output segment"):
+        run_layer(layer, NpuConfig(mirror_write_traffic=True), engine, dram)
+    assert engine.stats.submitted == 0
+    assert dram.txns == 0
 
 
 def test_translation_reuse_window_collapses_sequential_pages():
