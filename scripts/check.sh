@@ -5,7 +5,7 @@
 set -u
 cd "$(dirname "$0")/.." || exit 2
 status=0
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q \
     --continue-on-collection-errors || status=1
 python3 -m pytest -q perfbench/tests || status=1
 exit $status

@@ -1,9 +1,9 @@
 """48-bit virtual address arithmetic for a 4-level radix translation scheme.
 
 Addresses are plain ints. Only the low 48 bits participate in translation;
-bits 48-63 are masked off on input. A virtual address decomposes into four
-9-bit radix indices (l4..l1) plus a page offset for 4KB pages, or three
-indices (l4..l2) plus a 21-bit offset for 2MB pages.
+bits 48-63 are masked off on input. A virtual address splits (`vpn`, then
+`radix_indices`) into four 9-bit radix indices (l4..l1) plus a page offset
+for 4KB pages, or three indices (l4..l2) plus a 21-bit offset for 2MB pages.
 
 Segments describe named, non-overlapping regions of the virtual address
 space (input activations, weights, embedding tables, ...). Default bases
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 VA_BITS = 48
 VA_MASK = (1 << VA_BITS) - 1
@@ -53,64 +53,15 @@ class PageSize(Enum):
 PAGE_SIZES = {"4k": PageSize.SMALL_4K, "2m": PageSize.LARGE_2M}
 
 
-@dataclass(frozen=True)
-class PageIndices:
-    l4: int
-    l3: int
-    l2: int
-    l1: Optional[int]  # absent for 2MB pages
-    offset: int
-
-    def upper_tag(self, ps: PageSize) -> tuple:
-        """Indices above the leaf level, top-down (path-cache tag)."""
-        if ps is PageSize.SMALL_4K:
-            return (self.l4, self.l3, self.l2)
-        return (self.l4, self.l3)
-
-
-def decompose(va: int, ps: PageSize) -> PageIndices:
-    """Split a virtual address into radix indices and page offset."""
-    va &= VA_MASK
-    off = va & ((1 << ps.offset_bits) - 1)
-    l2 = (va >> 21) & INDEX_MASK
-    l3 = (va >> 30) & INDEX_MASK
-    l4 = (va >> 39) & INDEX_MASK
-    l1 = (va >> 12) & INDEX_MASK if ps is PageSize.SMALL_4K else None
-    return PageIndices(l4=l4, l3=l3, l2=l2, l1=l1, offset=off)
-
-
-def compose(idx: PageIndices, ps: PageSize) -> int:
-    """Inverse of decompose. Raises ValueError on out-of-range fields."""
-    for name in ("l4", "l3", "l2"):
-        v = getattr(idx, name)
-        if not 0 <= v <= INDEX_MASK:
-            raise ValueError(f"{name} index {v} out of range")
-    if not 0 <= idx.offset < (1 << ps.offset_bits):
-        raise ValueError(f"offset {idx.offset} out of range for {ps.name}")
-    va = (idx.l4 << 39) | (idx.l3 << 30) | (idx.l2 << 21) | idx.offset
-    if ps is PageSize.SMALL_4K:
-        if idx.l1 is None or not 0 <= idx.l1 <= INDEX_MASK:
-            raise ValueError(f"l1 index {idx.l1} out of range")
-        va |= idx.l1 << 12
-    elif idx.l1 not in (None, 0):
-        raise ValueError("l1 index must be absent for 2MB pages")
-    return va
-
-
 def vpn(va: int, ps: PageSize) -> int:
     """Virtual page number of an address."""
     return (va & VA_MASK) >> ps.offset_bits
 
 
-def indices_of_vpn(page: int, ps: PageSize) -> PageIndices:
-    return decompose(page << ps.offset_bits, ps)
-
-
 def radix_indices(page: int, ps: PageSize) -> tuple:
     """Radix indices of a VPN, top-down: (l4, l3, l2, l1) or (l4, l3, l2) for 2MB.
 
-    The fields of `indices_of_vpn`, taken from the VPN by shifts and masks
-    alone; VPN bits above the 48-bit address fall outside every mask.
+    VPN bits above the 48-bit address fall outside every mask.
     """
     if ps is PageSize.SMALL_4K:
         return ((page >> 27) & INDEX_MASK, (page >> 18) & INDEX_MASK,

@@ -56,8 +56,8 @@ buffer exists to filter.
 Translation caches skip upper walk levels:
 
   * path register ("tpr"): one per walker, holds the upper radix indices
-    (the tag) of that walker's last completed walk. A full tag match
-    starts the walk at the leaf node.
+    (the tag, one integer: `path_tag`) of that walker's last completed
+    walk. A full tag match starts the walk at the leaf node.
   * path cache ("tpc"): shared, LRU, same full-path tags.
   * unified cache ("uptc"): shared, LRU, tags individual interior entries
     by their physical address; the walk starts below the deepest
@@ -80,10 +80,22 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import List, NamedTuple, Optional, Sequence
 
-from .address_space import PAGE_SIZES, PageSize, radix_indices
+from .address_space import INDEX_BITS, PAGE_SIZES, PageSize
 from .memory import Dram
 from .page_table import PageTable, WalkStep, fault_depth
 from .schema import Record, knob
+
+
+def path_tag(vpn: int, levels: int) -> int:
+    """The radix indices above the leaf level of a `levels`-level walk of
+    `vpn`, top-down, packed into one integer of 9 bits per level (the
+    path-cache tag)."""
+    return (vpn >> INDEX_BITS) & ((1 << INDEX_BITS * (levels - 1)) - 1)
+
+
+def prefix_depth(a: int, b: int, levels: int) -> int:
+    """Leading radix indices that the path tags `a` and `b` share."""
+    return levels - 1 - ((a ^ b).bit_length() + INDEX_BITS - 1) // INDEX_BITS
 
 
 @dataclass(frozen=True)
@@ -174,8 +186,8 @@ class _Walker:
     fault_level: Optional[int] = None
     # what a successful walk installs in the translation cache: its path
     # tag (tpr/tpc) or its node reads (uptc); None if nothing
-    cache_fill: Optional[Sequence] = None
-    path_register: Optional[tuple] = None  # tag of the last completed walk
+    cache_fill: object = None
+    path_register: Optional[int] = None   # tag of the last completed walk
 
 
 class TranslationEngine:
@@ -392,7 +404,8 @@ class TranslationEngine:
     def _start_walk(self, vpn: int, now: int, rid: int) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
-        kind = self.cfg.translation_cache
+        cfg, levels = self.cfg, self.ps.levels
+        kind = cfg.translation_cache
         fill = None
         if kind == "uptc":
             path = self.pt.walk_path(vpn, self.ps)
@@ -406,12 +419,12 @@ class TranslationEngine:
                 frame, fault_level = None, last.level
         else:
             frame, fault_level = self.pt.walk_outcome(vpn, self.ps)
-            txns = self.ps.levels if frame is not None else fault_depth(fault_level)
+            txns = levels if frame is not None else fault_depth(fault_level)
             if kind != "none":
-                tag = self._upper_tag(vpn)
+                tag = path_tag(vpn, levels)
                 # Only a full-path tag match lets the walk jump to the leaf
                 # node, and only when the radix path actually reaches it.
-                if self._probe_path_tag(walker, tag) and txns == self.ps.levels:
+                if self._probe_path_tag(walker, tag, levels) and txns == levels:
                     txns = 1
                 if frame is not None:
                     fill = tag
@@ -422,13 +435,13 @@ class TranslationEngine:
         walker.frame = frame
         walker.fault_level = fault_level
         walker.cache_fill = fill
-        walker.finish = now + txns * self.cfg.walk_cycles_per_level
+        walker.finish = now + txns * cfg.walk_cycles_per_level
 
-        if self.cfg.prmb_slots > 0:
+        if cfg.prmb_slots > 0:
             self._scoreboard[vpn] = wid
         self.stats.walks_started += 1
         self.stats.walk_memory_transactions += txns
-        if self.dram is not None and self.cfg.charge_walk_bandwidth:
+        if self.dram is not None and cfg.charge_walk_bandwidth:
             self.dram.consume(txns * 64, now)
         self._push(walker.finish, "walk_done", wid)
         heappush(self._walk_ends, walker.finish)
@@ -479,26 +492,27 @@ class TranslationEngine:
 
     # -- translation caches -------------------------------------------------
 
-    def _upper_tag(self, vpn: int) -> tuple:
-        """Radix indices above the leaf level, top-down (path-cache tag)."""
-        return radix_indices(vpn, self.ps)[:-1]
-
-    def _probe_path_tag(self, walker: _Walker, tag: tuple) -> bool:
+    def _probe_path_tag(self, walker: _Walker, tag: int, levels: int) -> bool:
         """Probe the path register (tpr) or path cache (tpc) for `tag`;
-        True on a full-path match."""
-        self.stats.cache_probes += 1
+        True on a full-path match. Counts a hit at each level of the
+        longest prefix any entry shares with `tag`."""
+        stats = self.stats
+        stats.cache_probes += 1
         if self.cfg.translation_cache == "tpr":
-            entry = walker.path_register
-            best = self._prefix_match(tag, entry) if entry else 0
-        else:  # tpc
+            nearest = walker.path_register
+        else:  # tpc: the longest shared prefix leaves the smallest XOR
             cache = self._cache
-            best = 0
-            for etag in cache:
-                best = max(best, self._prefix_match(tag, etag))
+            nearest = min(cache, key=tag.__xor__) if cache else None
             if tag in cache:
                 cache.move_to_end(tag)
-        self._count_prefix_hits(best)
-        return best == len(tag)
+        depth = 0 if nearest is None else prefix_depth(tag, nearest, levels)
+        if depth >= 1:
+            stats.cache_hit_l4 += 1
+        if depth >= 2:
+            stats.cache_hit_l3 += 1
+        if depth >= 3:
+            stats.cache_hit_l2 += 1
+        return depth == levels - 1
 
     def _probe_unified(self, path: List[WalkStep]) -> int:
         cache = self._cache
@@ -533,23 +547,6 @@ class TranslationEngine:
                 cache.move_to_end(step.entry_addr)
                 while len(cache) > self.cfg.cache_entries:
                     cache.popitem(last=False)
-
-    @staticmethod
-    def _prefix_match(tag: tuple, etag: tuple) -> int:
-        n = 0
-        for a, b in zip(tag, etag):
-            if a != b:
-                break
-            n += 1
-        return n
-
-    def _count_prefix_hits(self, depth: int) -> None:
-        if depth >= 1:
-            self.stats.cache_hit_l4 += 1
-        if depth >= 2:
-            self.stats.cache_hit_l3 += 1
-        if depth >= 3:
-            self.stats.cache_hit_l2 += 1
 
     def _count_level_hit(self, level: int) -> None:
         if level == 4:

@@ -104,49 +104,49 @@ class FrameAllocator:
 
 
 class PageTable:
-    """Sparse radix tree of 512-entry nodes.
+    """Radix tree of 512-slot nodes.
+
+    `nodes` is a list indexed by node id (0 is the root), and each node a
+    list of 512 slots. A slot holds None (absent), a child node id or a
+    frame number: a table holds pages of one size, so a slot at the leaf
+    level is a frame and any slot above it a child. A node costs about 4 KB
+    however few of its slots are filled.
 
     `build` maps each segment with `map_range`, which descends to a leaf
-    node once per run of up to 512 VPNs and fills the run in one pass;
-    `map_page` maps one VPN through the same descent. Both allocate missing
-    interior nodes in VPN order, so a table gets the same node ids either
-    way.
+    node once per run of up to 512 VPNs, then checks and fills the run with
+    one slice each; `map_page` maps one VPN through the same descent. Both
+    allocate missing interior nodes in VPN order, so a table gets the same
+    node ids either way.
 
     Two walkers read the tree. `walk_path` returns every node read as a
     `WalkStep`; the unified translation cache, which tags interior entry
     addresses, and the reference `walk` use it. `walk_outcome` follows the
-    same entries but returns only `(frame, None)`, or `(None, level)` when
+    same slots but returns only `(frame, None)`, or `(None, level)` when
     the walk faults at `level`: a walk's depth is `ps.levels` when it
     succeeds and `fault_depth(level)` when it faults, so modelled walks
     without a unified cache and demand paging need nothing more.
 
-    A table holds pages of one size, fixed by its first mapping. Mapping,
-    unmapping or walking with another size raises ValueError: a walk with
-    a smaller page would read a large page's leaf entry as a child node.
+    A table's page size is fixed by its first mapping. Mapping, unmapping
+    or walking with another size raises ValueError: a walk with a smaller
+    page would read a large page's frame as a child node.
 
     `leaf` answers the oracle's question from a memo of `walk_outcome`
-    keyed by (vpn, page size), so an oracle MMU walks each page once rather
-    than once per access. Every `map_range`, `map_page` and `unmap_page`
-    call clears the whole memo once: a new interior node also changes the
-    outcome for neighbouring VPNs whose walks used to fault above it.
+    keyed by VPN (one page size per table, and a walk of an empty table
+    faults at L4 for either size), so an oracle MMU walks each page once
+    rather than once per access. Every `map_range`, `map_page` and
+    `unmap_page` call clears the whole memo once: a new interior node also
+    changes the outcome for neighbouring VPNs whose walks used to fault
+    above it.
     """
 
     def __init__(self, frame_allocator: Optional[FrameAllocator] = None):
         self.frames = frame_allocator or FrameAllocator()
-        # node id -> {index: (is_leaf, value)}
-        self.nodes: dict[int, dict[int, tuple[bool, int]]] = {0: {}}
+        self.nodes: List[List[Optional[int]]] = [[None] * 512]
         self.root = 0
-        self._next_node = 1
         self.mapped_pages = 0
         self.page_size: Optional[PageSize] = None  # set by the first mapping
-        # (vpn, ps) -> (frame, None) or (None, fault level)
-        self._leaves: dict[tuple[int, PageSize], tuple[Optional[int], Optional[int]]] = {}
-
-    def _alloc_node(self) -> int:
-        nid = self._next_node
-        self._next_node += 1
-        self.nodes[nid] = {}
-        return nid
+        # vpn -> (frame, None) or (None, fault level)
+        self._leaves: dict[int, tuple[Optional[int], Optional[int]]] = {}
 
     def _check_size(self, ps: PageSize, mapping: bool = False) -> None:
         """Called when `ps` is not the table's page size: fix it on the
@@ -160,34 +160,30 @@ class PageTable:
 
     # -- mutation -----------------------------------------------------------
 
-    def _leaf_entries(self, indices: tuple) -> dict[int, tuple[bool, int]]:
-        """Entries of the node that holds a page's leaf, allocating missing
-        interior nodes on the way down (one page size: no leaf sits above
-        the leaf level)."""
+    def _leaf_node(self, indices: tuple) -> List[Optional[int]]:
+        """The node that holds a page's leaf slot, allocating missing
+        interior nodes on the way down."""
         nodes = self.nodes
-        node = self.root
+        node = nodes[self.root]
         for index in indices[:-1]:
-            entries = nodes[node]
-            entry = entries.get(index)
-            if entry is None:
-                node = self._alloc_node()
-                entries[index] = (False, node)
-            else:
-                node = entry[1]
-        return nodes[node]
+            child = node[index]
+            if child is None:
+                child = node[index] = len(nodes)
+                nodes.append([None] * 512)
+            node = nodes[child]
+        return node
 
     def map_page(self, vpn: int, ps: PageSize, frame: Optional[int] = None) -> int:
         if ps is not self.page_size:
             self._check_size(ps, mapping=True)
         self._leaves.clear()
         indices = radix_indices(vpn, ps)
-        entries = self._leaf_entries(indices)
-        leaf_index = indices[-1]
-        if leaf_index in entries:
+        node = self._leaf_node(indices)
+        if node[indices[-1]] is not None:
             raise MappingError(f"vpn {vpn:#x} already mapped")
         if frame is None:
             frame = self.frames.alloc()
-        entries[leaf_index] = (True, frame)
+        node[indices[-1]] = frame
         self.mapped_pages += 1
         return frame
 
@@ -204,16 +200,14 @@ class PageTable:
         vpn, end = first, first + count
         while vpn < end:
             indices = radix_indices(vpn, ps)
-            entries = self._leaf_entries(indices)
+            node = self._leaf_node(indices)
             lo = indices[-1]
             n = min(512 - lo, end - vpn)
-            run = range(lo, lo + n)
-            if entries:
-                for index in run:
-                    if index in entries:
-                        raise MappingError(f"vpn {vpn + index - lo:#x} already mapped")
-            for index, frame in zip(run, self.frames.alloc_run(n)):
-                entries[index] = (True, frame)
+            run = node[lo:lo + n]
+            if run.count(None) != n:
+                taken = next(i for i, slot in enumerate(run) if slot is not None)
+                raise MappingError(f"vpn {vpn + taken:#x} already mapped")
+            node[lo:lo + n] = self.frames.alloc_run(n)
             self.mapped_pages += n
             vpn += n
 
@@ -221,16 +215,17 @@ class PageTable:
         if ps is not self.page_size:
             self._check_size(ps)
         self._leaves.clear()
+        nodes = self.nodes
+        node = nodes[self.root]
         indices = radix_indices(vpn, ps)
-        node = self.root
         for index in indices[:-1]:
-            entry = self.nodes[node].get(index)
-            if entry is None:
+            child = node[index]
+            if child is None:
                 raise MappingError(f"vpn {vpn:#x} not mapped")
-            node = entry[1]
-        if indices[-1] not in self.nodes[node]:
+            node = nodes[child]
+        if node[indices[-1]] is None:
             raise MappingError(f"vpn {vpn:#x} not mapped")
-        del self.nodes[node][indices[-1]]
+        node[indices[-1]] = None
         self.mapped_pages -= 1
 
     def is_mapped(self, vpn: int, ps: PageSize) -> bool:
@@ -239,55 +234,54 @@ class PageTable:
     # -- walking ------------------------------------------------------------
 
     def walk_path(self, vpn: int, ps: PageSize) -> List[WalkStep]:
-        """Node reads of a walk, top-down, stopping at the first absent entry.
+        """Node reads of a walk, top-down, stopping at the first absent slot.
 
-        The final step either carries the leaf entry (present, is_leaf) or
-        records the read of the absent entry that faults the walk.
+        The final step either carries the leaf slot (present, is_leaf) or
+        records the read of the absent slot that faults the walk.
         """
         if ps is not self.page_size:
             self._check_size(ps)
         nodes = self.nodes
+        leaf_level = ps.leaf_level
         steps: List[WalkStep] = []
         node = self.root
         level = ROOT_LEVEL
         for index in radix_indices(vpn, ps):
             naddr = PT_NODE_REGION_BASE + node * 4096
-            entry = nodes[node].get(index)
-            if entry is None:
+            value = nodes[node][index]
+            if value is None:
                 steps.append(WalkStep(level, naddr, naddr + index * ENTRY_BYTES,
                                       False, False, 0))
                 return steps
-            is_leaf, node = entry
             steps.append(WalkStep(level, naddr, naddr + index * ENTRY_BYTES,
-                                  True, is_leaf, node))
+                                  True, level == leaf_level, value))
+            node = value
             level -= 1
         return steps
 
     def walk_outcome(self, vpn: int,
                      ps: PageSize) -> tuple[Optional[int], Optional[int]]:
         """`walk_path`'s last step, reduced: (frame, None), or (None, level)
-        when the walk faults on an absent entry at `level`. A table holds
-        one page size, so every entry on the path above the leaf level is
-        a node and every entry at it is a leaf."""
+        when the walk faults on an absent slot at `level`."""
         if ps is not self.page_size:
             self._check_size(ps)
         nodes = self.nodes
         node = self.root
         level = ROOT_LEVEL
         for index in radix_indices(vpn, ps):
-            entry = nodes[node].get(index)
-            if entry is None:
+            node = nodes[node][index]
+            if node is None:
                 return None, level
-            node = entry[1]
             level -= 1
         return node, None
 
     def leaf(self, vpn: int, ps: PageSize) -> tuple[Optional[int], Optional[int]]:
         """`walk_outcome`, memoised until the next mapping change."""
-        key = (vpn, ps)
-        hit = self._leaves.get(key)
+        if ps is not self.page_size:
+            self._check_size(ps)
+        hit = self._leaves.get(vpn)
         if hit is None:
-            hit = self._leaves[key] = self.walk_outcome(vpn, ps)
+            hit = self._leaves[vpn] = self.walk_outcome(vpn, ps)
         return hit
 
     def walk(self, va: int, ps: PageSize) -> WalkResult:

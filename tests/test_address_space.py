@@ -1,4 +1,4 @@
-"""Virtual address layout: decompose/compose round trips and segment pages."""
+"""Virtual address layout: VPNs, radix indices, path tags and segment pages."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,37 +8,33 @@ from npusim.address_space import (
     Segment,
     VA_MASK,
     check_disjoint,
-    compose,
-    decompose,
     default_segment_base,
-    indices_of_vpn,
     radix_indices,
     vpn,
 )
-from npusim.mmu import MmuConfig, TranslationEngine
-from npusim.page_table import PageTable
+from npusim.mmu import path_tag, prefix_depth
+
+PAGE_SIZES = [PageSize.SMALL_4K, PageSize.LARGE_2M]
+# VPNs at and above 2**36 reach bits above the 48-bit address
+VPNS = st.one_of(st.integers(min_value=0, max_value=(1 << 36) - 1),
+                 st.integers(min_value=1 << 36, max_value=1 << 64))
 
 
-@given(st.integers(min_value=0, max_value=VA_MASK))
-def test_decompose_compose_roundtrip_4k(va):
-    assert compose(decompose(va, PageSize.SMALL_4K), PageSize.SMALL_4K) == va
-
-
-@given(st.integers(min_value=0, max_value=VA_MASK))
-def test_decompose_compose_roundtrip_2m(va):
-    assert compose(decompose(va, PageSize.LARGE_2M), PageSize.LARGE_2M) == va
+def address_fields(page, ps):
+    """Radix indices of a VPN taken from its 48-bit address, top-down."""
+    va = (page << ps.offset_bits) & VA_MASK
+    return tuple((va >> shift) & 511 for shift in (39, 30, 21, 12))[:ps.levels]
 
 
 @given(st.integers(min_value=0, max_value=(1 << 63) - 1))
 def test_addresses_masked_to_48_bits(va):
-    idx = decompose(va, PageSize.SMALL_4K)
-    assert compose(idx, PageSize.SMALL_4K) == (va & VA_MASK)
+    for ps in PAGE_SIZES:
+        assert vpn(va, ps) == vpn(va & VA_MASK, ps) < 1 << (48 - ps.offset_bits)
 
 
 def test_index_fields_bounded():
-    idx = decompose(VA_MASK, PageSize.SMALL_4K)
-    assert (idx.l4, idx.l3, idx.l2, idx.l1) == (511, 511, 511, 511)
-    assert idx.offset == 4095
+    assert radix_indices(vpn(VA_MASK, PageSize.SMALL_4K), PageSize.SMALL_4K) == (511,) * 4
+    assert radix_indices(vpn(VA_MASK, PageSize.LARGE_2M), PageSize.LARGE_2M) == (511,) * 3
 
 
 def test_page_geometry():
@@ -85,19 +81,31 @@ def test_overlap_detected():
 
 @given(st.integers(min_value=0, max_value=VA_MASK >> 12))
 def test_vpn_indices_roundtrip(page):
-    idx = indices_of_vpn(page, PageSize.SMALL_4K)
-    assert idx.offset == 0
-    assert vpn(compose(idx, PageSize.SMALL_4K), PageSize.SMALL_4K) == page
+    l4, l3, l2, l1 = radix_indices(page, PageSize.SMALL_4K)
+    assert (l4 << 27 | l3 << 18 | l2 << 9 | l1) == page
+    assert vpn(page << 12, PageSize.SMALL_4K) == page
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.integers(min_value=0, max_value=(1 << 36) - 1),
-                 st.integers(min_value=1 << 36, max_value=1 << 64)),
-       st.sampled_from([PageSize.SMALL_4K, PageSize.LARGE_2M]))
-def test_radix_indices_match_decompose(page, ps):
-    # VPNs at and above 2**36 reach bits that decompose masks off
-    idx = indices_of_vpn(page, ps)
-    fields = (idx.l4, idx.l3, idx.l2, idx.l1)
-    assert radix_indices(page, ps) == fields[:ps.levels]
-    engine = TranslationEngine(MmuConfig(), PageTable(), ps)
-    assert engine._upper_tag(page) == idx.upper_tag(ps)
+@given(VPNS, st.sampled_from(PAGE_SIZES))
+def test_radix_indices_match_address_fields(page, ps):
+    fields = address_fields(page, ps)
+    assert radix_indices(page, ps) == fields
+    tag = 0
+    for index in fields[:-1]:
+        tag = tag << 9 | index
+    assert path_tag(page, ps.levels) == tag
+
+
+@settings(max_examples=300, deadline=None)
+@given(VPNS, VPNS, st.integers(min_value=0, max_value=40),
+       st.sampled_from(PAGE_SIZES))
+def test_prefix_depth_counts_shared_upper_indices(a, other, low_bits, ps):
+    near = a ^ (other & ((1 << low_bits) - 1))  # shares a's bits above low_bits
+    for b in (near, other):
+        upper_a, upper_b = radix_indices(a, ps)[:-1], radix_indices(b, ps)[:-1]
+        shared = 0
+        while shared < len(upper_a) and upper_a[shared] == upper_b[shared]:
+            shared += 1
+        tags = path_tag(a, ps.levels), path_tag(b, ps.levels)
+        assert prefix_depth(*tags, ps.levels) == shared

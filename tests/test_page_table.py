@@ -151,7 +151,7 @@ def test_build_equals_per_page_mapping(data, ps, policy, seed):
         for p in s.vpn_range(ps):
             ref.map_page(p, ps)
     assert bulk.nodes == ref.nodes
-    assert bulk._next_node == ref._next_node
+    assert len(bulk.nodes) == len(ref.nodes)
     assert bulk.mapped_pages == ref.mapped_pages
 
 
@@ -171,6 +171,44 @@ def test_map_range_clears_the_leaf_memo():
     assert pt.leaf(page + 2, PS4K) == (None, 4)
     pt.map_range(page, 3, PS4K)
     assert pt.leaf(page + 2, PS4K) == (2, None)
+
+
+def test_map_range_maps_nothing_of_a_leaf_node_run_that_meets_a_mapped_page():
+    pt = PageTable()
+    page = vpn(default_segment_base(0), PS4K)
+    pt.map_page(page + 600, PS4K)            # frame 0, mid leaf node 2
+    with pytest.raises(MappingError, match=hex(page + 600)):
+        pt.map_range(page + 300, 400, PS4K)  # leaf node 1's run, then 2's
+    assert [pt.is_mapped(page + d, PS4K) for d in (300, 511, 512, 599, 601)] == \
+        [True, True, False, False, False]
+    assert pt.mapped_pages == 1 + 212
+    # node 2's run took no frames: the next page gets the frame after node 1's
+    assert pt.map_page(page + 512, PS4K) == 213
+
+
+def test_unmapped_slot_maps_again():
+    pt = PageTable()
+    page = vpn(default_segment_base(0), PS4K)
+    pt.map_range(page, 4, PS4K)
+    pt.unmap_page(page + 1, PS4K)
+    assert pt.walk_outcome(page + 1, PS4K) == (None, 1)
+    assert pt.mapped_pages == 3
+    assert pt.map_page(page + 1, PS4K) == 4
+    assert pt.walk_outcome(page + 1, PS4K) == (4, None)
+    assert pt.mapped_pages == 4
+    with pytest.raises(MappingError):
+        pt.map_range(page, 2, PS4K)
+
+
+def test_leaf_memo_of_an_empty_table_holds_for_either_size():
+    pt = PageTable()
+    page = vpn(default_segment_base(0), PS2M)
+    assert pt.leaf(page, PS4K) == (None, 4)
+    assert pt.leaf(page, PS2M) == (None, 4)
+    pt.map_page(page, PS2M)
+    assert pt.leaf(page, PS2M) == (0, None)
+    with pytest.raises(ValueError):
+        pt.leaf(page, PS4K)
 
 
 def test_a_table_holds_one_page_size():
