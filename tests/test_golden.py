@@ -41,6 +41,7 @@ MATRIX = {
     for point, overrides in POINTS.items()
 }
 MATRIX["embedding-all"] = {"workload.kind": "embedding", "workload.strategy": "all"}
+MATRIX["embedding-all-oracle"] = {**MATRIX["embedding-all"], "mmu.mode": "oracle"}
 
 
 def golden_csv(name: str) -> str:
