@@ -88,9 +88,6 @@ class Segment:
         """One past the last byte."""
         return self.base + self.length
 
-    def contains(self, va: int) -> bool:
-        return self.base <= (va & VA_MASK) < self.end
-
     def vpn_range(self, ps: PageSize) -> range:
         """VPNs covered by this segment (inclusive of partial pages)."""
         return range(self.base >> ps.offset_bits, (self.end - 1 >> ps.offset_bits) + 1)

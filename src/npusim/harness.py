@@ -1,9 +1,11 @@
 """Experiment runner: single runs, parameter sweeps, CSV emission, reports.
 
 Every run produces one CSV row per layer (dense workloads) or per strategy
-(embedding workloads) against a versioned, order-stable column set. Oracle
-cycles are always computed alongside modeled dense runs so rows carry their
-own normalization baseline; in oracle mode that run is the row's own.
+(embedding workloads) against a versioned, order-stable column set. Each
+dense layer runs once under the `Oracle` MMU, so every row carries its own
+normalization baseline; in oracle mode that run is the row's own, and its
+MMU counters are zero. Embedding rows in oracle mode translate gathers in
+closed form (`translate_gathers`).
 
 A dense layer's fetch plan (`npu.plan_layer`: tile steps and page runs)
 depends only on the layer, the NPU config and the page size, never on the
@@ -27,7 +29,7 @@ from . import config as cfgmod
 from .address_space import PAGE_SIZES, PageSize, check_disjoint
 from .energy import EnergyTable, account
 from .memory import Dram, DramConfig, LinksConfig
-from .mmu import MmuConfig, TranslationEngine
+from .mmu import MmuConfig, Oracle, TranslationEngine
 from .npu import LayerConfig, LayerPlan, NpuConfig, plan_layer, run_layer
 from .numa import (
     LatencyBreakdown,
@@ -96,8 +98,7 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
         if plan is None:
             plan = plans[key] = plan_layer(layer, npu, ps)
         pt = build(_layer_segments(layer, npu.mirror_write_traffic), ps)
-        oracle_engine = TranslationEngine(MmuConfig(mode="oracle"), pt, ps)
-        oracle = run_layer(layer, npu, oracle_engine, Dram(dram_cfg), plan)
+        oracle = run_layer(layer, npu, Oracle(pt, ps), Dram(dram_cfg), plan)
         stats = oracle  # an oracle-mode row is its own baseline
         if mmu.mode != "oracle":
             dram = Dram(dram_cfg)

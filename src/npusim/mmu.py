@@ -1,6 +1,11 @@
 """Cycle-level translation engine: TLB, walk scoreboard, merge buffers,
 parallel page-table walkers, and optional translation-path caching.
 
+`TranslationEngine` is the modelled MMU only. The oracle MMU, which
+translates every request in the cycle it is offered, is a closed form
+where it is used (`npu.oracle_fetch`, `numa.translate_gathers`); `Oracle`
+is the record the harness hands to `run_layer` in its place.
+
 Request life cycle per cycle-accurate submit/tick protocol:
 
   submit(vpn, now) probes the TLB first. A hit schedules a completion at
@@ -67,9 +72,6 @@ The cache names follow Barr et al., "Translation Caching: Skip, Don't Walk
 (the Page Table)", ISCA 2010. Only a unified-cache walk needs the node
 reads of `PageTable.walk_path`; every other walk takes its frame or fault
 level from `PageTable.walk_outcome` and its depth from that.
-
-Oracle mode bypasses all of the above: every submit completes in the same
-cycle with the reference walker's frame.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from heapq import heappop, heappush
-from typing import List, NamedTuple, Optional, Sequence
+from typing import ClassVar, List, NamedTuple, Optional, Sequence
 
 from .address_space import INDEX_BITS, PAGE_SIZES, PageSize
 from .memory import Dram
@@ -173,10 +175,22 @@ class TranslationStats:
         return TranslationStats(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
+@dataclass(frozen=True)
+class Oracle:
+    """The oracle MMU of one page table: every translation completes in the
+    cycle it is offered, with `PageTable.leaf`'s answer, and is counted
+    nowhere. `run_layer` fetches through `npu.oracle_fetch` when handed
+    one. `cfg` and `stats` read as an engine's would, mode "oracle" and
+    every counter zero, for what reads them off `run_layer`'s engine
+    argument: its `RunStats.mmu_stats` and perfbench's tracer."""
+    pt: PageTable
+    ps: PageSize
+    cfg: ClassVar[MmuConfig] = MmuConfig(mode="oracle")
+    stats: ClassVar[TranslationStats] = TranslationStats()
+
+
 @dataclass
 class _Walker:
-    wid: int
-    busy: bool = False
     vpn: int = 0
     finish: int = 0
     leading: int = 0                      # request id of the walk's owner
@@ -191,7 +205,8 @@ class _Walker:
 
 
 class TranslationEngine:
-    """One MMU instance; single-threaded, one simulation owns it."""
+    """One modelled MMU; single-threaded, one simulation owns it. Its mode
+    must be "modeled": the oracle is `Oracle`."""
 
     def __init__(
         self,
@@ -200,13 +215,16 @@ class TranslationEngine:
         page_size: PageSize = PageSize.SMALL_4K,
         dram: Optional[Dram] = None,
     ):
+        if cfg.mode != "modeled":
+            raise ValueError(f"TranslationEngine models the MMU; mode "
+                             f"{cfg.mode!r} is not an engine mode")
         self.cfg = cfg
         self.pt = page_table
         self.ps = page_size
         self.dram = dram
         self.stats = TranslationStats()
         self._tlb: OrderedDict[int, int] = OrderedDict()
-        self._walkers = [_Walker(i) for i in range(cfg.num_ptws)]
+        self._walkers = [_Walker() for _ in range(cfg.num_ptws)]
         self._free = list(range(cfg.num_ptws - 1, -1, -1))
         self._scoreboard: dict[int, int] = {}
         self._cache: OrderedDict = OrderedDict()  # shared tpc/uptc entries
@@ -230,9 +248,6 @@ class TranslationEngine:
     def submit(self, vpn: int, now: int) -> SubmitResult:
         stats, cfg = self.stats, self.cfg
         stats.submitted += 1
-        if cfg.mode == "oracle":
-            return self._submit_oracle(vpn, now)
-
         stats.tlb_accesses += 1
         frame = self._tlb.get(vpn)
         if frame is not None:
@@ -356,8 +371,6 @@ class TranslationEngine:
                 heappop(self._walk_ends)
                 self._finish_walk(payload, cycle, out)
             else:  # "free"
-                walker = self._walkers[payload]
-                walker.busy = False
                 self._free.append(payload)
         return out
 
@@ -388,19 +401,6 @@ class TranslationEngine:
         self._seq += 1
         heappush(self._events, (cycle, self._seq, kind, payload))
 
-    def _submit_oracle(self, vpn: int, now: int) -> SubmitResult:
-        rid = self._next_req
-        self._next_req = rid + 1
-        frame, fault_level = self.pt.leaf(vpn, self.ps)
-        if frame is not None:
-            comp = TranslationCompletion(rid, vpn, frame, now)
-        else:
-            comp = TranslationCompletion(rid, vpn, None, now, fault=True,
-                                         fault_level=fault_level)
-        self._push(now, "deliver", comp)
-        self.stats.accepted += 1
-        return SubmitResult(SubmitStatus.TLB_HIT, rid, done_cycle=now)
-
     def _start_walk(self, vpn: int, now: int, rid: int) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
@@ -429,7 +429,6 @@ class TranslationEngine:
                 if frame is not None:
                     fill = tag
 
-        walker.busy = True
         walker.vpn = vpn
         walker.leading = rid
         walker.frame = frame
@@ -466,7 +465,6 @@ class TranslationEngine:
             self.stats.faults += 1
 
         if not walker.merges:
-            walker.busy = False
             self._free.append(wid)
             return
         # Merged requests drain one per cycle after the leading completion,

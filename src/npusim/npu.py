@@ -21,19 +21,18 @@ alone; the harness builds it once per run or sweep call and hands the same
 plan to a layer's oracle and modelled `run_layer` at every sweep point, so
 `run_layer` only walks precomputed runs.
 
-Both fetch loops walk the same runs. `simulate_fetch` drives the
-translation engine with the timing of one submit and one tick per cycle,
-but a page run's TLB hits and merges go in through one
-`TranslationEngine.accept_run` call, and the engine delivers them as runs
-of groups, each debited to DRAM in one closed-form `Dram.issue_run`. While
+Both fetch loops walk the same runs, and `run_layer` picks one by its MMU.
+Under a modelled `TranslationEngine`, `simulate_fetch` drives the engine
+with the timing of one submit and one tick per cycle, but a page run's
+TLB hits and merges go in through one `TranslationEngine.accept_run`
+call, and the engine delivers them as runs of groups, each debited to
+DRAM in one closed-form `Dram.issue_run`. While
 the MMU blocks a group (walkers busy or merge buffer full), nothing
 changes until the engine's next event, so the engine's `skip_blocked`
 makes the group's retries up to that cycle and the loop skips its idle
-ticks. Under an oracle MMU every translation completes in the cycle it is
-submitted, so `_oracle_fetch` skips the engine's event loop: group i and
-its data go out at cycle start + i, one page-table read and one
-closed-form DRAM debit per run, with the same end cycle, DRAM state and
-engine counters as `simulate_fetch` on an oracle engine.
+ticks. Under the `Oracle` every translation completes in the cycle it is
+offered, so `oracle_fetch` is a closed form: group i and its data go out
+at cycle start + i, with one page-table read and one DRAM debit per run.
 
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
@@ -44,11 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .address_space import VA_MASK, PageSize, Segment
 from .memory import Dram
-from .mmu import SubmitStatus, TranslationEngine
+from .mmu import Oracle, SubmitStatus, TranslationEngine
 from .schema import Record, knob
 
 MB = 1024 * 1024
@@ -109,7 +108,6 @@ class TileFetch:
 
 @dataclass(frozen=True)
 class TileStep:
-    tile_id: int
     fetches: Tuple[TileFetch, ...]    # IA then W, never interleaved
     gemm: Tuple[int, int, int]        # (m, k, n) of this sub-GEMM
     out_bytes: int
@@ -182,7 +180,6 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
         n_t = min(n, half_w // (k_t * eb))
 
     steps: List[TileStep] = []
-    tile_id = 0
     for k0 in range(0, k, k_t):
         kt = min(k_t, k - k0)
         for n0 in range(0, n, n_t):
@@ -200,8 +197,7 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
                 spans = _row_spans(layer.out_segment.base + n0 * eb,
                                    m, n * eb, nt * eb)
                 out = TileFetch("out", spans, m * nt * eb)
-            steps.append(TileStep(tile_id, fetches, (m, kt, nt), m * nt * eb, out))
-            tile_id += 1
+            steps.append(TileStep(fetches, (m, kt, nt), m * nt * eb, out))
     return steps
 
 
@@ -350,54 +346,41 @@ def simulate_fetch(
     return max(end, cycle)
 
 
-def _oracle_fetch(
-    runs: Runs,
-    engine: TranslationEngine,
-    dram: Dram,
-    start: int,
-) -> int:
-    """`simulate_fetch` on an oracle engine, without its per-cycle loop.
+def oracle_fetch(runs: Runs, oracle: Oracle, dram: Dram, start: int) -> int:
+    """One tile fetch under the oracle MMU; return its end cycle.
 
-    Group i completes in cycle start + i, and its chunks are issued to
-    DRAM then. The page table is read once per run, and DRAM is debited
-    once per run.
+    Group i is translated in cycle start + i, and its chunks go to DRAM
+    then: one `PageTable.leaf` read and one `Dram.issue_run` per page run.
+    A group on an unmapped page raises SimulationFault. Like
+    `simulate_fetch`, the fetch ends no earlier than the cycle after its
+    last group.
     """
-    ps, stats = engine.ps, engine.stats
-    leaf, issue_run = engine.pt.leaf, dram.issue_run
+    ps, leaf, issue_run = oracle.ps, oracle.pt.leaf, dram.issue_run
     cycle = end = start
-    fault = None
     for vpn, count, chunks in runs:
         frame, level = leaf(vpn, ps)
         if frame is None:
-            fault = SimulationFault(vpn, level)
-            cycle += 1                    # the faulting group was translated
-            break
+            raise SimulationFault(vpn, level)
         end = issue_run(chunks, count, cycle)
         cycle += count
-    n = cycle - start
-    stats.submitted += n
-    stats.accepted += n
-    stats.completions += n
-    if fault is not None:
-        stats.faults += 1
-        raise fault
     return max(end, cycle)
 
 
 def run_layer(
     layer: LayerConfig,
     npu: NpuConfig,
-    engine: TranslationEngine,
+    engine: Union[TranslationEngine, Oracle],
     dram: Dram,
     plan: Optional[LayerPlan] = None,
 ) -> RunStats:
     """Execute the double-buffered tile pipeline for one layer.
 
-    `plan` is `plan_layer(layer, npu, engine.ps)`, built here if not given.
+    `engine` is a modelled MMU, or the `Oracle`. `plan` is
+    `plan_layer(layer, npu, engine.ps)`, built here if not given.
     """
     if plan is None:
         plan = plan_layer(layer, npu, engine.ps)
-    fetch = _oracle_fetch if engine.cfg.mode == "oracle" else simulate_fetch
+    fetch = oracle_fetch if isinstance(engine, Oracle) else simulate_fetch
     phases: List[TilePhase] = []
     fetch_end_prev = 0
     compute_ends: List[int] = []

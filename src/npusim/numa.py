@@ -9,9 +9,10 @@ an all-to-all gather:
     source-NPU -> CPU memory -> destination NPU over the CPU interconnect,
     with a staging write+read in CPU DRAM.
   * NUMA: remote embeddings are read in place over the chosen interconnect;
-    translations run through the cycle-level MMU and overlap the transfer
-    stream. The translation does not depend on the link, so both links
-    share one `translate_gathers` result.
+    translations run through the cycle-level MMU (or, in oracle mode, one
+    completes per cycle) and overlap the transfer stream. The translation
+    does not depend on the link, so both links share one
+    `translate_gathers` result.
   * demand paging: remote pages start unmapped locally; first touch walks
     to the fault, migrates the whole page across the link, maps it, and
     retries locally.
@@ -100,19 +101,24 @@ def translate_gathers(
     """Cycles to translate every gather of `trace` through the MMU.
 
     Gathers are submitted at one per cycle, blocked ones retried, until the
-    last translation completes. Pages are `mmu.page_size`. `page_table`
-    must map every table (built from `embedding_segments` when not given);
-    a fault raises RuntimeError.
+    last translation completes; under the oracle MMU that is one cycle per
+    gather. Pages are `mmu.page_size`. `page_table` must map every table
+    (built from `embedding_segments` when not given); a fault raises
+    RuntimeError.
     """
     ps = PAGE_SIZES[mmu.page_size]
     if page_table is None:
         page_table = build(embedding_segments(model), ps)
-    engine = TranslationEngine(mmu, page_table, ps)
     eb = model.tables[0].embedding_bytes
     bases = _table_bases(model)
     vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
-    cycles, comps = drain_trace(engine, vpns)
-    if any(c.fault for c in comps):
+    if mmu.mode == "oracle":
+        cycles = len(vpns)
+        faulted = any(page_table.leaf(v, ps)[0] is None for v in vpns)
+    else:
+        cycles, comps = drain_trace(TranslationEngine(mmu, page_table, ps), vpns)
+        faulted = any(c.fault for c in comps)
+    if faulted:
         raise RuntimeError("NUMA gather faulted; remote pages must be mapped")
     return cycles
 

@@ -17,7 +17,7 @@ from npusim import harness
 from npusim.address_space import PageSize, Segment, default_segment_base, vpn
 from npusim.energy import account
 from npusim.memory import Dram, DramConfig, LinksConfig
-from npusim.mmu import MmuConfig, TranslationEngine, drain_trace
+from npusim.mmu import MmuConfig, Oracle, TranslationEngine, drain_trace
 from npusim.npu import MB, NpuConfig, linearize, run_layer, tile_steps
 from npusim.numa import (
     run_baseline_copy,
@@ -120,7 +120,7 @@ def test_criterion_02_oracle_bound_and_monotonicity():
     violations = []
     oracle_ok = True
     for trace, pt in ((distinct, pt4k), (two_pass, pt4k), (burst, pt_b)):
-        o = cycles(MmuConfig(mode="oracle"), trace, pt)
+        o = len(trace)  # the oracle: one translation per cycle, all mapped
         for cfg in (MmuConfig(), NEUMMU):
             if cycles(cfg, trace, pt) < o:
                 oracle_ok = False
@@ -166,7 +166,7 @@ def test_criterion_04_full_system_gap():
         eng = TranslationEngine(mmu, pt, PS4K, dram=dram)
         return run_layer(layer, npu, eng, dram).total_cycles
 
-    oracle = cycles(MmuConfig(mode="oracle"))
+    oracle = run_layer(layer, npu, Oracle(pt, PS4K), Dram(DramConfig())).total_cycles
     baseline = cycles(MmuConfig(num_ptws=8, prmb_slots=0,
                                 translation_cache="none", tlb_entries=2048))
     full = cycles(NEUMMU)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from npusim import config as cfgmod
 from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
-from npusim.mmu import MmuConfig, TranslationEngine
+from npusim.mmu import MmuConfig, Oracle, TranslationEngine
 from npusim.npu import (
     LayerConfig,
     NpuConfig,
@@ -28,9 +28,11 @@ MB = 1024 * 1024
 NEUMMU_YAML = Path(__file__).resolve().parents[1] / "configs" / "neummu.yaml"
 
 
-def oracle_engine(layer, ps=PS4K):
-    pt = build([layer.ia_segment, layer.w_segment], ps)
-    return TranslationEngine(MmuConfig(mode="oracle"), pt, ps)
+def mmu_of(mode, pt, dram=None):
+    """The oracle, or a default modelled engine over `pt`."""
+    if mode == "oracle":
+        return Oracle(pt, PS4K)
+    return TranslationEngine(MmuConfig(), pt, PS4K, dram=dram)
 
 
 def test_compute_cycles_weight_stationary_formula():
@@ -152,7 +154,7 @@ def test_batch_multiplies_rows():
 def test_oracle_pipeline_overlaps_fetch_and_compute():
     layer = make_layer("l", 64, 2048, 1024)
     npu = NpuConfig(spm_activation_bytes=1 * MB, spm_weight_bytes=1 * MB)
-    eng = oracle_engine(layer)
+    eng = mmu_of("oracle", build([layer.ia_segment, layer.w_segment], PS4K))
     stats = run_layer(layer, npu, eng, Dram(DramConfig()))
     phases = stats.tile_phases
     assert len(phases) >= 2
@@ -171,9 +173,7 @@ def test_modeled_run_never_faster_than_oracle():
     npu = NpuConfig(spm_activation_bytes=64 * 1024, spm_weight_bytes=64 * 1024)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     oracle_dram = Dram(DramConfig())
-    oracle = run_layer(layer, npu,
-                       TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K),
-                       oracle_dram)
+    oracle = run_layer(layer, npu, Oracle(pt, PS4K), oracle_dram)
     dram = Dram(DramConfig())
     eng = TranslationEngine(MmuConfig(), pt, PS4K, dram=dram)
     modeled = run_layer(layer, npu, eng, dram)
@@ -192,9 +192,8 @@ def test_unmapped_segment_raises_simulation_fault():
 def test_unmapped_segment_raises_simulation_fault_in_oracle_mode():
     layer = make_layer("l", 4, 64, 64)
     pt = build([layer.ia_segment], PS4K)  # weights left unmapped
-    eng = TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K)
     with pytest.raises(SimulationFault) as fault:
-        run_layer(layer, NpuConfig(), eng, Dram(DramConfig()))
+        run_layer(layer, NpuConfig(), Oracle(pt, PS4K), Dram(DramConfig()))
     assert fault.value.vpn == layer.w_segment.base >> PS4K.offset_bits
 
 
@@ -212,8 +211,7 @@ def test_mirrored_output_tiles_land_at_their_columns(mode):
         touched.add(vpn)
         return walk_outcome(vpn, ps)
     pt.walk_outcome = spy
-    run_layer(layer, npu, TranslationEngine(MmuConfig(mode=mode), pt, PS4K),
-              Dram(DramConfig()))
+    run_layer(layer, npu, mmu_of(mode, pt), Dram(DramConfig()))
     assert set(out.vpn_range(PS4K)) <= touched
 
     steps = tile_steps(layer, npu)
@@ -228,7 +226,7 @@ def test_mirrored_writes_without_output_segment_fail_before_any_fetch(mode):
     layer = replace(make_layer("l", 4, 64, 64), out_segment=None)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     dram = Dram(DramConfig())
-    engine = TranslationEngine(MmuConfig(mode=mode), pt, PS4K, dram=dram)
+    engine = mmu_of(mode, pt, dram)
     with pytest.raises(ValueError, match="output segment"):
         run_layer(layer, NpuConfig(mirror_write_traffic=True), engine, dram)
     assert engine.stats.submitted == 0

@@ -166,8 +166,9 @@ def test_local_only_trace_has_no_remote_terms():
 def test_numa_requires_mapped_tables():
     m, tr = trace_for()
     from npusim.page_table import PageTable
-    with pytest.raises(RuntimeError):
-        translate_gathers(tr, m, NEUMMU, page_table=PageTable())
+    for mmu in (NEUMMU, MmuConfig(mode="oracle")):
+        with pytest.raises(RuntimeError):
+            translate_gathers(tr, m, mmu, page_table=PageTable())
 
 
 def test_more_walkers_shrink_translation_cycles():

@@ -3,11 +3,11 @@
 `linearize` is the only code that turns a tile into translation groups, so
 it is held to a naive chunk-by-chunk reference written here.
 
-`run_layer` fetches tiles under an oracle MMU with `_oracle_fetch`, which
-skips the translation engine's submit/tick loop. The reference is
-`simulate_fetch` on an oracle engine: given the same groups, both must give
-the same end cycle, the same DRAM state and the same engine counters, and
-fault on the same page at the same level.
+`run_layer` fetches tiles under the oracle MMU with `oracle_fetch`, a
+closed form over page runs. Its reference here goes group by group: the
+last step of a reference walk, then one `Dram.issue` per chunk in the
+group's cycle. Both must give the same end cycle and the same DRAM state,
+and fault on the same page at the same level.
 """
 
 import pytest
@@ -15,13 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
-from npusim.mmu import MmuConfig, TranslationEngine
+from npusim.mmu import MmuConfig, Oracle, TranslationEngine
 from npusim.npu import (
     NpuConfig,
     SimulationFault,
     TileFetch,
-    _oracle_fetch,
     linearize,
+    oracle_fetch,
     simulate_fetch,
 )
 from npusim.page_table import build
@@ -36,16 +36,39 @@ def mapped_table(pages=MAPPED_PAGES):
     return build([Segment("s", BASE, pages * PS4K.bytes)], PS4K)
 
 
-def run(fetch_path, tile, npu, pt, dram_cfg, warmup, start):
+def fetch_oracle(tile, npu, pt, dram, start):
+    return oracle_fetch(linearize(tile, npu, PS4K), Oracle(pt, PS4K), dram, start)
+
+
+def fetch_modeled(tile, npu, pt, dram, start):
+    engine = TranslationEngine(MmuConfig(), pt, PS4K, dram=dram)
+    return simulate_fetch(linearize(tile, npu, PS4K), engine, dram, start)
+
+
+def fetch_reference(tile, npu, pt, dram, start):
+    """The oracle group by group: group i is translated by the last step of
+    a reference walk and issues its chunks one by one in cycle start + i."""
+    groups = reference_groups(tile, npu.dma_txn_bytes,
+                              npu.reuse_last_translation, PS4K)
+    end = start
+    for i, (page, chunks) in enumerate(groups):
+        last = pt.walk_path(page, PS4K)[-1]
+        if not (last.present and last.is_leaf):
+            raise SimulationFault(page, last.level)
+        for nbytes in chunks:
+            end = max(end, dram.issue(nbytes, start + i))
+    return max(end, start + len(groups))
+
+
+def run(fetch, tile, npu, pt, dram_cfg, warmup, start):
     """Fetch `tile` after a warm-up DRAM transaction; returns the outcome."""
-    engine = TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K)
     dram = Dram(dram_cfg)
     dram.issue(warmup, 0)
     try:
-        end = fetch_path(linearize(tile, npu, PS4K), engine, dram, start)
+        end = fetch(tile, npu, pt, dram, start)
     except SimulationFault as fault:
         end = ("fault", fault.vpn, fault.level)
-    return end, engine.stats, dram.bytes_issued, dram.txns, dram.issue(1, start)
+    return end, dram.bytes_issued, dram.txns, dram.issue(1, start)
 
 
 @st.composite
@@ -105,14 +128,14 @@ def test_linearize_matches_chunk_by_chunk_reference(tile, chunk, reuse, ps):
        start=st.integers(0, 40))
 @example(tile=TileFetch("w", ((BASE + MAPPED_PAGES * PS4K.bytes - 100, 200),), 200),
          chunk=64, reuse=True, bandwidth=40, latency=100, warmup=1, start=3)
-def test_oracle_fetch_matches_engine_driven_oracle(tile, chunk, reuse, bandwidth,
-                                                   latency, warmup, start):
+def test_oracle_fetch_matches_per_group_reference(tile, chunk, reuse, bandwidth,
+                                                  latency, warmup, start):
     npu = NpuConfig(dma_txn_bytes=chunk, reuse_last_translation=reuse)
     dram_cfg = DramConfig(bandwidth_bytes_per_cycle=bandwidth,
                           access_latency=latency)
     pt = mapped_table()
-    assert (run(_oracle_fetch, tile, npu, pt, dram_cfg, warmup, start)
-            == run(simulate_fetch, tile, npu, pt, dram_cfg, warmup, start))
+    assert (run(fetch_oracle, tile, npu, pt, dram_cfg, warmup, start)
+            == run(fetch_reference, tile, npu, pt, dram_cfg, warmup, start))
 
 
 @pytest.mark.parametrize("second, unmapped, level", [
@@ -124,9 +147,9 @@ def test_oracle_fetch_matches_engine_driven_oracle(tile, chunk, reuse, bandwidth
 def test_tile_into_unmapped_page_faults_alike(second, unmapped, level):
     tile = TileFetch("w", ((BASE, 512), (BASE + second, 128)), 640)
     npu = NpuConfig()
-    outcomes = [run(path, tile, npu, mapped_table(), DramConfig(), 1, 0)
-                for path in (_oracle_fetch, simulate_fetch)]
-    assert outcomes[0] == outcomes[1]
-    end, stats = outcomes[0][:2]
-    assert end == ("fault", (BASE + unmapped) >> PS4K.offset_bits, level)
-    assert stats.faults == 1
+    oracle, reference, modeled = [
+        run(fetch, tile, npu, mapped_table(), DramConfig(), 1, 0)
+        for fetch in (fetch_oracle, fetch_reference, fetch_modeled)]
+    assert oracle == reference
+    fault = ("fault", (BASE + unmapped) >> PS4K.offset_bits, level)
+    assert oracle[0] == modeled[0] == fault

@@ -173,6 +173,32 @@ def test_map_range_clears_the_leaf_memo():
     assert pt.leaf(page + 2, PS4K) == (2, None)
 
 
+def test_leaf_memo_follows_map_and_unmap():
+    # `leaf` memoises each page's outcome; every map/unmap must drop it,
+    # including for neighbours whose walks faulted above a node a map creates.
+    pt = PageTable()
+    page = default_segment_base(0) >> PS4K.offset_bits
+    probes = [page, page + 1, page + 512, page + 512 * 512]
+
+    def check_all():
+        outcomes = [pt.leaf(p, PS4K) for p in probes]
+        for p, (frame, level) in zip(probes, outcomes):
+            last = pt.walk_path(p, PS4K)[-1]
+            if last.present and last.is_leaf:
+                assert (frame, level) == (last.value, None)
+            else:
+                assert (frame, level) == (None, last.level)
+        return [level for _, level in outcomes]
+
+    assert set(check_all()) == {4}
+    pt.map_page(page, PS4K)                 # neighbours now fault at L1/L2/L3
+    assert check_all() == [None, 1, 2, 3]
+    pt.map_page(page + 512, PS4K)           # new L1 node under an old L2 node
+    check_all()
+    pt.unmap_page(page, PS4K)
+    assert check_all()[0] == 1
+
+
 def test_map_range_maps_nothing_of_a_leaf_node_run_that_meets_a_mapped_page():
     pt = PageTable()
     page = vpn(default_segment_base(0), PS4K)

@@ -16,7 +16,7 @@ from npusim.mmu import (
     TranslationStats,
     drain_trace,
 )
-from npusim.page_table import PageTable, build
+from npusim.page_table import build
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
@@ -224,48 +224,12 @@ def test_fault_never_fills_tlb():
 
 # -- oracle mode ------------------------------------------------------------
 
-def test_oracle_mode_completes_same_cycle():
-    pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K)
-    page = seg.vpn_range(PS4K)[0]
-    eng.submit(page, 7)
-    comps = eng.tick(7)
-    assert comps[0].done_cycle == 7
-    assert comps[0].frame == pt.frame_of(page, PS4K)
-    assert eng.stats.walks_started == 0
-
-
-def test_oracle_answers_follow_map_and_unmap():
-    # The oracle memoises each page's outcome; every map/unmap must drop it,
-    # including for neighbours whose walks faulted above a node a map creates.
-    pt = PageTable()
-    eng = TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K)
-    page = default_segment_base(0) >> PS4K.offset_bits
-    probes = [page, page + 1, page + 512, page + 512 * 512]
-    now = 0
-
-    def check_all():
-        nonlocal now
-        for p in probes:
-            eng.submit(p, now)
-        comps = eng.tick(now)
-        now += 1
-        assert [c.vpn for c in comps] == probes
-        for comp in comps:
-            last = pt.walk_path(comp.vpn, PS4K)[-1]
-            if last.present and last.is_leaf:
-                assert (comp.fault, comp.frame) == (False, last.value)
-            else:
-                assert (comp.fault, comp.fault_level) == (True, last.level)
-        return comps
-
-    assert {c.fault_level for c in check_all()} == {4}
-    pt.map_page(page, PS4K)                 # neighbours now fault at L1/L2/L3
-    assert [c.fault_level for c in check_all()] == [None, 1, 2, 3]
-    pt.map_page(page + 512, PS4K)           # new L1 node under an old L2 node
-    check_all()
-    pt.unmap_page(page, PS4K)
-    assert check_all()[0].fault_level == 1
+def test_engine_refuses_oracle_mode():
+    # the oracle is `Oracle` and its closed forms; an engine in oracle mode
+    # would silently model the MMU
+    pt, _ = make_pt()
+    with pytest.raises(ValueError, match="oracle"):
+        TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K)
 
 
 # -- page runs (accept_run) -------------------------------------------------
