@@ -23,7 +23,7 @@ import csv
 import io
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .address_space import PAGE_SIZES, PageSize, check_disjoint
@@ -98,11 +98,11 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
         if plan is None:
             plan = plans[key] = plan_layer(layer, npu, ps)
         pt = build(_layer_segments(layer, npu.mirror_write_traffic), ps)
-        oracle = run_layer(layer, npu, Oracle(pt, ps), Dram(dram_cfg), plan)
+        oracle = run_layer(layer, npu, Oracle(pt), Dram(dram_cfg), plan)
         stats = oracle  # an oracle-mode row is its own baseline
         if mmu.mode != "oracle":
             dram = Dram(dram_cfg)
-            engine = TranslationEngine(mmu, pt, ps, dram=dram)
+            engine = TranslationEngine(mmu, pt, dram=dram)
             stats = run_layer(layer, npu, engine, dram, plan)
 
         energy = account(stats.mmu_stats, etable)

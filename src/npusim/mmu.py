@@ -82,7 +82,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import ClassVar, List, NamedTuple, Optional, Sequence
 
-from .address_space import INDEX_BITS, PAGE_SIZES, PageSize
+from .address_space import INDEX_BITS, PAGE_SIZES
 from .memory import Dram
 from .page_table import PageTable, WalkStep, fault_depth
 from .schema import Record, knob
@@ -138,12 +138,12 @@ _BLOCKED = SubmitResult(SubmitStatus.BLOCKED)
 
 class TranslationCompletion(NamedTuple):
     """Requests request_id .. request_id + count - 1 of page `vpn`, which
-    complete at done_cycle .. done_cycle + count - 1, one per cycle."""
+    complete at done_cycle .. done_cycle + count - 1, one per cycle. A
+    completion is a fault exactly when `frame` is None."""
     request_id: int
     vpn: int
     frame: Optional[int]                  # None on fault
     done_cycle: int
-    fault: bool = False
     fault_level: Optional[int] = None
     count: int = 1
 
@@ -177,14 +177,14 @@ class TranslationStats:
 
 @dataclass(frozen=True)
 class Oracle:
-    """The oracle MMU of one page table: every translation completes in the
-    cycle it is offered, with `PageTable.leaf`'s answer, and is counted
-    nowhere. `run_layer` fetches through `npu.oracle_fetch` when handed
-    one. `cfg` and `stats` read as an engine's would, mode "oracle" and
-    every counter zero, for what reads them off `run_layer`'s engine
-    argument: its `RunStats.mmu_stats` and perfbench's tracer."""
+    """The oracle MMU of one page table, at the table's page size: every
+    translation completes in the cycle it is offered, with
+    `PageTable.leaf`'s answer, and is counted nowhere. `run_layer` fetches
+    through `npu.oracle_fetch` when handed one. `cfg` and `stats` read as
+    an engine's would, mode "oracle" and every counter zero, for what reads
+    them off `run_layer`'s engine argument: its `RunStats.mmu_stats` and
+    perfbench's tracer."""
     pt: PageTable
-    ps: PageSize
     cfg: ClassVar[MmuConfig] = MmuConfig(mode="oracle")
     stats: ClassVar[TranslationStats] = TranslationStats()
 
@@ -205,22 +205,16 @@ class _Walker:
 
 
 class TranslationEngine:
-    """One modelled MMU; single-threaded, one simulation owns it. Its mode
-    must be "modeled": the oracle is `Oracle`."""
+    """One modelled MMU of page table `pt`, walking at the table's page
+    size; single-threaded, one simulation owns it. Its mode must be
+    "modeled": the oracle is `Oracle`."""
 
-    def __init__(
-        self,
-        cfg: MmuConfig,
-        page_table: PageTable,
-        page_size: PageSize = PageSize.SMALL_4K,
-        dram: Optional[Dram] = None,
-    ):
+    def __init__(self, cfg: MmuConfig, pt: PageTable, dram: Optional[Dram] = None):
         if cfg.mode != "modeled":
             raise ValueError(f"TranslationEngine models the MMU; mode "
                              f"{cfg.mode!r} is not an engine mode")
         self.cfg = cfg
-        self.pt = page_table
-        self.ps = page_size
+        self.pt = pt
         self.dram = dram
         self.stats = TranslationStats()
         self._tlb: OrderedDict[int, int] = OrderedDict()
@@ -356,16 +350,16 @@ class TranslationEngine:
                     cut = min(now, events[0][0] - 1) if events else now
                     if cut < cycle + count - 1:
                         head = max(cut - cycle + 1, 1)
-                        rid, vpn, frame, _, fault, level, _ = payload
+                        rid, vpn, frame, _, level, _ = payload
                         heappush(events, (cycle + head, seq, kind, TranslationCompletion(
-                            rid + head, vpn, frame, cycle + head, fault, level,
+                            rid + head, vpn, frame, cycle + head, level,
                             count - head)))
                         payload = TranslationCompletion(rid, vpn, frame, cycle,
-                                                        fault, level, head)
+                                                        level, head)
                         count = head
                 out.append(payload)
                 stats.completions += count
-                if payload.fault:
+                if payload.frame is None:
                     stats.faults += count
             elif kind == "walk_done":
                 heappop(self._walk_ends)
@@ -404,21 +398,22 @@ class TranslationEngine:
     def _start_walk(self, vpn: int, now: int, rid: int) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
-        cfg, levels = self.cfg, self.ps.levels
+        cfg, pt = self.cfg, self.pt
+        levels = pt.page_size.levels
         kind = cfg.translation_cache
         fill = None
         if kind == "uptc":
-            path = self.pt.walk_path(vpn, self.ps)
+            path = pt.walk_path(vpn)
             self.stats.cache_probes += 1
             reads = path[self._probe_unified(path):]
             txns = len(reads)
             last = path[-1]
-            if last.present and last.is_leaf:
+            if last.present:
                 frame, fault_level, fill = last.value, None, reads
             else:
                 frame, fault_level = None, last.level
         else:
-            frame, fault_level = self.pt.walk_outcome(vpn, self.ps)
+            frame, fault_level = pt.walk_outcome(vpn)
             txns = levels if frame is not None else fault_depth(fault_level)
             if kind != "none":
                 tag = path_tag(vpn, levels)
@@ -452,17 +447,15 @@ class TranslationEngine:
         if self.cfg.prmb_slots > 0 and self._scoreboard.get(vpn) == wid:
             del self._scoreboard[vpn]
 
-        if walker.frame is not None:
-            self._tlb_fill(vpn, walker.frame)
+        frame = walker.frame
+        if frame is not None:
+            self._tlb_fill(vpn, frame)
             self._cache_fill(walker)
-            comp = TranslationCompletion(walker.leading, vpn, walker.frame, now)
         else:
-            comp = TranslationCompletion(walker.leading, vpn, None, now,
-                                         fault=True, fault_level=walker.fault_level)
-        out.append(comp)
-        self.stats.completions += 1
-        if comp.fault:
             self.stats.faults += 1
+        out.append(TranslationCompletion(walker.leading, vpn, frame, now,
+                                         walker.fault_level))
+        self.stats.completions += 1
 
         if not walker.merges:
             self._free.append(wid)
@@ -472,7 +465,7 @@ class TranslationEngine:
         t = now + 1
         for rid, count in walker.merged:
             self._push(t, "deliver", TranslationCompletion(
-                rid, vpn, walker.frame, t, comp.fault, walker.fault_level, count))
+                rid, vpn, frame, t, walker.fault_level, count))
             t += count
         self._push(t - 1, "free", wid)
         self.stats.merge_buffer_accesses += walker.merges
@@ -537,10 +530,8 @@ class TranslationEngine:
             cache.move_to_end(fill)
             while len(cache) > self.cfg.cache_entries:
                 cache.popitem(last=False)
-        else:  # uptc: install interior entries actually read
-            for step in fill:
-                if step.is_leaf:
-                    continue
+        else:  # uptc: install the interior entries read, all but the leaf
+            for step in fill[:-1]:
                 cache[step.entry_addr] = step.value
                 cache.move_to_end(step.entry_addr)
                 while len(cache) > self.cfg.cache_entries:

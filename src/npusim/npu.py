@@ -325,7 +325,7 @@ def simulate_fetch(
                 if not left:
                     vpn, left, chunks = next(rest, _NO_RUN)
         for comp in tick(last):
-            if comp.fault:
+            if comp.frame is None:
                 if owed:
                     issue_run(owed_chunks, owed, owed_at)
                 raise SimulationFault(comp.vpn, comp.fault_level)
@@ -355,10 +355,10 @@ def oracle_fetch(runs: Runs, oracle: Oracle, dram: Dram, start: int) -> int:
     `simulate_fetch`, the fetch ends no earlier than the cycle after its
     last group.
     """
-    ps, leaf, issue_run = oracle.ps, oracle.pt.leaf, dram.issue_run
+    leaf, issue_run = oracle.pt.leaf, dram.issue_run
     cycle = end = start
     for vpn, count, chunks in runs:
-        frame, level = leaf(vpn, ps)
+        frame, level = leaf(vpn)
         if frame is None:
             raise SimulationFault(vpn, level)
         end = issue_run(chunks, count, cycle)
@@ -376,10 +376,10 @@ def run_layer(
     """Execute the double-buffered tile pipeline for one layer.
 
     `engine` is a modelled MMU, or the `Oracle`. `plan` is
-    `plan_layer(layer, npu, engine.ps)`, built here if not given.
+    `plan_layer(layer, npu, engine.pt.page_size)`, built here if not given.
     """
     if plan is None:
-        plan = plan_layer(layer, npu, engine.ps)
+        plan = plan_layer(layer, npu, engine.pt.page_size)
     fetch = oracle_fetch if isinstance(engine, Oracle) else simulate_fetch
     phases: List[TilePhase] = []
     fetch_end_prev = 0

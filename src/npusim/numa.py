@@ -103,21 +103,24 @@ def translate_gathers(
     Gathers are submitted at one per cycle, blocked ones retried, until the
     last translation completes; under the oracle MMU that is one cycle per
     gather. Pages are `mmu.page_size`. `page_table` must map every table
-    (built from `embedding_segments` when not given); a fault raises
-    RuntimeError.
+    (built from `embedding_segments` when not given) and hold pages of
+    that size, or ValueError is raised; a fault raises RuntimeError.
     """
     ps = PAGE_SIZES[mmu.page_size]
     if page_table is None:
         page_table = build(embedding_segments(model), ps)
+    else:
+        _check_page_size(page_table, ps)
     eb = model.tables[0].embedding_bytes
     bases = _table_bases(model)
     vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
     if mmu.mode == "oracle":
         cycles = len(vpns)
-        faulted = any(page_table.leaf(v, ps)[0] is None for v in vpns)
+        faulted = any(page_table.leaf(v)[0] is None for v in vpns)
     else:
-        cycles, comps = drain_trace(TranslationEngine(mmu, page_table, ps), vpns)
-        faulted = any(c.fault for c in comps)
+        engine = TranslationEngine(mmu, page_table)
+        cycles, _ = drain_trace(engine, vpns)
+        faulted = engine.stats.faults > 0
     if faulted:
         raise RuntimeError("NUMA gather faulted; remote pages must be mapped")
     return cycles
@@ -166,8 +169,9 @@ def run_demand_paging(
 
     The local table starts with the tables `placement` gives this NPU
     mapped, whether or not the trace gathers from them. Of `mmu`, only the
-    walk and TLB-hit latencies are read. Returns the breakdown and the
-    (mutated) local page table so a second pass can demonstrate fault
+    walk and TLB-hit latencies are read. A given `page_table` must hold
+    pages of size `ps`, or ValueError is raised. Returns the breakdown and
+    the (mutated) local page table so a second pass can demonstrate fault
     idempotence.
     """
     eb = model.tables[0].embedding_bytes
@@ -180,18 +184,20 @@ def run_demand_paging(
              if owner == npu_id],
             ps,
         )
+    else:
+        _check_page_size(page_table, ps)
 
     bases = _table_bases(model)
     for g in trace:
         if g.owner_npu == npu_id:
             continue
         page = vpn_of(bases[g.table] + g.row * eb, ps)
-        frame, fault_level = page_table.walk_outcome(page, ps)
+        frame, fault_level = page_table.walk_outcome(page)
         if frame is None:
             bd.fault_handling_cycles += (fault_depth(fault_level)
                                          * mmu.walk_cycles_per_level)
             bd.faults += 1
-            page_table.map_page(page, ps)
+            page_table.map_page(page)
 
     bd.migration_cycles = bd.faults * link_transfer_cycles(ps.bytes, link)
     bd.migration_bytes = bd.faults * ps.bytes
@@ -200,6 +206,12 @@ def run_demand_paging(
     bd.total_cycles = (bd.local_cycles + bd.fault_handling_cycles
                        + bd.migration_cycles)
     return bd, page_table
+
+
+def _check_page_size(page_table: PageTable, ps: PageSize) -> None:
+    if page_table.page_size is not ps:
+        raise ValueError(f"page table holds {page_table.page_size.name} "
+                         f"pages, not {ps.name}")
 
 
 def _table_bases(model: EmbeddingModel) -> List[int]:

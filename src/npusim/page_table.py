@@ -51,7 +51,6 @@ class WalkStep(NamedTuple):
     node_addr: int      # physical address of the node being read
     entry_addr: int     # physical address of the selected entry
     present: bool
-    is_leaf: bool
     value: int          # frame number (leaf) or child node id (interior)
 
 
@@ -120,43 +119,33 @@ class PageTable:
 
     Two walkers read the tree. `walk_path` returns every node read as a
     `WalkStep`; the unified translation cache, which tags interior entry
-    addresses, and the reference `walk` use it. `walk_outcome` follows the
-    same slots but returns only `(frame, None)`, or `(None, level)` when
-    the walk faults at `level`: a walk's depth is `ps.levels` when it
-    succeeds and `fault_depth(level)` when it faults, so modelled walks
-    without a unified cache and demand paging need nothing more.
+    addresses, and the reference `walk` use it. A walk stops at an absent
+    slot or after the leaf slot, so its last step is the leaf exactly when
+    it is present. `walk_outcome` follows the same slots but returns only
+    `(frame, None)`, or `(None, level)` when the walk faults at `level`: a
+    walk's depth is `page_size.levels` when it succeeds and
+    `fault_depth(level)` when it faults, so modelled walks without a
+    unified cache and demand paging need nothing more.
 
-    A table's page size is fixed by its first mapping. Mapping, unmapping
-    or walking with another size raises ValueError: a walk with a smaller
-    page would read a large page's frame as a child node.
+    `page_size` is fixed when the table is built, and every map and walk
+    uses it, so a walk can never read a large page's frame as a child node.
 
     `leaf` answers the oracle's question from a memo of `walk_outcome`
-    keyed by VPN (one page size per table, and a walk of an empty table
-    faults at L4 for either size), so an oracle MMU walks each page once
-    rather than once per access. Every `map_range`, `map_page` and
-    `unmap_page` call clears the whole memo once: a new interior node also
-    changes the outcome for neighbouring VPNs whose walks used to fault
-    above it.
+    keyed by VPN, so an oracle MMU walks each page once rather than once
+    per access. Every `map_range`, `map_page` and `unmap_page` call clears
+    the whole memo once: a new interior node also changes the outcome for
+    neighbouring VPNs whose walks used to fault above it.
     """
 
-    def __init__(self, frame_allocator: Optional[FrameAllocator] = None):
+    def __init__(self, page_size: PageSize,
+                 frame_allocator: Optional[FrameAllocator] = None):
+        self.page_size = page_size
         self.frames = frame_allocator or FrameAllocator()
         self.nodes: List[List[Optional[int]]] = [[None] * 512]
         self.root = 0
         self.mapped_pages = 0
-        self.page_size: Optional[PageSize] = None  # set by the first mapping
         # vpn -> (frame, None) or (None, fault level)
         self._leaves: dict[int, tuple[Optional[int], Optional[int]]] = {}
-
-    def _check_size(self, ps: PageSize, mapping: bool = False) -> None:
-        """Called when `ps` is not the table's page size: fix it on the
-        first mapping, allow any walk of an empty table, refuse the rest."""
-        if self.page_size is None:
-            if mapping:
-                self.page_size = ps
-            return
-        raise ValueError(f"page table holds {self.page_size.name} pages, "
-                         f"not {ps.name}")
 
     # -- mutation -----------------------------------------------------------
 
@@ -173,11 +162,9 @@ class PageTable:
             node = nodes[child]
         return node
 
-    def map_page(self, vpn: int, ps: PageSize, frame: Optional[int] = None) -> int:
-        if ps is not self.page_size:
-            self._check_size(ps, mapping=True)
+    def map_page(self, vpn: int, frame: Optional[int] = None) -> int:
         self._leaves.clear()
-        indices = radix_indices(vpn, ps)
+        indices = radix_indices(vpn, self.page_size)
         node = self._leaf_node(indices)
         if node[indices[-1]] is not None:
             raise MappingError(f"vpn {vpn:#x} already mapped")
@@ -187,16 +174,15 @@ class PageTable:
         self.mapped_pages += 1
         return frame
 
-    def map_range(self, first: int, count: int, ps: PageSize) -> None:
+    def map_range(self, first: int, count: int) -> None:
         """Map VPNs first .. first+count-1 to frames allocated in VPN order.
 
         The same table as `map_page` on each VPN in turn, reached with one
         descent per leaf node. A run that meets an already-mapped VPN raises
         MappingError before any VPN of that leaf node's run is mapped.
         """
-        if ps is not self.page_size:
-            self._check_size(ps, mapping=True)
         self._leaves.clear()
+        ps = self.page_size
         vpn, end = first, first + count
         while vpn < end:
             indices = radix_indices(vpn, ps)
@@ -211,13 +197,11 @@ class PageTable:
             self.mapped_pages += n
             vpn += n
 
-    def unmap_page(self, vpn: int, ps: PageSize) -> None:
-        if ps is not self.page_size:
-            self._check_size(ps)
+    def unmap_page(self, vpn: int) -> None:
         self._leaves.clear()
         nodes = self.nodes
         node = nodes[self.root]
-        indices = radix_indices(vpn, ps)
+        indices = radix_indices(vpn, self.page_size)
         for index in indices[:-1]:
             child = node[index]
             if child is None:
@@ -228,68 +212,62 @@ class PageTable:
         node[indices[-1]] = None
         self.mapped_pages -= 1
 
-    def is_mapped(self, vpn: int, ps: PageSize) -> bool:
-        return self.walk_outcome(vpn, ps)[0] is not None
+    def is_mapped(self, vpn: int) -> bool:
+        return self.walk_outcome(vpn)[0] is not None
 
     # -- walking ------------------------------------------------------------
 
-    def walk_path(self, vpn: int, ps: PageSize) -> List[WalkStep]:
+    def walk_path(self, vpn: int) -> List[WalkStep]:
         """Node reads of a walk, top-down, stopping at the first absent slot.
 
-        The final step either carries the leaf slot (present, is_leaf) or
-        records the read of the absent slot that faults the walk.
+        The final step either carries the leaf slot (present) or records
+        the read of the absent slot that faults the walk.
         """
-        if ps is not self.page_size:
-            self._check_size(ps)
         nodes = self.nodes
-        leaf_level = ps.leaf_level
         steps: List[WalkStep] = []
         node = self.root
         level = ROOT_LEVEL
-        for index in radix_indices(vpn, ps):
+        for index in radix_indices(vpn, self.page_size):
             naddr = PT_NODE_REGION_BASE + node * 4096
             value = nodes[node][index]
             if value is None:
                 steps.append(WalkStep(level, naddr, naddr + index * ENTRY_BYTES,
-                                      False, False, 0))
+                                      False, 0))
                 return steps
             steps.append(WalkStep(level, naddr, naddr + index * ENTRY_BYTES,
-                                  True, level == leaf_level, value))
+                                  True, value))
             node = value
             level -= 1
         return steps
 
-    def walk_outcome(self, vpn: int,
-                     ps: PageSize) -> tuple[Optional[int], Optional[int]]:
+    def walk_outcome(self, vpn: int) -> tuple[Optional[int], Optional[int]]:
         """`walk_path`'s last step, reduced: (frame, None), or (None, level)
         when the walk faults on an absent slot at `level`."""
-        if ps is not self.page_size:
-            self._check_size(ps)
         nodes = self.nodes
         node = self.root
         level = ROOT_LEVEL
-        for index in radix_indices(vpn, ps):
+        for index in radix_indices(vpn, self.page_size):
             node = nodes[node][index]
             if node is None:
                 return None, level
             level -= 1
         return node, None
 
-    def leaf(self, vpn: int, ps: PageSize) -> tuple[Optional[int], Optional[int]]:
-        """`walk_outcome`, memoised until the next mapping change."""
-        if ps is not self.page_size:
-            self._check_size(ps)
+    def leaf(self, vpn: int) -> tuple[Optional[int], Optional[int]]:
+        """`walk_outcome` of `vpn`, memoised until the next `map_range`,
+        `map_page` or `unmap_page`."""
         hit = self._leaves.get(vpn)
         if hit is None:
-            hit = self._leaves[vpn] = self.walk_outcome(vpn, ps)
+            hit = self._leaves[vpn] = self.walk_outcome(vpn)
         return hit
 
-    def walk(self, va: int, ps: PageSize) -> WalkResult:
+    def walk(self, va: int) -> WalkResult:
         """Reference walk. Raises PageFaultError on an absent entry."""
+        ps = self.page_size
         page = va >> ps.offset_bits
-        path = self.walk_path(page, ps)
+        path = self.walk_path(page)
         last = path[-1]
-        if not (last.present and last.is_leaf):
+        if not last.present:
             raise PageFaultError(page, last.level, len(path))
         offset = va & ((1 << ps.offset_bits) - 1)
         pa = (last.value << ps.offset_bits) | offset
@@ -300,8 +278,8 @@ class PageTable:
             touched_node_addrs=[s.node_addr for s in path],
         )
 
-    def frame_of(self, vpn: int, ps: PageSize) -> int:
-        return self.walk(vpn << ps.offset_bits, ps).frame
+    def frame_of(self, vpn: int) -> int:
+        return self.walk(vpn << self.page_size.offset_bits).frame
 
 
 def build(
@@ -313,8 +291,8 @@ def build(
     """Map every page covered by the segments; all other VPNs stay absent."""
     segments = list(segments)
     check_disjoint(segments)
-    pt = PageTable(FrameAllocator(frame_policy, seed))
+    pt = PageTable(ps, FrameAllocator(frame_policy, seed))
     for seg in segments:
         pages = seg.vpn_range(ps)
-        pt.map_range(pages.start, len(pages), ps)
+        pt.map_range(pages.start, len(pages))
     return pt

@@ -5,12 +5,10 @@ check; thresholds and time budgets live next to the asserts. Run with
 `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
-import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from npusim import config as cfgmod
 from npusim import harness
@@ -93,11 +91,11 @@ def test_criterion_01_translation_correctness():
         pt = build([seg], ps, frame_policy="shuffled", seed=trial)
         lo = seg.vpn_range(ps)[0]
         trace = [lo + int(v) for v in rng.integers(0, pool, size=2500)]
-        engine = TranslationEngine(cfg, pt, ps)
+        engine = TranslationEngine(cfg, pt)
         _, comps = drain_trace(engine, trace)
         for c in comps:
             verified += 1
-            if c.fault or c.frame != pt.frame_of(c.vpn, ps):
+            if c.frame is None or c.frame != pt.frame_of(c.vpn):
                 mismatches += 1
         assert len(comps) == len(trace)
     dt = time.monotonic() - t0
@@ -114,7 +112,7 @@ def test_criterion_02_oracle_bound_and_monotonicity():
     burst, pt_b, _, _ = burst_txn_vpns()
 
     def cycles(cfg, trace, pt):
-        c, _ = drain_trace(TranslationEngine(cfg, pt, PS4K), trace)
+        c, _ = drain_trace(TranslationEngine(cfg, pt), trace)
         return c
 
     violations = []
@@ -143,9 +141,9 @@ def test_criterion_02_oracle_bound_and_monotonicity():
 
 def test_criterion_03_merge_buffer_filters_walks():
     trace, pt, _, _ = burst_txn_vpns()
-    off = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=0), pt, PS4K)
+    off = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=0), pt)
     _, comps_off = drain_trace(off, trace)
-    on = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=8), pt, PS4K)
+    on = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=8), pt)
     _, comps_on = drain_trace(on, trace)
 
     pas = lambda comps: sorted((c.vpn, c.frame) for c in comps)
@@ -163,10 +161,10 @@ def test_criterion_04_full_system_gap():
 
     def cycles(mmu):
         dram = Dram(DramConfig())
-        eng = TranslationEngine(mmu, pt, PS4K, dram=dram)
+        eng = TranslationEngine(mmu, pt, dram=dram)
         return run_layer(layer, npu, eng, dram).total_cycles
 
-    oracle = run_layer(layer, npu, Oracle(pt, PS4K), Dram(DramConfig())).total_cycles
+    oracle = run_layer(layer, npu, Oracle(pt), Dram(DramConfig())).total_cycles
     baseline = cycles(MmuConfig(num_ptws=8, prmb_slots=0,
                                 translation_cache="none", tlb_entries=2048))
     full = cycles(NEUMMU)
@@ -183,7 +181,7 @@ def test_criterion_05_walk_cost_exact():
     for ps, pages in ((PS4K, 1), (PS2M, 1)):
         seg = Segment("s", default_segment_base(0), pages * ps.bytes)
         pt = build([seg], ps)
-        eng = TranslationEngine(MmuConfig(num_ptws=1), pt, ps)
+        eng = TranslationEngine(MmuConfig(num_ptws=1), pt)
         _, comps = drain_trace(eng, [seg.vpn_range(ps)[0]])
         results[ps] = (eng.stats.walk_memory_transactions, comps[0].done_cycle)
     check(5, f"4KB walk = {results[PS4K]} (4 txns, 400 cyc); "
@@ -196,7 +194,7 @@ def _stream_engines(cache, entries=1):
     pt = build([seg], PS4K)
     eng = TranslationEngine(
         MmuConfig(num_ptws=1, translation_cache=cache,
-                  cache_entries=entries), pt, PS4K)
+                  cache_entries=entries), pt)
     drain_trace(eng, list(seg.vpn_range(PS4K)))
     return eng
 
@@ -224,12 +222,10 @@ def test_criterion_07_path_cache_beats_unified():
 
 def test_criterion_08_energy_ordering():
     trace, pt, _, _ = burst_txn_vpns()
-    brute = TranslationEngine(MmuConfig(num_ptws=1024, prmb_slots=0),
-                              pt, PS4K)
+    brute = TranslationEngine(MmuConfig(num_ptws=1024, prmb_slots=0), pt)
     drain_trace(brute, trace)
     filtered = TranslationEngine(MmuConfig(num_ptws=NEUMMU.num_ptws,
-                                           prmb_slots=NEUMMU.prmb_slots),
-                                 pt, PS4K)
+                                           prmb_slots=NEUMMU.prmb_slots), pt)
     drain_trace(filtered, trace)
     e_brute = account(brute.stats).total_pj
     e_filt = account(filtered.stats).total_pj

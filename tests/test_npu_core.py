@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npusim import config as cfgmod
-from npusim.address_space import PageSize, Segment, default_segment_base
+from npusim.address_space import PageSize, default_segment_base
 from npusim.memory import Dram, DramConfig
 from npusim.mmu import MmuConfig, Oracle, TranslationEngine
 from npusim.npu import (
-    LayerConfig,
     NpuConfig,
     SimulationFault,
     TileFetch,
     compute_cycles,
     linearize,
+    plan_layer,
     run_layer,
     tile_steps,
 )
@@ -24,6 +24,7 @@ from npusim.page_table import build
 from npusim.workloads import dense_suite, make_layer
 
 PS4K = PageSize.SMALL_4K
+PS2M = PageSize.LARGE_2M
 MB = 1024 * 1024
 NEUMMU_YAML = Path(__file__).resolve().parents[1] / "configs" / "neummu.yaml"
 
@@ -31,8 +32,8 @@ NEUMMU_YAML = Path(__file__).resolve().parents[1] / "configs" / "neummu.yaml"
 def mmu_of(mode, pt, dram=None):
     """The oracle, or a default modelled engine over `pt`."""
     if mode == "oracle":
-        return Oracle(pt, PS4K)
-    return TranslationEngine(MmuConfig(), pt, PS4K, dram=dram)
+        return Oracle(pt)
+    return TranslationEngine(MmuConfig(), pt, dram=dram)
 
 
 def test_compute_cycles_weight_stationary_formula():
@@ -173,18 +174,38 @@ def test_modeled_run_never_faster_than_oracle():
     npu = NpuConfig(spm_activation_bytes=64 * 1024, spm_weight_bytes=64 * 1024)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     oracle_dram = Dram(DramConfig())
-    oracle = run_layer(layer, npu, Oracle(pt, PS4K), oracle_dram)
+    oracle = run_layer(layer, npu, Oracle(pt), oracle_dram)
     dram = Dram(DramConfig())
-    eng = TranslationEngine(MmuConfig(), pt, PS4K, dram=dram)
+    eng = TranslationEngine(MmuConfig(), pt, dram=dram)
     modeled = run_layer(layer, npu, eng, dram)
     assert modeled.total_cycles >= oracle.total_cycles
     assert dram.bytes_issued == oracle_dram.bytes_issued
 
 
+@pytest.mark.parametrize("mode", ["oracle", "modeled"])
+def test_run_layer_plans_at_the_table_page_size(mode):
+    # without a plan, run_layer plans at its MMU's page size: the table's
+    layer = make_layer("l", 4, 512, 1024)
+    npu = NpuConfig(spm_weight_bytes=256 * 1024)
+    pt = build([layer.ia_segment, layer.w_segment], PS2M)
+
+    def run(plan):
+        dram = Dram(DramConfig())
+        mmu = mmu_of(mode, pt, dram)
+        stats = run_layer(layer, npu, mmu, dram, plan)
+        return stats, mmu.stats.copy()
+
+    planned = run(plan_layer(layer, npu, PS2M))
+    if mode == "modeled":                   # 3-level walks: 2 MB pages
+        mmu_stats = planned[1]
+        assert mmu_stats.walk_memory_transactions == 3 * mmu_stats.walks_started > 0
+    assert run(None) == planned
+
+
 def test_unmapped_segment_raises_simulation_fault():
     layer = make_layer("l", 4, 64, 64)
     pt = build([layer.ia_segment], PS4K)  # weights left unmapped
-    eng = TranslationEngine(MmuConfig(), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(), pt)
     with pytest.raises(SimulationFault):
         run_layer(layer, NpuConfig(), eng, Dram(DramConfig()))
 
@@ -193,7 +214,7 @@ def test_unmapped_segment_raises_simulation_fault_in_oracle_mode():
     layer = make_layer("l", 4, 64, 64)
     pt = build([layer.ia_segment], PS4K)  # weights left unmapped
     with pytest.raises(SimulationFault) as fault:
-        run_layer(layer, NpuConfig(), Oracle(pt, PS4K), Dram(DramConfig()))
+        run_layer(layer, NpuConfig(), Oracle(pt), Dram(DramConfig()))
     assert fault.value.vpn == layer.w_segment.base >> PS4K.offset_bits
 
 
@@ -207,9 +228,9 @@ def test_mirrored_output_tiles_land_at_their_columns(mode):
     touched = set()
     walk_outcome = pt.walk_outcome
 
-    def spy(vpn, ps):
+    def spy(vpn):
         touched.add(vpn)
-        return walk_outcome(vpn, ps)
+        return walk_outcome(vpn)
     pt.walk_outcome = spy
     run_layer(layer, npu, mmu_of(mode, pt), Dram(DramConfig()))
     assert set(out.vpn_range(PS4K)) <= touched
@@ -236,9 +257,9 @@ def test_mirrored_writes_without_output_segment_fail_before_any_fetch(mode):
 def test_translation_reuse_window_collapses_sequential_pages():
     layer = make_layer("l", 1, 8192, 128)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
-    base = TranslationEngine(MmuConfig(), pt, PS4K)
+    base = TranslationEngine(MmuConfig(), pt)
     run_layer(layer, NpuConfig(), base, Dram(DramConfig()))
-    reuse = TranslationEngine(MmuConfig(), pt, PS4K)
+    reuse = TranslationEngine(MmuConfig(), pt)
     run_layer(layer, NpuConfig(reuse_last_translation=True), reuse,
               Dram(DramConfig()))
     assert reuse.stats.submitted < base.stats.submitted
@@ -278,7 +299,7 @@ def test_tlb_hits_and_merges_never_reach_submit(point):
     (layer,) = dense_suite("burst")["b01"]
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     dram = Dram(DramConfig())
-    engine = SubmitCountingEngine(mmu, pt, PS4K, dram=dram)
+    engine = SubmitCountingEngine(mmu, pt, dram=dram)
     run_layer(layer, NpuConfig(), engine, dram)
     stats = engine.stats
     assert engine.submits == stats.walks_started + stats.blocked_cycles

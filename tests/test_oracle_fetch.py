@@ -37,11 +37,11 @@ def mapped_table(pages=MAPPED_PAGES):
 
 
 def fetch_oracle(tile, npu, pt, dram, start):
-    return oracle_fetch(linearize(tile, npu, PS4K), Oracle(pt, PS4K), dram, start)
+    return oracle_fetch(linearize(tile, npu, PS4K), Oracle(pt), dram, start)
 
 
 def fetch_modeled(tile, npu, pt, dram, start):
-    engine = TranslationEngine(MmuConfig(), pt, PS4K, dram=dram)
+    engine = TranslationEngine(MmuConfig(), pt, dram=dram)
     return simulate_fetch(linearize(tile, npu, PS4K), engine, dram, start)
 
 
@@ -52,8 +52,8 @@ def fetch_reference(tile, npu, pt, dram, start):
                               npu.reuse_last_translation, PS4K)
     end = start
     for i, (page, chunks) in enumerate(groups):
-        last = pt.walk_path(page, PS4K)[-1]
-        if not (last.present and last.is_leaf):
+        last = pt.walk_path(page)[-1]
+        if not last.present:
             raise SimulationFault(page, last.level)
         for nbytes in chunks:
             end = max(end, dram.issue(nbytes, start + i))

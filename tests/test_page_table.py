@@ -27,7 +27,7 @@ def test_walk_matches_hand_decomposition():
     # one page at a hand-picked address; frame 0 under sequential policy
     s = seg(0, 4096)
     pt = build([s], PS4K)
-    res = pt.walk(s.base + 123, PS4K)
+    res = pt.walk(s.base + 123)
     assert res.levels_touched == 4
     assert res.frame == 0
     assert res.pa == (0 << 12) | 123
@@ -40,16 +40,16 @@ def test_walk_matches_hand_decomposition():
 def test_sequential_frames_are_dense():
     s = seg(0, 16 * 4096)
     pt = build([s], PS4K)
-    frames = [pt.frame_of(p, PS4K) for p in s.vpn_range(PS4K)]
+    frames = [pt.frame_of(p) for p in s.vpn_range(PS4K)]
     assert frames == list(range(16))
 
 
 def test_walk_path_depth_2m():
     s = seg(0, 4 * 1024 * 1024)
     pt = build([s], PS2M)
-    path = pt.walk_path(vpn(s.base, PS2M), PS2M)
+    path = pt.walk_path(vpn(s.base, PS2M))
     assert len(path) == 3
-    assert path[-1].is_leaf
+    assert path[-1].present and path[-1].level == 2
 
 
 def test_one_leaf_node_per_512_contiguous_pages():
@@ -58,7 +58,7 @@ def test_one_leaf_node_per_512_contiguous_pages():
     pt = build([s], PS4K)
     leaves = set()
     for p in s.vpn_range(PS4K):
-        leaves.add(pt.walk_path(p, PS4K)[-1].node_addr)
+        leaves.add(pt.walk_path(p)[-1].node_addr)
     assert len(leaves) == 2
 
 
@@ -67,25 +67,25 @@ def test_unmapped_page_faults_with_depth():
     pt = build([s], PS4K)
     far = s.base + (1 << 39)  # different l4 entry
     with pytest.raises(PageFaultError) as exc:
-        pt.walk(far, PS4K)
+        pt.walk(far)
     assert exc.value.level == 4
     near = s.base + (1 << 12) * 512  # same l3 node path, missing l1 entry
     with pytest.raises(PageFaultError) as exc:
-        pt.walk(near, PS4K)
+        pt.walk(near)
     assert exc.value.level in (1, 2)
 
 
 def test_map_unmap_idempotence_rules():
-    pt = PageTable()
+    pt = PageTable(PS4K)
     page = vpn(default_segment_base(0), PS4K)
-    pt.map_page(page, PS4K)
-    assert pt.is_mapped(page, PS4K)
+    pt.map_page(page)
+    assert pt.is_mapped(page)
     with pytest.raises(MappingError):
-        pt.map_page(page, PS4K)
-    pt.unmap_page(page, PS4K)
-    assert not pt.is_mapped(page, PS4K)
+        pt.map_page(page)
+    pt.unmap_page(page)
+    assert not pt.is_mapped(page)
     with pytest.raises(MappingError):
-        pt.unmap_page(page, PS4K)
+        pt.unmap_page(page)
 
 
 def test_shuffled_policy_deterministic_and_bijective():
@@ -115,8 +115,8 @@ def test_every_segment_byte_translates(seed, pages, ps):
     pt = build([s], ps, frame_policy="shuffled", seed=seed)
     for p in s.vpn_range(ps):
         base_va = p * ps.bytes
-        frame = pt.frame_of(p, ps)
-        res = pt.walk(base_va + ps.bytes - 1, ps)
+        frame = pt.frame_of(p)
+        res = pt.walk(base_va + ps.bytes - 1)
         assert res.frame == frame
         assert res.pa == frame * ps.bytes + ps.bytes - 1
 
@@ -146,10 +146,10 @@ def page_disjoint_segments(draw, ps):
 def test_build_equals_per_page_mapping(data, ps, policy, seed):
     segs = data.draw(page_disjoint_segments(ps))
     bulk = build(segs, ps, policy, seed)
-    ref = PageTable(FrameAllocator(policy, seed))
+    ref = PageTable(ps, FrameAllocator(policy, seed))
     for s in segs:
         for p in s.vpn_range(ps):
-            ref.map_page(p, ps)
+            ref.map_page(p)
     assert bulk.nodes == ref.nodes
     assert len(bulk.nodes) == len(ref.nodes)
     assert bulk.mapped_pages == ref.mapped_pages
@@ -166,110 +166,71 @@ def test_build_rejects_segments_sharing_a_page(ps, lower_first):
 
 
 def test_map_range_clears_the_leaf_memo():
-    pt = PageTable()
+    pt = PageTable(PS4K)
     page = vpn(default_segment_base(0), PS4K)
-    assert pt.leaf(page + 2, PS4K) == (None, 4)
-    pt.map_range(page, 3, PS4K)
-    assert pt.leaf(page + 2, PS4K) == (2, None)
+    assert pt.leaf(page + 2) == (None, 4)
+    pt.map_range(page, 3)
+    assert pt.leaf(page + 2) == (2, None)
 
 
 def test_leaf_memo_follows_map_and_unmap():
     # `leaf` memoises each page's outcome; every map/unmap must drop it,
     # including for neighbours whose walks faulted above a node a map creates.
-    pt = PageTable()
+    pt = PageTable(PS4K)
     page = default_segment_base(0) >> PS4K.offset_bits
     probes = [page, page + 1, page + 512, page + 512 * 512]
 
     def check_all():
-        outcomes = [pt.leaf(p, PS4K) for p in probes]
+        outcomes = [pt.leaf(p) for p in probes]
         for p, (frame, level) in zip(probes, outcomes):
-            last = pt.walk_path(p, PS4K)[-1]
-            if last.present and last.is_leaf:
+            last = pt.walk_path(p)[-1]
+            if last.present:
                 assert (frame, level) == (last.value, None)
             else:
                 assert (frame, level) == (None, last.level)
         return [level for _, level in outcomes]
 
     assert set(check_all()) == {4}
-    pt.map_page(page, PS4K)                 # neighbours now fault at L1/L2/L3
+    pt.map_page(page)                       # neighbours now fault at L1/L2/L3
     assert check_all() == [None, 1, 2, 3]
-    pt.map_page(page + 512, PS4K)           # new L1 node under an old L2 node
+    pt.map_page(page + 512)                 # new L1 node under an old L2 node
     check_all()
-    pt.unmap_page(page, PS4K)
+    pt.unmap_page(page)
     assert check_all()[0] == 1
 
 
 def test_map_range_maps_nothing_of_a_leaf_node_run_that_meets_a_mapped_page():
-    pt = PageTable()
+    pt = PageTable(PS4K)
     page = vpn(default_segment_base(0), PS4K)
-    pt.map_page(page + 600, PS4K)            # frame 0, mid leaf node 2
+    pt.map_page(page + 600)                  # frame 0, mid leaf node 2
     with pytest.raises(MappingError, match=hex(page + 600)):
-        pt.map_range(page + 300, 400, PS4K)  # leaf node 1's run, then 2's
-    assert [pt.is_mapped(page + d, PS4K) for d in (300, 511, 512, 599, 601)] == \
+        pt.map_range(page + 300, 400)        # leaf node 1's run, then 2's
+    assert [pt.is_mapped(page + d) for d in (300, 511, 512, 599, 601)] == \
         [True, True, False, False, False]
     assert pt.mapped_pages == 1 + 212
     # node 2's run took no frames: the next page gets the frame after node 1's
-    assert pt.map_page(page + 512, PS4K) == 213
+    assert pt.map_page(page + 512) == 213
 
 
 def test_unmapped_slot_maps_again():
-    pt = PageTable()
+    pt = PageTable(PS4K)
     page = vpn(default_segment_base(0), PS4K)
-    pt.map_range(page, 4, PS4K)
-    pt.unmap_page(page + 1, PS4K)
-    assert pt.walk_outcome(page + 1, PS4K) == (None, 1)
+    pt.map_range(page, 4)
+    pt.unmap_page(page + 1)
+    assert pt.walk_outcome(page + 1) == (None, 1)
     assert pt.mapped_pages == 3
-    assert pt.map_page(page + 1, PS4K) == 4
-    assert pt.walk_outcome(page + 1, PS4K) == (4, None)
+    assert pt.map_page(page + 1) == 4
+    assert pt.walk_outcome(page + 1) == (4, None)
     assert pt.mapped_pages == 4
     with pytest.raises(MappingError):
-        pt.map_range(page, 2, PS4K)
+        pt.map_range(page, 2)
 
 
-def test_leaf_memo_of_an_empty_table_holds_for_either_size():
-    pt = PageTable()
-    page = vpn(default_segment_base(0), PS2M)
-    assert pt.leaf(page, PS4K) == (None, 4)
-    assert pt.leaf(page, PS2M) == (None, 4)
-    pt.map_page(page, PS2M)
-    assert pt.leaf(page, PS2M) == (0, None)
-    with pytest.raises(ValueError):
-        pt.leaf(page, PS4K)
-
-
-def test_a_table_holds_one_page_size():
-    s = seg(0, 4 * 1024 * 1024)
-    pt = build([s], PS2M)
-    assert pt.page_size is PS2M
-    small = s.base >> PS4K.offset_bits
-    # a 4 KB walk used to read the 2 MB leaf's frame 0 as node 0 (the root)
-    # and report a fault at level 1
-    for walk in (pt.walk_path, pt.walk_outcome, pt.leaf, pt.is_mapped):
-        with pytest.raises(ValueError, match="LARGE_2M pages, not SMALL_4K"):
-            walk(small, PS4K)
-    for change in (pt.map_page, pt.unmap_page):
-        with pytest.raises(ValueError):
-            change(small + (8 << 20 >> 12), PS4K)
-    with pytest.raises(ValueError):
-        pt.map_range(small + (8 << 20 >> 12), 1, PS4K)
-    assert pt.walk_outcome(s.base >> PS2M.offset_bits, PS2M) == (0, None)
-
-    # an empty table walks at any size; its first mapping fixes the size
-    empty = PageTable()
-    assert empty.walk_outcome(small, PS4K) == (None, 4)
-    assert empty.walk_outcome(small >> 9, PS2M) == (None, 4)
-    assert empty.page_size is None
-    empty.map_page(small >> 9, PS2M)
-    assert empty.page_size is PS2M
-    with pytest.raises(ValueError):
-        empty.walk_outcome(small, PS4K)
-
-
-def reduced_walk(pt, page, ps):
+def reduced_walk(pt, page):
     """The reference walk's outcome and depth, read off its step list."""
-    path = pt.walk_path(page, ps)
+    path = pt.walk_path(page)
     last = path[-1]
-    if last.present and last.is_leaf:
+    if last.present:
         return (last.value, None), len(path)
     return (None, last.level), len(path)
 
@@ -286,13 +247,13 @@ def test_walk_outcome_is_walk_path_reduced(data, ps):
     probes = data.draw(st.lists(st.one_of(near, anywhere), min_size=1,
                                 max_size=40))
     for page in toggles:
-        if pt.is_mapped(page, ps):
-            pt.unmap_page(page, ps)
+        if pt.is_mapped(page):
+            pt.unmap_page(page)
         else:
-            pt.map_page(page, ps)
+            pt.map_page(page)
     for page in toggles + probes:
-        (frame, level), depth = reduced_walk(pt, page, ps)
-        assert pt.walk_outcome(page, ps) == (frame, level)
-        assert pt.leaf(page, ps) == (frame, level)
-        assert pt.is_mapped(page, ps) == (frame is not None)
+        (frame, level), depth = reduced_walk(pt, page)
+        assert pt.walk_outcome(page) == (frame, level)
+        assert pt.leaf(page) == (frame, level)
+        assert pt.is_mapped(page) == (frame is not None)
         assert depth == (ps.levels if frame is not None else fault_depth(level))

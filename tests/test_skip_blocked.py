@@ -54,7 +54,7 @@ def reference_fetch(runs, engine, dram, start):
                 pending[res.request_id] = chunks
                 i += 1
         for comp in engine.tick(cycle):
-            if comp.fault:
+            if comp.frame is None:
                 raise SimulationFault(comp.vpn, comp.fault_level)
             for nbytes in pending.pop(comp.request_id, ()):
                 end = max(end, dram.issue(nbytes, comp.done_cycle))
@@ -105,7 +105,7 @@ def setup(mmu, dram_cfg, ps):
     seg = Segment("s", BASE, MAPPED_PAGES * ps.bytes)
     pt = build([seg], ps)
     dram = Dram(dram_cfg)
-    return RecordingEngine(mmu, pt, ps, dram=dram), dram, seg.vpn_range(ps)[0]
+    return RecordingEngine(mmu, pt, dram=dram), dram, seg.vpn_range(ps)[0]
 
 
 def fetch_outcome(fetch, runs, mmu, dram_cfg, ps, start):

@@ -44,7 +44,7 @@ def drain_all(engine, now):
 
 def test_cold_walk_4k_takes_four_levels():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt)
     page = seg.vpn_range(PS4K)[0]
     res = eng.submit(page, 0)
     assert res.status is SubmitStatus.NEW_WALK
@@ -57,7 +57,7 @@ def test_cold_walk_4k_takes_four_levels():
 
 def test_cold_walk_2m_takes_three_levels():
     pt, seg = make_pt(pages=2, ps=PS2M)
-    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS2M)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt)
     eng.submit(seg.vpn_range(PS2M)[0], 0)
     comps = []
     for c in range(0, 301):
@@ -68,7 +68,7 @@ def test_cold_walk_2m_takes_three_levels():
 
 def test_tlb_hit_completes_after_hit_latency():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt)
     page = seg.vpn_range(PS4K)[0]
     eng.submit(page, 0)
     drain_all(eng, 1)
@@ -77,12 +77,12 @@ def test_tlb_hit_completes_after_hit_latency():
     assert res.done_cycle == 1005
     comps = drain_all(eng, 1001)
     assert comps[0].done_cycle == 1005
-    assert comps[0].frame == pt.frame_of(page, PS4K)
+    assert comps[0].frame == pt.frame_of(page)
 
 
 def test_tlb_lru_eviction():
     pt, seg = make_pt(pages=3)
-    eng = TranslationEngine(MmuConfig(num_ptws=1, tlb_entries=2), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, tlb_entries=2), pt)
     pages = list(seg.vpn_range(PS4K))
     now = 0
     for p in pages:  # fills TLB with the last two pages
@@ -99,7 +99,7 @@ def test_tlb_lru_eviction():
 
 def test_duplicate_vpns_merge_into_one_walk():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=8), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=8), pt)
     page = seg.vpn_range(PS4K)[0]
     results = [eng.submit(page, c) for c in range(8)]
     assert results[0].status is SubmitStatus.NEW_WALK
@@ -109,12 +109,12 @@ def test_duplicate_vpns_merge_into_one_walk():
     assert eng.stats.scoreboard_merges == 7
     # leading completion at 400; merged ones drain one per cycle after it
     assert sorted(c.done_cycle for c in comps) == [400] + list(range(401, 408))
-    assert {c.frame for c in comps} == {pt.frame_of(page, PS4K)}
+    assert {c.frame for c in comps} == {pt.frame_of(page)}
 
 
 def test_merge_buffer_capacity_blocks():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=2), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=2), pt)
     page = seg.vpn_range(PS4K)[0]
     statuses = [eng.submit(page, c).status for c in range(4)]
     assert statuses == [SubmitStatus.NEW_WALK, SubmitStatus.MERGED,
@@ -125,7 +125,7 @@ def test_merge_buffer_capacity_blocks():
 def test_no_merging_without_scoreboard():
     # with the merge path disabled, duplicate in-flight pages burn walkers
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_ptws=4, prmb_slots=0), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=4, prmb_slots=0), pt)
     page = seg.vpn_range(PS4K)[0]
     for c in range(4):
         assert eng.submit(page, c).status is SubmitStatus.NEW_WALK
@@ -137,7 +137,7 @@ def test_no_merging_without_scoreboard():
 
 def test_all_walkers_busy_blocks():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_ptws=2, prmb_slots=0), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=2, prmb_slots=0), pt)
     pages = list(seg.vpn_range(PS4K))
     assert eng.submit(pages[0], 0).accepted
     assert eng.submit(pages[1], 0).accepted
@@ -146,7 +146,7 @@ def test_all_walkers_busy_blocks():
 
 def test_walker_frees_after_walk():
     pt, seg = make_pt()
-    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=0), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=0), pt)
     pages = list(seg.vpn_range(PS4K))
     eng.submit(pages[0], 0)
     drain_all(eng, 1)
@@ -158,7 +158,7 @@ def test_walker_frees_after_walk():
 def test_path_register_cuts_walks_to_one_read():
     pt, seg = make_pt(pages=10)
     eng = TranslationEngine(
-        MmuConfig(num_ptws=1, translation_cache="tpr"), pt, PS4K)
+        MmuConfig(num_ptws=1, translation_cache="tpr"), pt)
     cycles, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
     assert len(comps) == 10
     # first walk reads 4 nodes; the other nine hit the register and read 1
@@ -172,7 +172,7 @@ def test_path_cache_shared_across_walkers():
     pt, seg = make_pt(pages=16)
     eng = TranslationEngine(
         MmuConfig(num_ptws=8, prmb_slots=4,
-                  translation_cache="tpc", cache_entries=8), pt, PS4K)
+                  translation_cache="tpc", cache_entries=8), pt)
     _, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
     assert len(comps) == 16
     # one cold walk primes the shared cache for every later walker
@@ -183,7 +183,7 @@ def test_unified_cache_serves_interior_nodes():
     pt, seg = make_pt(pages=8)
     eng = TranslationEngine(
         MmuConfig(num_ptws=1, translation_cache="uptc",
-                  cache_entries=64), pt, PS4K)
+                  cache_entries=64), pt)
     _, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
     assert len(comps) == 8
     assert eng.stats.walk_memory_transactions == 4 + 7
@@ -195,7 +195,7 @@ def test_register_miss_on_distant_page():
     seg_b = Segment("b", default_segment_base(1), 4096)
     pt = build([seg_a, seg_b], PS4K)
     eng = TranslationEngine(
-        MmuConfig(num_ptws=1, translation_cache="tpr"), pt, PS4K)
+        MmuConfig(num_ptws=1, translation_cache="tpr"), pt)
     drain_trace(eng, [seg_a.vpn_range(PS4K)[0], seg_b.vpn_range(PS4K)[0]])
     assert eng.stats.walk_memory_transactions == 8
 
@@ -204,18 +204,17 @@ def test_register_miss_on_distant_page():
 
 def test_unmapped_page_completes_as_fault():
     pt, seg = make_pt(pages=1)
-    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt)
     bad = seg.vpn_range(PS4K)[0] + (1 << 27)  # different top-level entry
     eng.submit(bad, 0)
     comps = drain_all(eng, 1)
-    assert comps[0].fault
     assert comps[0].frame is None
     assert eng.stats.faults == 1
 
 
 def test_fault_never_fills_tlb():
     pt, seg = make_pt(pages=1)
-    eng = TranslationEngine(MmuConfig(num_ptws=1), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1), pt)
     bad = seg.vpn_range(PS4K)[0] + (1 << 27)
     eng.submit(bad, 0)
     now, _ = drain(eng, 1)
@@ -229,7 +228,7 @@ def test_engine_refuses_oracle_mode():
     # would silently model the MMU
     pt, _ = make_pt()
     with pytest.raises(ValueError, match="oracle"):
-        TranslationEngine(MmuConfig(mode="oracle"), pt, PS4K)
+        TranslationEngine(MmuConfig(mode="oracle"), pt)
 
 
 # -- page runs (accept_run) -------------------------------------------------
@@ -242,7 +241,7 @@ def test_accept_run_declines_a_miss_without_a_pending_walk():
     pt, seg = make_pt()
     a, b = seg.vpn_range(PS4K)[:2]
     for slots in (0, 8):
-        eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=slots), pt, PS4K)
+        eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=slots), pt)
         assert eng.accept_run(a, 10, 0) == 0
         assert eng.stats == TranslationStats()
         assert eng.submit(a, 0).status is SubmitStatus.NEW_WALK
@@ -254,7 +253,7 @@ def test_accept_run_declines_a_miss_without_a_pending_walk():
 def test_accept_run_hits_stop_at_the_next_walk_end():
     pt, seg = make_pt()
     a, b = seg.vpn_range(PS4K)[:2]
-    eng = TranslationEngine(MmuConfig(num_ptws=2), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=2), pt)
     eng.submit(a, 0)
     now, _ = drain(eng, 0)                        # a is in the TLB
     assert eng.submit(b, now).status is SubmitStatus.NEW_WALK
@@ -272,7 +271,7 @@ def test_accept_run_hits_stop_at_the_next_walk_end():
 def test_accept_run_merges_stop_at_free_slots_and_the_walk_end():
     pt, seg = make_pt()
     a, b = seg.vpn_range(PS4K)[:2]
-    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=8), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=8), pt)
     assert eng.submit(a, 0).status is SubmitStatus.NEW_WALK   # ends at 400
     assert eng.submit(a, 1).status is SubmitStatus.MERGED
     assert eng.accept_run(a, 100, 2) == 7         # the slots left
@@ -288,7 +287,7 @@ def test_accept_run_merges_stop_at_free_slots_and_the_walk_end():
     assert runs_of(eng.tick(408)) == [(a, 408, 1)]
     assert eng.submit(b, 409).status is SubmitStatus.NEW_WALK
 
-    wide = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=1000), pt, PS4K)
+    wide = TranslationEngine(MmuConfig(num_ptws=1, prmb_slots=1000), pt)
     wide.submit(a, 0)
     assert wide.accept_run(a, 1000, 1) == 400     # cycles 1 .. 400
 
@@ -301,7 +300,7 @@ def test_accept_run_counts_like_one_submit_per_cycle(slots):
     pt, seg = make_pt()
     a, b = seg.vpn_range(PS4K)[:2]
     cfg = MmuConfig(num_ptws=2, prmb_slots=slots)
-    engines = [TranslationEngine(cfg, pt, PS4K) for _ in range(2)]
+    engines = [TranslationEngine(cfg, pt) for _ in range(2)]
     for eng in engines:
         eng.submit(a, 0)
         now, _ = drain(eng, 0)
@@ -324,7 +323,7 @@ def test_accept_run_counts_like_one_submit_per_cycle(slots):
 
 def test_tick_must_be_monotone():
     pt, _ = make_pt()
-    eng = TranslationEngine(MmuConfig(), pt, PS4K)
+    eng = TranslationEngine(MmuConfig(), pt)
     eng.tick(5)
     with pytest.raises(ValueError):
         eng.tick(5)
@@ -357,13 +356,12 @@ def test_random_traces_translate_correctly(cfg, seed, data):
     lo = seg.vpn_range(ps)[0]
     trace = [lo + int(v) for v in rng.integers(0, pages, size=int(rng.integers(1, 80)))]
 
-    eng = TranslationEngine(cfg, pt, ps)
+    eng = TranslationEngine(cfg, pt)
     cycles, comps = drain_trace(eng, trace)
     assert len(comps) == len(trace)
     by_rid = {}
     for c in comps:
-        assert not c.fault
-        assert c.frame == pt.frame_of(c.vpn, ps)
+        assert c.frame == pt.frame_of(c.vpn)
         assert c.request_id not in by_rid  # exactly-once delivery
         by_rid[c.request_id] = c
     s = eng.stats
@@ -381,7 +379,7 @@ def test_walk_bandwidth_is_charged(seed):
     rng = np.random.default_rng(seed)
     pt, seg = make_pt(pages=8)
     dram = Dram(DramConfig())
-    eng = TranslationEngine(MmuConfig(num_ptws=4), pt, PS4K, dram=dram)
+    eng = TranslationEngine(MmuConfig(num_ptws=4), pt, dram=dram)
     trace = [seg.vpn_range(PS4K)[0] + int(v) for v in rng.integers(0, 8, 20)]
     drain_trace(eng, trace)
     # every walk transaction moved one 64B node read through the bucket
