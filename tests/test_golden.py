@@ -25,6 +25,8 @@ POINTS = {
     "ptw128-prmb32-tpr": NEUMMU,
     "prmb4-uptc8": {"mmu.prmb_slots": 4, "mmu.translation_cache": "uptc",
                     "mmu.cache_entries": 8},
+    "prmb4-tpc8": {"mmu.prmb_slots": 4, "mmu.translation_cache": "tpc",
+                   "mmu.cache_entries": 8},
     # DMA side: the reuse window, short 100 B chunk tails, mirrored write-back
     "reuse-mirror-txn100": {"npu.reuse_last_translation": True,
                             "npu.mirror_write_traffic": True,
