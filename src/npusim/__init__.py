@@ -2,7 +2,7 @@
 
 Modules:
   address_space  -- virtual address layout, segments, page geometry
-  page_table     -- multi-level radix page tables and reference walks
+  page_table     -- multi-level radix page tables and the reference walker
   memory         -- DRAM bandwidth/latency model and inter-node links
   mmu            -- translation engine: TLB, walkers, merge buffers, caches
   npu            -- tiled GEMM pipeline with double-buffered scratchpads

@@ -43,11 +43,6 @@ class PageSize(Enum):
         """Radix levels touched by a full walk (leaf included)."""
         return 4 if self is PageSize.SMALL_4K else 3
 
-    @property
-    def leaf_level(self) -> int:
-        """Level at which the leaf entry lives (L1 for 4KB, L2 for 2MB)."""
-        return 1 if self is PageSize.SMALL_4K else 2
-
 
 # Config and strategy names of the page sizes.
 PAGE_SIZES = {"4k": PageSize.SMALL_4K, "2m": PageSize.LARGE_2M}
@@ -91,9 +86,6 @@ class Segment:
     def vpn_range(self, ps: PageSize) -> range:
         """VPNs covered by this segment (inclusive of partial pages)."""
         return range(self.base >> ps.offset_bits, (self.end - 1 >> ps.offset_bits) + 1)
-
-    def num_pages(self, ps: PageSize) -> int:
-        return len(self.vpn_range(ps))
 
 
 def check_disjoint(segments: Iterable[Segment]) -> None:

@@ -404,7 +404,6 @@ class TranslationEngine:
         fill = None
         if kind == "uptc":
             path = pt.walk_path(vpn)
-            self.stats.cache_probes += 1
             reads = path[self._probe_unified(path):]
             txns = len(reads)
             last = path[-1]
@@ -497,25 +496,33 @@ class TranslationEngine:
             if tag in cache:
                 cache.move_to_end(tag)
         depth = 0 if nearest is None else prefix_depth(tag, nearest, levels)
+        self._count_hits(depth)
+        return depth == levels - 1
+
+    def _probe_unified(self, path: List[WalkStep]) -> int:
+        """Probe the unified cache for the walk's interior entries from the
+        root down; return how many consecutive ones hit."""
+        self.stats.cache_probes += 1
+        cache = self._cache
+        skipped = 0
+        for step in path[:-1]:
+            if step.entry_addr not in cache:
+                break
+            cache.move_to_end(step.entry_addr)
+            skipped += 1
+        self._count_hits(skipped)
+        return skipped
+
+    def _count_hits(self, depth: int) -> None:
+        """Count a hit at each of the `depth` levels a probe skipped from
+        the root: L4, then L3, then L2."""
+        stats = self.stats
         if depth >= 1:
             stats.cache_hit_l4 += 1
         if depth >= 2:
             stats.cache_hit_l3 += 1
         if depth >= 3:
             stats.cache_hit_l2 += 1
-        return depth == levels - 1
-
-    def _probe_unified(self, path: List[WalkStep]) -> int:
-        cache = self._cache
-        skipped = 0
-        for step in path[:-1]:
-            if step.entry_addr in cache:
-                cache.move_to_end(step.entry_addr)
-                self._count_level_hit(step.level)
-                skipped += 1
-            else:
-                break
-        return skipped
 
     def _cache_fill(self, walker: _Walker) -> None:
         fill = walker.cache_fill
@@ -536,14 +543,6 @@ class TranslationEngine:
                 cache.move_to_end(step.entry_addr)
                 while len(cache) > self.cfg.cache_entries:
                     cache.popitem(last=False)
-
-    def _count_level_hit(self, level: int) -> None:
-        if level == 4:
-            self.stats.cache_hit_l4 += 1
-        elif level == 3:
-            self.stats.cache_hit_l3 += 1
-        elif level == 2:
-            self.stats.cache_hit_l2 += 1
 
 
 def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0):

@@ -24,6 +24,7 @@ from npusim.numa import (
     translate_gathers,
 )
 from npusim.page_table import build
+from walk_reference import build_scattered, reference_frame
 from npusim.workloads import (
     EmbeddingModel,
     EmbeddingTableSpec,
@@ -88,14 +89,14 @@ def test_criterion_01_translation_correctness():
         pool = int(rng.integers(4, 64))
         seg = Segment("s", default_segment_base(int(rng.integers(8))),
                       pool * ps.bytes)
-        pt = build([seg], ps, frame_policy="shuffled", seed=trial)
+        pt = build_scattered([seg], ps, seed=trial)
         lo = seg.vpn_range(ps)[0]
         trace = [lo + int(v) for v in rng.integers(0, pool, size=2500)]
         engine = TranslationEngine(cfg, pt)
         _, comps = drain_trace(engine, trace)
         for c in comps:
             verified += 1
-            if c.frame is None or c.frame != pt.frame_of(c.vpn):
+            if c.frame is None or c.frame != reference_frame(pt, c.vpn):
                 mismatches += 1
         assert len(comps) == len(trace)
     dt = time.monotonic() - t0

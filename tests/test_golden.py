@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 from npusim import config as cfgmod
-from npusim import harness
+from npusim import harness, numa
+from walk_reference import build_scattered
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -46,17 +47,49 @@ MATRIX["embedding-all"] = {"workload.kind": "embedding", "workload.strategy": "a
 MATRIX["embedding-all-oracle"] = {**MATRIX["embedding-all"], "mmu.mode": "oracle"}
 
 
-def golden_csv(name: str) -> str:
+def config_for(name: str, overrides: dict) -> dict:
     cfg = cfgmod.load_config(None)
     cfg["config_id"] = name
-    for key, value in MATRIX[name].items():
+    for key, value in overrides.items():
         cfgmod.set_by_path(cfg, key, value)
-    return harness.rows_to_csv(harness.run_single(cfg))
+    return cfg
+
+
+def golden_csv(name: str) -> str:
+    return harness.rows_to_csv(harness.run_single(config_for(name, MATRIX[name])))
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
 def test_output_matches_golden(name):
     assert golden_csv(name) == (GOLDEN / f"{name}.csv").read_text()
+
+
+# What a walk costs depends on the nodes it reads and on the translation
+# caches, never on the frame it ends at: tables whose every page has a
+# scattered frame give the same rows as tables of counted frames.
+FRAME_POINTS = {
+    **{name: MATRIX[name] for name in
+       ("toy-default", "burst-prmb4-uptc8", "toy-prmb4-tpc8")},
+    "embedding-all-uptc8": {**MATRIX["embedding-all"],
+                            "mmu.translation_cache": "uptc",
+                            "mmu.cache_entries": 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_POINTS))
+def test_rows_do_not_depend_on_frame_values(name, monkeypatch):
+    cfg = config_for(name, FRAME_POINTS[name])
+    counted = harness.run_single(cfg)
+    built = []
+
+    def scattered(segments, ps):
+        built.append(ps)
+        return build_scattered(segments, ps, seed=len(built))
+
+    monkeypatch.setattr(harness, "build", scattered)
+    monkeypatch.setattr(numa, "build", scattered)
+    assert harness.run_single(cfg) == counted
+    assert built
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from npusim.workloads import (
     gather_trace,
     table_segment,
 )
+from walk_reference import reference_frame
 
 ROOT = Path(__file__).resolve().parents[1]
 NEUMMU = MmuConfig(**cfgmod.load_config(str(ROOT / "configs" / "neummu.yaml"))["mmu"])
@@ -135,7 +136,7 @@ def test_demand_paging_maps_own_tables_without_gathers():
     assert own and len(rest) < len(tr)
     _, pt = demand(rest, m, PS4K)
     for t in own:
-        assert all(pt.is_mapped(p)
+        assert all(reference_frame(pt, p) is not None
                    for p in table_segment(m, t).vpn_range(PS4K))
 
 

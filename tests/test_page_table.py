@@ -1,19 +1,20 @@
-"""Radix page tables: construction, reference walks, map/unmap, sharing."""
+"""Radix page tables: construction, the reference walker, mapping, sharing."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npusim.address_space import PageSize, Segment, default_segment_base, vpn
+from npusim.address_space import (
+    PageSize, Segment, default_segment_base, radix_indices, vpn)
 from npusim.page_table import (
     ENTRY_BYTES,
-    FrameAllocator,
     MappingError,
     PT_NODE_REGION_BASE,
-    PageFaultError,
     PageTable,
     build,
     fault_depth,
 )
+from walk_reference import (
+    build_scattered, reference_frame, reference_walk, scattered_frames)
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
@@ -24,23 +25,24 @@ def seg(slot, length, name="s"):
 
 
 def test_walk_matches_hand_decomposition():
-    # one page at a hand-picked address; frame 0 under sequential policy
+    # one page at a hand-picked address gets the first frame, 0; `build`
+    # allocates nodes 1, 2, 3 on its path below the root, node 0
     s = seg(0, 4096)
     pt = build([s], PS4K)
-    res = pt.walk(s.base + 123)
-    assert res.levels_touched == 4
-    assert res.frame == 0
-    assert res.pa == (0 << 12) | 123
-    # interior node addresses live in the reserved region, 8B entries
-    for addr in res.touched_node_addrs:
-        assert addr >= PT_NODE_REGION_BASE
-        assert addr % ENTRY_BYTES == 0
+    page = vpn(s.base + 123, PS4K)
+    path = pt.walk_path(page)
+    assert reference_walk(pt, page) == ((0, None), 4)
+    assert [step.level for step in path] == [4, 3, 2, 1]
+    # entries are 8 B slots of 4 KB nodes in the reserved region
+    assert [step.entry_addr for step in path] == [
+        PT_NODE_REGION_BASE + node * 4096 + index * ENTRY_BYTES
+        for node, index in enumerate(radix_indices(page, PS4K))]
 
 
 def test_sequential_frames_are_dense():
     s = seg(0, 16 * 4096)
     pt = build([s], PS4K)
-    frames = [pt.frame_of(p) for p in s.vpn_range(PS4K)]
+    frames = [reference_frame(pt, p) for p in s.vpn_range(PS4K)]
     assert frames == list(range(16))
 
 
@@ -58,45 +60,31 @@ def test_one_leaf_node_per_512_contiguous_pages():
     pt = build([s], PS4K)
     leaves = set()
     for p in s.vpn_range(PS4K):
-        leaves.add(pt.walk_path(p)[-1].node_addr)
+        leaves.add(pt.walk_path(p)[-1].entry_addr >> 12)
     assert len(leaves) == 2
 
 
 def test_unmapped_page_faults_with_depth():
     s = seg(0, 4096)
     pt = build([s], PS4K)
-    far = s.base + (1 << 39)  # different l4 entry
-    with pytest.raises(PageFaultError) as exc:
-        pt.walk(far)
-    assert exc.value.level == 4
-    near = s.base + (1 << 12) * 512  # same l3 node path, missing l1 entry
-    with pytest.raises(PageFaultError) as exc:
-        pt.walk(near)
-    assert exc.value.level in (1, 2)
+    far = vpn(s.base + (1 << 39), PS4K)     # different l4 entry
+    assert pt.walk_outcome(far) == (None, 4)
+    assert reference_walk(pt, far) == ((None, 4), 1)
+    near = vpn(s.base + (1 << 12) * 512, PS4K)  # same l3 node, no l1 node
+    assert pt.walk_outcome(near) == (None, 2)
+    assert reference_walk(pt, near) == ((None, 2), 3)
 
 
-def test_map_unmap_idempotence_rules():
+def test_double_map_is_refused():
     pt = PageTable(PS4K)
     page = vpn(default_segment_base(0), PS4K)
-    pt.map_page(page)
-    assert pt.is_mapped(page)
+    assert pt.map_page(page) == 0
     with pytest.raises(MappingError):
         pt.map_page(page)
-    pt.unmap_page(page)
-    assert not pt.is_mapped(page)
     with pytest.raises(MappingError):
-        pt.unmap_page(page)
-
-
-def test_shuffled_policy_deterministic_and_bijective():
-    a = FrameAllocator("shuffled", seed=7)
-    b = FrameAllocator("shuffled", seed=7)
-    xs = [a.alloc() for _ in range(2000)]
-    ys = [b.alloc() for _ in range(2000)]
-    assert xs == ys
-    assert len(set(xs)) == len(xs)
-    c = FrameAllocator("shuffled", seed=8)
-    assert [c.alloc() for _ in range(2000)] != xs
+        pt.map_page(page, 7)
+    assert pt.walk_outcome(page) == (0, None)
+    assert pt.mapped_pages == 1
 
 
 def test_build_rejects_overlap():
@@ -112,13 +100,15 @@ def test_build_rejects_overlap():
        st.sampled_from([PS4K, PS2M]))
 def test_every_segment_byte_translates(seed, pages, ps):
     s = Segment("s", default_segment_base(0), pages * ps.bytes)
-    pt = build([s], ps, frame_policy="shuffled", seed=seed)
-    for p in s.vpn_range(ps):
-        base_va = p * ps.bytes
-        frame = pt.frame_of(p)
-        res = pt.walk(base_va + ps.bytes - 1)
-        assert res.frame == frame
-        assert res.pa == frame * ps.bytes + ps.bytes - 1
+    pt = build_scattered([s], ps, seed)
+    frames = scattered_frames(pages, seed)
+    for p, frame in zip(s.vpn_range(ps), frames):
+        for va in (p * ps.bytes, (p + 1) * ps.bytes - 1):
+            assert reference_walk(pt, vpn(va, ps)) == ((frame, None), ps.levels)
+        # entries are 8 B slots in the reserved node region
+        for step in pt.walk_path(p):
+            assert step.entry_addr >= PT_NODE_REGION_BASE
+            assert step.entry_addr % ENTRY_BYTES == 0
 
 
 # Segment lists start just below a boundary of one leaf node (512 pages) or
@@ -140,13 +130,11 @@ def page_disjoint_segments(draw, ps):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from([PS4K, PS2M]),
-       st.sampled_from(["sequential", "shuffled"]),
-       st.integers(min_value=0, max_value=2**31))
-def test_build_equals_per_page_mapping(data, ps, policy, seed):
+@given(st.data(), st.sampled_from([PS4K, PS2M]))
+def test_build_equals_per_page_mapping(data, ps):
     segs = data.draw(page_disjoint_segments(ps))
-    bulk = build(segs, ps, policy, seed)
-    ref = PageTable(ps, FrameAllocator(policy, seed))
+    bulk = build(segs, ps)
+    ref = PageTable(ps)
     for s in segs:
         for p in s.vpn_range(ps):
             ref.map_page(p)
@@ -173,8 +161,8 @@ def test_map_range_clears_the_leaf_memo():
     assert pt.leaf(page + 2) == (2, None)
 
 
-def test_leaf_memo_follows_map_and_unmap():
-    # `leaf` memoises each page's outcome; every map/unmap must drop it,
+def test_leaf_memo_follows_maps():
+    # `leaf` memoises each page's outcome; every map must drop it,
     # including for neighbours whose walks faulted above a node a map creates.
     pt = PageTable(PS4K)
     page = default_segment_base(0) >> PS4K.offset_bits
@@ -194,9 +182,7 @@ def test_leaf_memo_follows_map_and_unmap():
     pt.map_page(page)                       # neighbours now fault at L1/L2/L3
     assert check_all() == [None, 1, 2, 3]
     pt.map_page(page + 512)                 # new L1 node under an old L2 node
-    check_all()
-    pt.unmap_page(page)
-    assert check_all()[0] == 1
+    assert check_all() == [None, 1, None, 3]
 
 
 def test_map_range_maps_nothing_of_a_leaf_node_run_that_meets_a_mapped_page():
@@ -205,34 +191,11 @@ def test_map_range_maps_nothing_of_a_leaf_node_run_that_meets_a_mapped_page():
     pt.map_page(page + 600)                  # frame 0, mid leaf node 2
     with pytest.raises(MappingError, match=hex(page + 600)):
         pt.map_range(page + 300, 400)        # leaf node 1's run, then 2's
-    assert [pt.is_mapped(page + d) for d in (300, 511, 512, 599, 601)] == \
-        [True, True, False, False, False]
+    assert [reference_frame(pt, page + d) for d in (300, 511, 512, 599, 601)] == \
+        [1, 212, None, None, None]
     assert pt.mapped_pages == 1 + 212
     # node 2's run took no frames: the next page gets the frame after node 1's
     assert pt.map_page(page + 512) == 213
-
-
-def test_unmapped_slot_maps_again():
-    pt = PageTable(PS4K)
-    page = vpn(default_segment_base(0), PS4K)
-    pt.map_range(page, 4)
-    pt.unmap_page(page + 1)
-    assert pt.walk_outcome(page + 1) == (None, 1)
-    assert pt.mapped_pages == 3
-    assert pt.map_page(page + 1) == 4
-    assert pt.walk_outcome(page + 1) == (4, None)
-    assert pt.mapped_pages == 4
-    with pytest.raises(MappingError):
-        pt.map_range(page, 2)
-
-
-def reduced_walk(pt, page):
-    """The reference walk's outcome and depth, read off its step list."""
-    path = pt.walk_path(page)
-    last = path[-1]
-    if last.present:
-        return (last.value, None), len(path)
-    return (None, last.level), len(path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,17 +206,14 @@ def test_walk_outcome_is_walk_path_reduced(data, ps):
     near = st.sampled_from([p + d for s in segs for p in s.vpn_range(ps)
                             for d in (-513, -1, 0, 1, 512)])
     anywhere = st.integers(0, (1 << (48 - ps.offset_bits)) - 1)
-    toggles = data.draw(st.lists(near, max_size=20))
+    maps = data.draw(st.lists(near, max_size=20))
     probes = data.draw(st.lists(st.one_of(near, anywhere), min_size=1,
                                 max_size=40))
-    for page in toggles:
-        if pt.is_mapped(page):
-            pt.unmap_page(page)
-        else:
+    for page in maps:
+        if reference_frame(pt, page) is None:
             pt.map_page(page)
-    for page in toggles + probes:
-        (frame, level), depth = reduced_walk(pt, page)
+    for page in maps + probes:
+        (frame, level), depth = reference_walk(pt, page)
         assert pt.walk_outcome(page) == (frame, level)
         assert pt.leaf(page) == (frame, level)
-        assert pt.is_mapped(page) == (frame is not None)
         assert depth == (ps.levels if frame is not None else fault_depth(level))

@@ -1,7 +1,8 @@
 """Translation engine: TLB, walkers, merge buffers, path caches.
 
-Reference results come from PageTable.walk, which the engine itself only
-uses for node layout; frame equality against frame_of() is the oracle.
+Reference frames come from the reference walker, `PageTable.walk_path`,
+through `walk_reference.reference_frame`: every completion's frame must
+equal it.
 """
 
 import pytest
@@ -17,14 +18,15 @@ from npusim.mmu import (
     drain_trace,
 )
 from npusim.page_table import build
+from walk_reference import build_scattered, reference_frame
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
 
 
-def make_pt(pages=64, ps=PS4K, policy="sequential", seed=0):
+def make_pt(pages=64, ps=PS4K):
     seg = Segment("s", default_segment_base(0), pages * ps.bytes)
-    return build([seg], ps, frame_policy=policy, seed=seed), seg
+    return build([seg], ps), seg
 
 
 def drain(engine, now):
@@ -77,7 +79,7 @@ def test_tlb_hit_completes_after_hit_latency():
     assert res.done_cycle == 1005
     comps = drain_all(eng, 1001)
     assert comps[0].done_cycle == 1005
-    assert comps[0].frame == pt.frame_of(page)
+    assert comps[0].frame == reference_frame(pt, page)
 
 
 def test_tlb_lru_eviction():
@@ -109,7 +111,7 @@ def test_duplicate_vpns_merge_into_one_walk():
     assert eng.stats.scoreboard_merges == 7
     # leading completion at 400; merged ones drain one per cycle after it
     assert sorted(c.done_cycle for c in comps) == [400] + list(range(401, 408))
-    assert {c.frame for c in comps} == {pt.frame_of(page)}
+    assert {c.frame for c in comps} == {reference_frame(pt, page)}
 
 
 def test_merge_buffer_capacity_blocks():
@@ -352,7 +354,7 @@ def test_random_traces_translate_correctly(cfg, seed, data):
     ps = PS4K if rng.integers(2) else PS2M
     seg = Segment("s", default_segment_base(int(rng.integers(4))),
                   pages * ps.bytes)
-    pt = build([seg], ps, frame_policy="shuffled", seed=seed)
+    pt = build_scattered([seg], ps, seed)
     lo = seg.vpn_range(ps)[0]
     trace = [lo + int(v) for v in rng.integers(0, pages, size=int(rng.integers(1, 80)))]
 
@@ -361,7 +363,7 @@ def test_random_traces_translate_correctly(cfg, seed, data):
     assert len(comps) == len(trace)
     by_rid = {}
     for c in comps:
-        assert c.frame == pt.frame_of(c.vpn)
+        assert c.frame == reference_frame(pt, c.vpn)
         assert c.request_id not in by_rid  # exactly-once delivery
         by_rid[c.request_id] = c
     s = eng.stats

@@ -1,0 +1,49 @@
+"""The translation reference the tests compare against.
+
+`reference_walk` reads `PageTable.walk_path`, the reference walker, down to
+what a translation returns. `build_scattered` builds the table that
+`page_table.build` builds, node for node, but maps every page through
+`map_page` to a scattered frame, so a translation that returned a counted
+frame, or another page's frame, by mistake would not match by chance.
+"""
+
+import random
+
+from npusim.address_space import check_disjoint
+from npusim.page_table import PageTable
+
+# Scattered frames lie above every frame a table's counter hands out.
+SCATTER_BASE = 1 << 32
+SCATTER_END = 1 << 36
+
+
+def reference_walk(pt, vpn):
+    """((frame, None) or (None, fault level), node reads) of `vpn`'s walk."""
+    path = pt.walk_path(vpn)
+    last = path[-1]
+    if last.present:
+        return (last.value, None), len(path)
+    return (None, last.level), len(path)
+
+
+def reference_frame(pt, vpn):
+    """The frame `vpn` translates to, or None when its walk faults."""
+    return reference_walk(pt, vpn)[0][0]
+
+
+def scattered_frames(count, seed=0):
+    """`count` distinct frames drawn from a 2^36-frame space."""
+    frames = random.Random(seed).sample(range(SCATTER_BASE, SCATTER_END), count)
+    assert len(set(frames)) == count
+    return frames
+
+
+def build_scattered(segments, ps, seed=0):
+    """`page_table.build(segments, ps)` with scattered, distinct frames."""
+    segments = list(segments)
+    check_disjoint(segments)
+    pages = [p for s in segments for p in s.vpn_range(ps)]
+    pt = PageTable(ps)
+    for page, frame in zip(pages, scattered_frames(len(pages), seed)):
+        pt.map_page(page, frame)
+    return pt
