@@ -51,14 +51,22 @@ class LinksConfig(Record):
 class Dram:
     """Work-conserving token-bucket DRAM.
 
-    Transactions are accepted in call order; the issue cursor never moves
-    backwards, so completions are FIFO.
+    Transactions are accepted in call order; the bucket never gives bytes
+    back, so completions are FIFO.
+
+    The bucket is one number, `_accepted`: the bytes it has taken since
+    cycle 0, idle cycles' tokens included, so cycle c's tokens are bytes
+    c * bw .. (c + 1) * bw - 1. A debit of g bytes at cycle c takes the
+    next g of them, no earlier than cycle c's first:
+
+        accepted = max(accepted, c * bw) + g
+
+    and its last byte goes out in cycle (accepted - 1) // bw.
     """
 
     def __init__(self, cfg: DramConfig):
         self.cfg = cfg
-        self._cursor = 0                # cycle currently accepting bytes
-        self._tokens = cfg.bandwidth_bytes_per_cycle
+        self._accepted = 0
         self.bytes_issued = 0
         self.txns = 0
 
@@ -66,44 +74,33 @@ class Dram:
         """Accept a transaction at `now`; return its completion cycle."""
         if nbytes <= 0:
             raise ValueError("transaction must carry at least one byte")
-        if now > self._cursor:
-            self._cursor = now
-            self._tokens = self.cfg.bandwidth_bytes_per_cycle
-        if nbytes <= self._tokens:        # fits in the current cycle
-            self._tokens -= nbytes
-        else:
-            self._take(nbytes, now)
+        bw = self.cfg.bandwidth_bytes_per_cycle
+        self._accepted = accepted = max(self._accepted, now * bw) + nbytes
         self.bytes_issued += nbytes
         self.txns += 1
-        return self._cursor + self.cfg.access_latency
+        return (accepted - 1) // bw + self.cfg.access_latency
 
     def issue_run(self, chunks: Tuple[int, ...], count: int, now: int) -> int:
         """Accept `count` groups of transactions, one group per cycle from `now`.
 
         Leaves the same state and returns the same cycle as `issue` called
         for each of `chunks` at cycle now, then now + 1, ... now + count - 1,
-        but in closed form. Let `accepted` count the bytes the bucket has
-        taken since cycle 0, idle cycles' tokens included. A debit of g
-        bytes at cycle c sets it to max(accepted, c * bw) + g, so after the
-        run of groups of g bytes it is the larger of
+        but in closed form. After the run of groups of g bytes, the bytes
+        accepted are the larger of
 
             max(accepted, now * bw) + count * g      (DRAM stays backlogged)
             (now + count - 1) * bw + g               (it drains between groups)
-
-        and the cursor is the cycle of its last byte.
         """
         group = sum(chunks)
         if count < 1 or min(chunks, default=0) < 1:
             raise ValueError("a run needs groups of non-empty transactions")
         bw = self.cfg.bandwidth_bytes_per_cycle
-        accepted = self._cursor * bw + bw - self._tokens
-        accepted = max(max(accepted, now * bw) + count * group,
-                       (now + count - 1) * bw + group)
-        self._cursor, spent = divmod(accepted - 1, bw)
-        self._tokens = bw - 1 - spent
+        self._accepted = accepted = max(
+            max(self._accepted, now * bw) + count * group,
+            (now + count - 1) * bw + group)
         self.bytes_issued += count * group
         self.txns += count * len(chunks)
-        return self._cursor + self.cfg.access_latency
+        return (accepted - 1) // bw + self.cfg.access_latency
 
     def consume(self, nbytes: int, now: int) -> None:
         """Debit bandwidth without a data transaction (page-walk reads).
@@ -112,21 +109,8 @@ class Dram:
         token bucket is touched here.
         """
         if nbytes > 0:
-            self._take(nbytes, now)
-
-    def _take(self, nbytes: int, now: int) -> None:
-        """Debit `nbytes` from the token bucket, starting no earlier than `now`."""
-        if now > self._cursor:
-            self._cursor = now
-            self._tokens = self.cfg.bandwidth_bytes_per_cycle
-        remaining = nbytes
-        while remaining > 0:
-            take = min(remaining, self._tokens)
-            remaining -= take
-            self._tokens -= take
-            if self._tokens == 0 and remaining > 0:
-                self._cursor += 1
-                self._tokens = self.cfg.bandwidth_bytes_per_cycle
+            self._accepted = max(self._accepted,
+                                 now * self.cfg.bandwidth_bytes_per_cycle) + nbytes
 
 
 def link_transfer_cycles(nbytes: int, link: LinkConfig) -> int:

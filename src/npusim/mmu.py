@@ -47,11 +47,18 @@ Request life cycle per cycle-accurate submit/tick protocol:
 
   A tick may be skipped for a cycle before the next pending event, since it
   would deliver nothing. `skip_blocked` is how that happens: called after a
-  BLOCKED submit and before that cycle's tick, it makes the request's
-  retries up to the cycle of the next event, one `submit` per cycle, and
-  returns that cycle; the caller resumes there without ticking the cycles
-  in between. Nothing changes before an event fires, so every one of those
-  retries is blocked too.
+  BLOCKED submit and before that cycle's tick, it returns the cycle of the
+  next event, and the caller resumes there without ticking the cycles in
+  between. Nothing changes before an event fires, so each retry of the
+  request up to that cycle is a TLB miss that blocks and changes no state:
+  `skip_blocked` charges the whole stretch to the submit, TLB-miss and
+  blocked counters in one step. It still makes the stretch's retries, one
+  `submit` per cycle, but a stretch marker answers each BLOCKED at once,
+  with no TLB, scoreboard or walker probe. The calls stay because blocked
+  cycles are still counted from outside as BLOCKED `submit` returns (the
+  benchmark's traced cross-check, a DMA-loop test); once those counts
+  read the skipped retries off `skip_blocked`'s return, the calls and the
+  marker can go.
 
 With merge buffers disabled (prmb_slots == 0) there is no scoreboard:
 duplicate in-flight VPNs each dispatch their own redundant walk, as long as
@@ -227,6 +234,7 @@ class TranslationEngine:
         self._seq = 0
         self._next_req = 0
         self._last_tick = -1
+        self._retry_until = 0             # submits before it: charged retries
 
     # -- public API ---------------------------------------------------------
 
@@ -240,6 +248,8 @@ class TranslationEngine:
         return self._next_req
 
     def submit(self, vpn: int, now: int) -> SubmitResult:
+        if now < self._retry_until:       # a retry `skip_blocked` charged
+            return _BLOCKED
         stats, cfg = self.stats, self.cfg
         stats.submitted += 1
         stats.tlb_accesses += 1
@@ -374,19 +384,33 @@ class TranslationEngine:
         Call it after `submit(vpn, now)` came back BLOCKED and before
         `tick(now)`. Let `due` be the cycle of the earliest pending event,
         read before that tick (a walker it frees would otherwise be missed).
-        If `due > now`, nothing can change before `due`: the retries at
-        now + 1 .. due - 1 are made here, each a `submit` that comes back
-        BLOCKED and is counted like any other, and `due` is returned; the
-        caller skips the ticks of cycles now .. due - 1, which would all be
-        idle, and resumes at cycle `due`. Otherwise it returns `now`.
+        If `due > now`, nothing can change before `due`, so each retry at
+        now + 1 .. due - 1 would be a blocked TLB miss and nothing more.
+        The due - now - 1 retries are charged in one step, to the counters
+        such a submit counts, and `due` is returned; the caller skips the
+        ticks of cycles now .. due - 1, which would all be idle, and
+        resumes at cycle `due`. Otherwise it returns `now`.
+
+        The retries are still made, one `submit` per cycle, for whatever
+        counts BLOCKED returns from outside; a stretch marker, cleared
+        before the return, makes each one return BLOCKED at once and count
+        nothing more.
         """
         events = self._events
         due = events[0][0] if events else now
         if due <= now:
             return now
+        retries = due - now - 1
+        stats = self.stats
+        stats.submitted += retries
+        stats.tlb_accesses += retries
+        stats.tlb_misses += retries
+        stats.blocked_cycles += retries
+        self._retry_until = due
         submit = self.submit
         for t in range(now + 1, due):
             submit(vpn, t)
+        self._retry_until = 0
         return due
 
     # -- internals ----------------------------------------------------------

@@ -26,13 +26,16 @@ Under a modelled `TranslationEngine`, `simulate_fetch` drives the engine
 with the timing of one submit and one tick per cycle, but a page run's
 TLB hits and merges go in through one `TranslationEngine.accept_run`
 call, and the engine delivers them as runs of groups, each debited to
-DRAM in one closed-form `Dram.issue_run`. While
-the MMU blocks a group (walkers busy or merge buffer full), nothing
-changes until the engine's next event, so the engine's `skip_blocked`
-makes the group's retries up to that cycle and the loop skips its idle
-ticks. Under the `Oracle` every translation completes in the cycle it is
-offered, so `oracle_fetch` is a closed form: group i and its data go out
-at cycle start + i, with one page-table read and one DRAM debit per run.
+DRAM in one closed-form `Dram.issue_run`. While the MMU blocks a group
+(walkers busy or merge buffer full), nothing changes until the engine's
+next event, so the engine's `skip_blocked` charges the group's retries
+up to that cycle to its counters in one step and the loop skips its idle
+ticks. `skip_blocked` still makes one `submit` call per retry, each
+answered BLOCKED at once from a stretch marker, because blocked cycles
+are still counted from outside as BLOCKED returns. Under the `Oracle`
+every translation completes in the cycle it is offered, so `oracle_fetch`
+is a closed form: group i and its data go out at cycle start + i, with
+one page-table read and one DRAM debit per run.
 
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
@@ -273,9 +276,9 @@ def simulate_fetch(
     TLB hits and merges go in through one `engine.accept_run` call, and
     the cycles it took are ticked at once; a group that starts a walk or
     blocks goes through `engine.submit`. A blocked stretch runs through
-    `engine.skip_blocked`, which makes the retries and lets the loop skip
-    the idle ticks until the next engine event. Completed groups release
-    their chunks to DRAM: groups that complete in consecutive cycles with
+    `engine.skip_blocked`, which charges the retries and lets the loop
+    skip the idle ticks until the next engine event. Completed groups
+    release their chunks to DRAM: groups that complete in consecutive cycles with
     the same chunks are debited together, in one `Dram.issue_run`, before
     anything else reaches DRAM. The engine hands completions out in cycle
     order, so DRAM sees walk reads and data in the per-cycle order.

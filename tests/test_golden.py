@@ -43,6 +43,8 @@ MATRIX = {
     for suite in ("toy", "burst")
     for point, overrides in POINTS.items()
 }
+# the walker-bound GEMV layers, where most submits block
+MATRIX["gemv-rnn-default"] = {"workload.suite": "gemv-rnn"}
 MATRIX["embedding-all"] = {"workload.kind": "embedding", "workload.strategy": "all"}
 MATRIX["embedding-all-oracle"] = {**MATRIX["embedding-all"], "mmu.mode": "oracle"}
 

@@ -76,7 +76,7 @@ def test_issue_completions_monotone_at_fixed_cycle(sizes):
 
 
 def dram_state(dram):
-    return dram._cursor, dram._tokens, dram.bytes_issued, dram.txns
+    return dram._accepted, dram.bytes_issued, dram.txns
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,3 +111,63 @@ def test_issue_run_equals_issues_one_cycle_apart(bandwidth, latency, warmup,
 def test_issue_run_rejects_empty_runs(chunks, count):
     with pytest.raises(ValueError):
         Dram(DramConfig()).issue_run(chunks, count, 0)
+
+
+class PerCycleDram:
+    """The token bucket filled one cycle at a time: `cursor` is the cycle
+    accepting bytes, with `tokens` of its bandwidth left."""
+
+    def __init__(self, cfg):
+        self.bw, self.latency = cfg.bandwidth_bytes_per_cycle, cfg.access_latency
+        self.cursor, self.tokens = 0, self.bw
+
+    def take(self, nbytes, now):
+        if now > self.cursor:
+            self.cursor, self.tokens = now, self.bw
+        while nbytes > 0:
+            if self.tokens == 0:
+                self.cursor, self.tokens = self.cursor + 1, self.bw
+            taken = min(nbytes, self.tokens)
+            nbytes -= taken
+            self.tokens -= taken
+
+    def issue(self, nbytes, now):
+        self.take(nbytes, now)
+        return self.cursor + self.latency
+
+    def consume(self, nbytes, now):
+        if nbytes > 0:
+            self.take(nbytes, now)
+
+    def issue_run(self, chunks, count, now):
+        return [self.issue(nbytes, cycle) for cycle in range(now, now + count)
+                for nbytes in chunks][-1]
+
+    @property
+    def accepted(self):
+        """Bytes taken since cycle 0, idle cycles' tokens included."""
+        return self.cursor * self.bw + self.bw - self.tokens
+
+
+DEBITS = st.one_of(
+    st.tuples(st.just("issue"), st.integers(1, 2000), st.integers(0, 40)),
+    st.tuples(st.just("consume"), st.integers(0, 2000), st.integers(0, 40)),
+    st.tuples(st.just("issue_run"),
+              st.lists(st.sampled_from([1, 7, 64, 100, 600]), min_size=1,
+                       max_size=3).map(tuple),
+              st.integers(1, 30), st.integers(0, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bandwidth=st.sampled_from([1, 7, 64, 600]),
+       latency=st.sampled_from([0, 100]),
+       debits=st.lists(DEBITS, max_size=12))
+def test_debits_match_per_cycle_bucket(bandwidth, latency, debits):
+    """`issue`, `consume` and `issue_run`, in any order and at any cycles,
+    return the cycles and leave the bucket that filling it one cycle at a
+    time gives."""
+    cfg = DramConfig(bandwidth_bytes_per_cycle=bandwidth, access_latency=latency)
+    dram, ref = Dram(cfg), PerCycleDram(cfg)
+    for kind, *args in debits:
+        assert getattr(dram, kind)(*args) == getattr(ref, kind)(*args)
+        assert dram._accepted == ref.accepted

@@ -10,6 +10,9 @@ cycle with the same engine counters, the same DRAM state and the same
 completions in the same order, or fault on the same page.
 """
 
+from dataclasses import fields
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from npusim.address_space import PageSize, Segment, default_segment_base
@@ -184,3 +187,59 @@ def test_skip_blocked_counts_every_retry_and_returns_the_next_event():
     assert engine.stats.blocked_cycles == before.blocked_cycles + 39
     assert [c.vpn for c in engine.tick(40)] == [first]
     assert engine.submit(first + 1, 41).status is SubmitStatus.NEW_WALK
+
+
+def _blocked_engine(cause):
+    """An engine, a page whose submit came back BLOCKED, its cycle, and the
+    status that page's first submit after the stretch gets: blocked behind
+    the only walker, or behind a full merge buffer with walkers free."""
+    if cause == "walker busy":
+        mmu, pages, after = MmuConfig(num_ptws=1), (0, 1), SubmitStatus.NEW_WALK
+    else:
+        mmu, pages, after = (MmuConfig(num_ptws=2, prmb_slots=1), (0, 0, 0),
+                             SubmitStatus.TLB_HIT)
+    engine, _, first = setup(mmu, DramConfig(), PageSize.SMALL_4K)
+    for now, page in enumerate(pages):
+        status = engine.submit(first + page, now).status
+        if status is not BLOCKED:
+            engine.tick(now)
+    assert status is BLOCKED
+    return engine, first + pages[-1], len(pages) - 1, after
+
+
+def state(engine):
+    """Everything an engine holds but its page table, with its DRAM's state."""
+    held = {k: v for k, v in vars(engine).items() if k not in ("pt", "dram")}
+    return held, vars(engine.dram)
+
+
+@pytest.mark.parametrize("cause", ["walker busy", "merge buffer full"])
+def test_skip_blocked_charges_the_stretch_up_front(cause, monkeypatch):
+    """The stretch's retries are counted in one step; each retry call
+    still reaches `submit` but changes nothing, and the engine is left as
+    that many blocked submits would leave it."""
+    engine, vpn, now, after = _blocked_engine(cause)
+    reference, _, _, _ = _blocked_engine(cause)
+    before = engine.stats.copy()
+    calls = []
+    submit = TranslationEngine.submit
+
+    def counting(self, vpn, now):
+        calls.append(now)
+        return submit(self, vpn, now)
+
+    monkeypatch.setattr(TranslationEngine, "submit", counting)
+    due = engine.skip_blocked(vpn, now)
+    monkeypatch.undo()
+    retries = due - now - 1
+    assert retries > 0
+    assert calls == list(range(now + 1, due))
+    rose = {f.name: getattr(engine.stats, f.name) - getattr(before, f.name)
+            for f in fields(before)}
+    charged = ("submitted", "tlb_accesses", "tlb_misses", "blocked_cycles")
+    assert rose == {name: retries if name in charged else 0 for name in rose}
+    for t in range(now + 1, due):
+        assert reference.submit(vpn, t).status is BLOCKED
+    assert state(engine) == state(reference)
+    engine.tick(due)
+    assert engine.submit(vpn, due).status is after
