@@ -189,7 +189,7 @@ def test_skip_blocked_counts_every_retry_and_returns_the_next_event():
     assert engine.submit(first + 1, 41).status is SubmitStatus.NEW_WALK
 
 
-def _blocked_engine(cause):
+def blocked_engine(cause):
     """An engine, a page whose submit came back BLOCKED, its cycle, and the
     status that page's first submit after the stretch gets: blocked behind
     the only walker, or behind a full merge buffer with walkers free."""
@@ -218,8 +218,8 @@ def test_skip_blocked_charges_the_stretch_up_front(cause, monkeypatch):
     """The stretch's retries are counted in one step; each retry call
     still reaches `submit` but changes nothing, and the engine is left as
     that many blocked submits would leave it."""
-    engine, vpn, now, after = _blocked_engine(cause)
-    reference, _, _, _ = _blocked_engine(cause)
+    engine, vpn, now, after = blocked_engine(cause)
+    reference, _, _, _ = blocked_engine(cause)
     before = engine.stats.copy()
     calls = []
     submit = TranslationEngine.submit
