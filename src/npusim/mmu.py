@@ -228,7 +228,9 @@ class TranslationEngine:
         self._walkers = [_Walker() for _ in range(cfg.num_ptws)]
         self._free = list(range(cfg.num_ptws - 1, -1, -1))
         self._scoreboard: dict[int, int] = {}
-        self._cache: OrderedDict = OrderedDict()  # shared tpc/uptc entries
+        # shared tpc tags or uptc entry addresses; keys only, as a probe
+        # tests membership
+        self._cache: OrderedDict = OrderedDict()
         self._events: list = []           # (cycle, seq, kind, payload)
         self._walk_ends: list = []        # finish cycles of pending walks (heap)
         self._seq = 0
@@ -563,24 +565,25 @@ class TranslationEngine:
                 cache.popitem(last=False)
         else:  # uptc: install the interior entries read, all but the leaf
             for step in fill[:-1]:
-                cache[step.entry_addr] = step.value
+                cache[step.entry_addr] = None
                 cache.move_to_end(step.entry_addr)
                 while len(cache) > self.cfg.cache_entries:
                     cache.popitem(last=False)
 
 
-def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0):
+def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0) -> int:
     """Feed VPNs at one submit per cycle (retrying blocks) and run to drain.
 
-    Returns (cycles_elapsed, completions in delivery order). A blocked
-    stretch skips its idle ticks through `TranslationEngine.skip_blocked`.
+    Returns the cycles elapsed. The completions are left to the engine's
+    ticks and kept nowhere; the engine's stats count them and their
+    faults. A blocked stretch skips its idle ticks through
+    `TranslationEngine.skip_blocked`.
     """
     submit, tick, skip = engine.submit, engine.tick, engine.skip_blocked
     blocked = SubmitStatus.BLOCKED
     n = len(vpns)
     cycle = start
     i = 0
-    comps: List[TranslationCompletion] = []
     while i < n or engine.in_flight > 0:
         if i < n:
             vpn = vpns[i]
@@ -591,6 +594,6 @@ def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0):
                 if due > cycle:
                     cycle = due
                     continue
-        comps.extend(tick(cycle))
+        tick(cycle)
         cycle += 1
-    return cycle - start, comps
+    return cycle - start

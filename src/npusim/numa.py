@@ -101,10 +101,13 @@ def translate_gathers(
     """Cycles to translate every gather of `trace` through the MMU.
 
     Gathers are submitted at one per cycle, blocked ones retried, until the
-    last translation completes; under the oracle MMU that is one cycle per
-    gather. Pages are `mmu.page_size`. `page_table` must map every table
-    (built from `embedding_segments` when not given) and hold pages of
-    that size, or ValueError is raised; a fault raises RuntimeError.
+    last translation completes (`drain_trace`, which keeps no completion;
+    a fault is read off the engine's stats); under the oracle MMU that is
+    one cycle per gather. The engine has no DRAM, so its walk reads are
+    never charged bandwidth. Pages are `mmu.page_size`. `page_table` must
+    map every table (built from `embedding_segments` when not given) and
+    hold pages of that size, or ValueError is raised; a fault raises
+    RuntimeError.
     """
     ps = PAGE_SIZES[mmu.page_size]
     if page_table is None:
@@ -119,7 +122,7 @@ def translate_gathers(
         faulted = any(page_table.leaf(v)[0] is None for v in vpns)
     else:
         engine = TranslationEngine(mmu, page_table)
-        cycles, _ = drain_trace(engine, vpns)
+        cycles = drain_trace(engine, vpns)
         faulted = engine.stats.faults > 0
     if faulted:
         raise RuntimeError("NUMA gather faulted; remote pages must be mapped")

@@ -13,6 +13,8 @@ never collide with data addresses.
 
 from __future__ import annotations
 
+from array import array
+from operator import index as as_int
 from typing import Iterable, List, NamedTuple, Optional
 
 from .address_space import PageSize, Segment, check_disjoint, radix_indices
@@ -21,6 +23,10 @@ from .address_space import PageSize, Segment, check_disjoint, radix_indices
 PT_NODE_REGION_BASE = 1 << 47
 ENTRY_BYTES = 8
 ROOT_LEVEL = 4
+# An empty slot. Child node ids and frames are never negative.
+ABSENT = -1
+FRAME_LIMIT = 1 << 63                   # frames are stored as signed 64-bit
+_EMPTY_NODE = array("q", [ABSENT]) * 512
 
 
 def fault_depth(level: int) -> int:
@@ -44,11 +50,13 @@ class WalkStep(NamedTuple):
 class PageTable:
     """Radix tree of 512-slot nodes.
 
-    `nodes` is a list indexed by node id (0 is the root), and each node a
-    list of 512 slots. A slot holds None (absent), a child node id or a
-    frame number: a table holds pages of one size, so a slot at the leaf
-    level is a frame and any slot above it a child. A node costs about 4 KB
-    however few of its slots are filled.
+    `nodes` is a list indexed by node id (0 is the root), and each node an
+    `array('q')` of 512 signed 64-bit slots, interior and leaf nodes alike.
+    A slot holds ABSENT (-1), a child node id or a frame number: a table
+    holds pages of one size, so a slot at the leaf level is a frame and any
+    slot above it a child. A node costs about 4 KB (512 x 8 B) however few
+    of its slots are filled. Frames are stored unboxed, so a frame lies in
+    0 .. 2**63 - 1.
 
     `build` maps each segment with `map_range`, which descends to a leaf
     node once per run of up to 512 VPNs, then checks and fills the run with
@@ -81,35 +89,43 @@ class PageTable:
 
     def __init__(self, page_size: PageSize):
         self.page_size = page_size
-        self.nodes: List[List[Optional[int]]] = [[None] * 512]
+        self.nodes: List[array] = [array("q", _EMPTY_NODE)]
         self.mapped_pages = 0
         # vpn -> (frame, None) or (None, fault level)
         self._leaves: dict[int, tuple[Optional[int], Optional[int]]] = {}
 
     # -- mutation -----------------------------------------------------------
 
-    def _leaf_node(self, indices: tuple) -> List[Optional[int]]:
+    def _leaf_node(self, indices: tuple) -> array:
         """The node that holds a page's leaf slot, allocating missing
         interior nodes on the way down."""
         nodes = self.nodes
         node = nodes[0]
         for index in indices[:-1]:
             child = node[index]
-            if child is None:
+            if child < 0:
                 child = node[index] = len(nodes)
-                nodes.append([None] * 512)
+                nodes.append(array("q", _EMPTY_NODE))
             node = nodes[child]
         return node
 
     def map_page(self, vpn: int, frame: Optional[int] = None) -> int:
-        """Map `vpn` to `frame`, or to the next counted frame; return it."""
+        """Map `vpn` to `frame`, or to the next counted frame; return it.
+
+        An explicit frame must be an int in 0 .. 2**63 - 1: ValueError
+        (TypeError for a non-int) is raised before anything is mapped.
+        """
+        if frame is None:
+            frame = self.mapped_pages
+        else:
+            frame = as_int(frame)
+            if not 0 <= frame < FRAME_LIMIT:
+                raise ValueError(f"frame {frame} outside 0 .. 2**63 - 1")
         self._leaves.clear()
         indices = radix_indices(vpn, self.page_size)
         node = self._leaf_node(indices)
-        if node[indices[-1]] is not None:
+        if node[indices[-1]] >= 0:
             raise MappingError(f"vpn {vpn:#x} already mapped")
-        if frame is None:
-            frame = self.mapped_pages
         node[indices[-1]] = frame
         self.mapped_pages += 1
         return frame
@@ -130,11 +146,11 @@ class PageTable:
             lo = indices[-1]
             n = min(512 - lo, end - vpn)
             run = node[lo:lo + n]
-            if run.count(None) != n:
-                taken = next(i for i, slot in enumerate(run) if slot is not None)
+            if run.count(ABSENT) != n:
+                taken = next(i for i, slot in enumerate(run) if slot >= 0)
                 raise MappingError(f"vpn {vpn + taken:#x} already mapped")
             frame = self.mapped_pages
-            node[lo:lo + n] = range(frame, frame + n)
+            node[lo:lo + n] = array("q", range(frame, frame + n))
             self.mapped_pages = frame + n
             vpn += n
 
@@ -153,7 +169,7 @@ class PageTable:
         for index in radix_indices(vpn, self.page_size):
             entry = PT_NODE_REGION_BASE + node * 4096 + index * ENTRY_BYTES
             value = nodes[node][index]
-            if value is None:
+            if value < 0:
                 steps.append(WalkStep(level, entry, False, 0))
                 return steps
             steps.append(WalkStep(level, entry, True, value))
@@ -169,7 +185,7 @@ class PageTable:
         level = ROOT_LEVEL
         for index in radix_indices(vpn, self.page_size):
             node = nodes[node][index]
-            if node is None:
+            if node < 0:
                 return None, level
             level -= 1
         return node, None

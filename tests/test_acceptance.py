@@ -24,7 +24,7 @@ from npusim.numa import (
     translate_gathers,
 )
 from npusim.page_table import build
-from walk_reference import build_scattered, reference_frame
+from walk_reference import RecordingEngine, build_scattered, reference_frame
 from npusim.workloads import (
     EmbeddingModel,
     EmbeddingTableSpec,
@@ -92,8 +92,9 @@ def test_criterion_01_translation_correctness():
         pt = build_scattered([seg], ps, seed=trial)
         lo = seg.vpn_range(ps)[0]
         trace = [lo + int(v) for v in rng.integers(0, pool, size=2500)]
-        engine = TranslationEngine(cfg, pt)
-        _, comps = drain_trace(engine, trace)
+        engine = RecordingEngine(cfg, pt)
+        drain_trace(engine, trace)
+        comps = engine.delivered
         for c in comps:
             verified += 1
             if c.frame is None or c.frame != reference_frame(pt, c.vpn):
@@ -113,8 +114,7 @@ def test_criterion_02_oracle_bound_and_monotonicity():
     burst, pt_b, _, _ = burst_txn_vpns()
 
     def cycles(cfg, trace, pt):
-        c, _ = drain_trace(TranslationEngine(cfg, pt), trace)
-        return c
+        return drain_trace(TranslationEngine(cfg, pt), trace)
 
     violations = []
     oracle_ok = True
@@ -142,10 +142,11 @@ def test_criterion_02_oracle_bound_and_monotonicity():
 
 def test_criterion_03_merge_buffer_filters_walks():
     trace, pt, _, _ = burst_txn_vpns()
-    off = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=0), pt)
-    _, comps_off = drain_trace(off, trace)
-    on = TranslationEngine(MmuConfig(num_ptws=8, prmb_slots=8), pt)
-    _, comps_on = drain_trace(on, trace)
+    off = RecordingEngine(MmuConfig(num_ptws=8, prmb_slots=0), pt)
+    drain_trace(off, trace)
+    on = RecordingEngine(MmuConfig(num_ptws=8, prmb_slots=8), pt)
+    drain_trace(on, trace)
+    comps_off, comps_on = off.delivered, on.delivered
 
     pas = lambda comps: sorted((c.vpn, c.frame) for c in comps)
     ratio = off.stats.walks_started / on.stats.walks_started
@@ -182,9 +183,10 @@ def test_criterion_05_walk_cost_exact():
     for ps, pages in ((PS4K, 1), (PS2M, 1)):
         seg = Segment("s", default_segment_base(0), pages * ps.bytes)
         pt = build([seg], ps)
-        eng = TranslationEngine(MmuConfig(num_ptws=1), pt)
-        _, comps = drain_trace(eng, [seg.vpn_range(ps)[0]])
-        results[ps] = (eng.stats.walk_memory_transactions, comps[0].done_cycle)
+        eng = RecordingEngine(MmuConfig(num_ptws=1), pt)
+        drain_trace(eng, [seg.vpn_range(ps)[0]])
+        results[ps] = (eng.stats.walk_memory_transactions,
+                       eng.delivered[0].done_cycle)
     check(5, f"4KB walk = {results[PS4K]} (4 txns, 400 cyc); "
              f"2MB walk = {results[PS2M]} (3 txns, 300 cyc)",
           results[PS4K] == (4, 400) and results[PS2M] == (3, 300))

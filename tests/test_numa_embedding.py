@@ -12,7 +12,7 @@ from npusim import config as cfgmod
 from npusim import harness, numa as numa_mod
 from npusim.address_space import PageSize, vpn
 from npusim.memory import LinksConfig
-from npusim.mmu import MmuConfig, TranslationEngine, drain_trace
+from npusim.mmu import MmuConfig, drain_trace
 from npusim.numa import (
     run_baseline_copy,
     run_demand_paging,
@@ -28,7 +28,7 @@ from npusim.workloads import (
     gather_trace,
     table_segment,
 )
-from walk_reference import reference_frame
+from walk_reference import RecordingEngine, reference_frame
 
 ROOT = Path(__file__).resolve().parents[1]
 NEUMMU = MmuConfig(**cfgmod.load_config(str(ROOT / "configs" / "neummu.yaml"))["mmu"])
@@ -199,10 +199,11 @@ def test_more_walkers_shrink_translation_cycles():
 def per_link_numa(tr, m, link, mmu):
     """A NUMA row with its own table, engine and translation, link by link."""
     eb = 256
-    engine = TranslationEngine(mmu, build(embedding_segments(m), PS4K))
+    engine = RecordingEngine(mmu, build(embedding_segments(m), PS4K))
     vpns = [vpn(table_segment(m, g.table).base + g.row * eb, PS4K) for g in tr]
-    translation, comps = drain_trace(engine, vpns)
-    assert all(c.frame is not None for c in comps)
+    translation = drain_trace(engine, vpns)
+    assert len(engine.delivered) == len(vpns)
+    assert all(c.frame is not None for c in engine.delivered)
     local = sum(1 for g in tr if g.owner_npu == 0)
     remote_bytes = (len(tr) - local) * eb
     transfer = math.ceil(remote_bytes / link.bandwidth_bytes_per_cycle)

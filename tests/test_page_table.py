@@ -1,5 +1,7 @@
 """Radix page tables: construction, the reference walker, mapping, sharing."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +87,37 @@ def test_double_map_is_refused():
         pt.map_page(page, 7)
     assert pt.walk_outcome(page) == (0, None)
     assert pt.mapped_pages == 1
+
+
+@pytest.mark.parametrize("frame, error", [
+    (-1, ValueError), (-(2**40), ValueError), (2**63, ValueError),
+    (2**64, ValueError), (7.0, TypeError), ("7", TypeError)])
+def test_map_page_refuses_a_frame_no_slot_holds(frame, error):
+    # a slot holds 0 .. 2**63 - 1, and -1 reads back as an absent slot:
+    # such a frame must be refused before anything is mapped
+    pt = PageTable(PS4K)
+    page = vpn(default_segment_base(0), PS4K)
+    with pytest.raises(error):
+        pt.map_page(page, frame)
+    assert pt.walk_outcome(page) == (None, 4)
+    assert len(pt.nodes) == 1 and pt.mapped_pages == 0
+    assert pt.map_page(page, 2**63 - 1) == 2**63 - 1
+    assert reference_walk(pt, page) == ((2**63 - 1, None), 4)
+
+
+def test_a_mapped_page_costs_one_slot():
+    # frames are stored unboxed: a 64Ki-page table keeps about 8 B a page
+    # (its slot), not a slot and an int object (about 40 B)
+    s = seg(0, 65536 * 4096)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pt = build([s], PS4K)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pt.mapped_pages == 65536
+    assert kept / pt.mapped_pages <= 16
 
 
 def test_build_rejects_overlap():

@@ -20,27 +20,11 @@ from npusim.memory import Dram, DramConfig
 from npusim.mmu import MmuConfig, SubmitStatus, TranslationEngine, drain_trace
 from npusim.npu import SimulationFault, simulate_fetch
 from npusim.page_table import build
+from walk_reference import RecordingEngine
 
 BLOCKED = SubmitStatus.BLOCKED
 BASE = default_segment_base(0)
 MAPPED_PAGES = 6                          # page MAPPED_PAGES faults at L1
-
-
-class RecordingEngine(TranslationEngine):
-    """An engine that keeps every request its ticks complete, in order: a
-    completion of a run of requests is kept as one completion per request."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.delivered = []
-
-    def tick(self, now):
-        out = super().tick(now)
-        self.delivered.extend(
-            comp._replace(request_id=comp.request_id + i,
-                          done_cycle=comp.done_cycle + i, count=1)
-            for comp in out for i in range(comp.count))
-        return out
 
 
 def reference_fetch(runs, engine, dram, start):
@@ -68,13 +52,12 @@ def reference_fetch(runs, engine, dram, start):
 def reference_drain(engine, vpns, start):
     """`drain_trace` with a submit and a tick in every cycle."""
     cycle, i = start, 0
-    comps = []
     while i < len(vpns) or engine.in_flight > 0:
         if i < len(vpns) and engine.submit(vpns[i], cycle).status is not BLOCKED:
             i += 1
-        comps.extend(engine.tick(cycle))
+        engine.tick(cycle)
         cycle += 1
-    return cycle - start, comps
+    return cycle - start
 
 
 MMU_POINTS = st.builds(
@@ -123,8 +106,8 @@ def fetch_outcome(fetch, runs, mmu, dram_cfg, ps, start):
 
 def drain_outcome(drain, pages, mmu, dram_cfg, ps, start):
     engine, dram, first = setup(mmu, dram_cfg, ps)
-    cycles, comps = drain(engine, [first + page for page in pages], start)
-    return cycles, comps, engine.stats, vars(dram)
+    cycles = drain(engine, [first + page for page in pages], start)
+    return cycles, engine.delivered, engine.stats, vars(dram)
 
 
 # Two walkers, no merge buffer. Page 4 is blocked when the walk of page 2

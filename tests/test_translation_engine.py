@@ -18,7 +18,7 @@ from npusim.mmu import (
     drain_trace,
 )
 from npusim.page_table import build
-from walk_reference import build_scattered, reference_frame
+from walk_reference import RecordingEngine, build_scattered, reference_frame
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
@@ -159,10 +159,10 @@ def test_walker_frees_after_walk():
 
 def test_path_register_cuts_walks_to_one_read():
     pt, seg = make_pt(pages=10)
-    eng = TranslationEngine(
+    eng = RecordingEngine(
         MmuConfig(num_ptws=1, translation_cache="tpr"), pt)
-    cycles, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
-    assert len(comps) == 10
+    drain_trace(eng, list(seg.vpn_range(PS4K)))
+    assert len(eng.delivered) == 10
     # first walk reads 4 nodes; the other nine hit the register and read 1
     assert eng.stats.walk_memory_transactions == 4 + 9
     assert eng.stats.cache_hit_l4 == 9
@@ -172,22 +172,22 @@ def test_path_register_cuts_walks_to_one_read():
 
 def test_path_cache_shared_across_walkers():
     pt, seg = make_pt(pages=16)
-    eng = TranslationEngine(
+    eng = RecordingEngine(
         MmuConfig(num_ptws=8, prmb_slots=4,
                   translation_cache="tpc", cache_entries=8), pt)
-    _, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
-    assert len(comps) == 16
+    drain_trace(eng, list(seg.vpn_range(PS4K)))
+    assert len(eng.delivered) == 16
     # one cold walk primes the shared cache for every later walker
     assert eng.stats.walk_memory_transactions < 16 * 4
 
 
 def test_unified_cache_serves_interior_nodes():
     pt, seg = make_pt(pages=8)
-    eng = TranslationEngine(
+    eng = RecordingEngine(
         MmuConfig(num_ptws=1, translation_cache="uptc",
                   cache_entries=64), pt)
-    _, comps = drain_trace(eng, list(seg.vpn_range(PS4K)))
-    assert len(comps) == 8
+    drain_trace(eng, list(seg.vpn_range(PS4K)))
+    assert len(eng.delivered) == 8
     assert eng.stats.walk_memory_transactions == 4 + 7
 
 
@@ -358,8 +358,9 @@ def test_random_traces_translate_correctly(cfg, seed, data):
     lo = seg.vpn_range(ps)[0]
     trace = [lo + int(v) for v in rng.integers(0, pages, size=int(rng.integers(1, 80)))]
 
-    eng = TranslationEngine(cfg, pt)
-    cycles, comps = drain_trace(eng, trace)
+    eng = RecordingEngine(cfg, pt)
+    drain_trace(eng, trace)
+    comps = eng.delivered
     assert len(comps) == len(trace)
     by_rid = {}
     for c in comps:

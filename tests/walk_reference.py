@@ -5,11 +5,14 @@ what a translation returns. `build_scattered` builds the table that
 `page_table.build` builds, node for node, but maps every page through
 `map_page` to a scattered frame, so a translation that returned a counted
 frame, or another page's frame, by mistake would not match by chance.
+`RecordingEngine` keeps what an engine's ticks deliver, for the tests that
+check the translations themselves.
 """
 
 import random
 
 from npusim.address_space import check_disjoint
+from npusim.mmu import TranslationEngine
 from npusim.page_table import PageTable
 
 # Scattered frames lie above every frame a table's counter hands out.
@@ -47,3 +50,20 @@ def build_scattered(segments, ps, seed=0):
     for page, frame in zip(pages, scattered_frames(len(pages), seed)):
         pt.map_page(page, frame)
     return pt
+
+
+class RecordingEngine(TranslationEngine):
+    """An engine that keeps every request its ticks complete, in order: a
+    completion of a run of requests is kept as one completion per request."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.delivered = []
+
+    def tick(self, now):
+        out = super().tick(now)
+        self.delivered.extend(
+            comp._replace(request_id=comp.request_id + i,
+                          done_cycle=comp.done_cycle + i, count=1)
+            for comp in out for i in range(comp.count))
+        return out
