@@ -14,7 +14,6 @@ from npusim.mmu import MmuConfig
 from npusim.numa import run_demand_paging
 from npusim.workloads import (
     EmbeddingModel,
-    EmbeddingTableSpec,
     GatherRequest,
     Placement,
     gather_trace,
@@ -35,8 +34,8 @@ def main():
             ("zipf", "zipf", 1.2, 256),
             ("sparse", "uniform", 1.0, 64)):
         model = EmbeddingModel(
-            tables=tuple(EmbeddingTableSpec(args.rows) for _ in range(args.tables)),
-            batch=batch, index_distribution=dist, zipf_s=zipf_s, seed=args.seed)
+            tables=args.tables, rows=args.rows, batch=batch,
+            index_distribution=dist, zipf_s=zipf_s, seed=args.seed)
         placement = Placement.round_robin(args.tables, args.tables)
         trace = gather_trace(model, placement, 0)
         if pattern == "sequential":

@@ -89,7 +89,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"error: {err}", file=sys.stderr)
                 return 1
             sys.stdout.write(cfgmod.dump_effective(cfg))
-    except (cfgmod.ConfigError, ValueError, OSError, yaml.YAMLError) as exc:
+    except (ValueError, OSError, yaml.YAMLError) as exc:  # ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

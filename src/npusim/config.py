@@ -63,7 +63,10 @@ DEFAULT_CONFIG: Dict[str, Any] = {
 ENV_PREFIX = "NPUSIM_"
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
+    """A config that fails validation: a bad value, as a record's own
+    checks would find it, so it is a ValueError too."""
+
     def __init__(self, errors: List[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
@@ -132,14 +135,25 @@ def set_by_path(cfg: Dict[str, Any], key: str, value: Any) -> None:
 
 
 def validate(cfg: Dict[str, Any]) -> List[str]:
-    """Return a list of "key.path: problem" strings; empty means valid."""
+    """Return a list of "key.path: problem" strings; empty means valid.
+
+    A section whose keys all pass is also built as its record, so checks
+    that span keys (`WorkloadConfig`'s) run as they do in a run.
+    """
     errors = check(Header, {k: v for k, v in cfg.items() if k not in SECTIONS})
     for name, record in SECTIONS.items():
         section = cfg.get(name)
-        if isinstance(section, dict):
-            errors += [f"{name}.{e}" for e in check(record, section)]
-        else:
+        if not isinstance(section, dict):
             errors.append(f"{name}: must be a mapping, got {section!r}")
+            continue
+        problems = check(record, section)
+        if problems:
+            errors += [f"{name}.{e}" for e in problems]
+            continue
+        try:
+            record(**section)
+        except ValueError as exc:
+            errors.append(f"{name}: {exc}")
     return errors
 
 

@@ -23,6 +23,7 @@ import csv
 import io
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
@@ -42,7 +43,6 @@ from .page_table import build
 from .workloads import (
     STRATEGIES,
     EmbeddingModel,
-    EmbeddingTableSpec,
     Placement,
     WorkloadConfig,
     dense_suite,
@@ -132,11 +132,11 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
 
 
 def _embedding_model(wl: WorkloadConfig, seed: int) -> Tuple[EmbeddingModel, Placement]:
-    tables = tuple(EmbeddingTableSpec(wl.rows, wl.embedding_bytes)
-                   for _ in range(wl.tables))
     model = EmbeddingModel(
-        tables=tables,
+        tables=wl.tables,
+        rows=wl.rows,
         batch=wl.batch_samples,
+        embedding_bytes=wl.embedding_bytes,
         lookups_per_sample=wl.lookups_per_sample,
         index_distribution=wl.distribution,
         zipf_s=wl.zipf_s,
@@ -174,23 +174,7 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
                f"/{wl.distribution}/b{wl.batch_samples}")
     for bd in breakdowns:
         row = _blank_row(cfg, seed)
-        row.update({
-            "workload": wl_name,
-            "mode": mmu.mode,
-            "strategy": bd.strategy,
-            "total_cycles": bd.total_cycles,
-            "local_cycles": bd.local_cycles,
-            "remote_leg1": bd.remote_leg1,
-            "staging": bd.staging,
-            "remote_leg2": bd.remote_leg2,
-            "translation_cycles": bd.translation_cycles,
-            "numa_transfer_cycles": bd.numa_transfer_cycles,
-            "fault_handling_cycles": bd.fault_handling_cycles,
-            "migration_cycles": bd.migration_cycles,
-            "migration_bytes": bd.migration_bytes,
-            "payload_bytes": bd.payload_bytes,
-            "faults": bd.faults,
-        })
+        row.update(asdict(bd), workload=wl_name, mode=mmu.mode)
         rows.append(row)
     return rows
 
@@ -229,8 +213,13 @@ def sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _require_valid(cfg)  # point ids are composed from the base config
-    for key, _ in items:
-        cfgmod.resolve_key(cfg, key)  # fail fast on unknown keys
+    keys = [cfgmod.resolve_key(cfg, key) for key, _ in items]  # fail fast
+    twice = sorted({key for key in keys if keys.count(key) > 1})
+    if twice:
+        # the later axis would overwrite the earlier one's values, and the
+        # rows would be labelled with values they did not run at
+        raise cfgmod.ConfigError([f"sweep key {key!r} is on more than one axis"
+                                  for key in twice])
     combos = list(itertools.product(*[vals for _, vals in items]))
     tasks = []
     for combo in combos:

@@ -71,7 +71,13 @@ class Dram:
         self.txns = 0
 
     def issue(self, nbytes: int, now: int) -> int:
-        """Accept a transaction at `now`; return its completion cycle."""
+        """Accept a transaction at `now`; return its completion cycle.
+
+        No simulator path calls it: data is debited a run of groups at a
+        time through `issue_run`. It is the per-transaction reference that
+        `issue_run` is tested against, and a patch point the benchmark's
+        tracer counts.
+        """
         if nbytes <= 0:
             raise ValueError("transaction must carry at least one byte")
         bw = self.cfg.bandwidth_bytes_per_cycle

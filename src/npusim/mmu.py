@@ -51,14 +51,14 @@ Request life cycle per cycle-accurate submit/tick protocol:
   next event, and the caller resumes there without ticking the cycles in
   between. Nothing changes before an event fires, so each retry of the
   request up to that cycle is a TLB miss that blocks and changes no state:
-  `skip_blocked` charges the whole stretch to the submit, TLB-miss and
-  blocked counters in one step. It still makes the stretch's retries, one
-  `submit` per cycle, but a stretch marker answers each BLOCKED at once,
-  with no TLB, scoreboard or walker probe. The calls stay because blocked
-  cycles are still counted from outside as BLOCKED `submit` returns (the
-  benchmark's traced cross-check, a DMA-loop test); once those counts
-  read the skipped retries off `skip_blocked`'s return, the calls and the
-  marker can go.
+  `skip_blocked` charges the whole stretch to the blocked counter in one
+  step, and the TLB probe and miss counts follow from it. It still makes
+  the stretch's retries, one `submit` per cycle, but a stretch marker
+  answers each BLOCKED at once, with no TLB, scoreboard or walker probe.
+  The calls stay because blocked cycles are still counted from outside as
+  BLOCKED `submit` returns (the benchmark's traced cross-check, a DMA-loop
+  test); once those counts read the skipped retries off `skip_blocked`'s
+  return, the calls and the marker can go.
 
 With merge buffers disabled (prmb_slots == 0) there is no scoreboard:
 duplicate in-flight VPNs each dispatch their own redundant walk, as long as
@@ -157,13 +157,14 @@ class TranslationCompletion(NamedTuple):
 
 @dataclass
 class TranslationStats:
-    submitted: int = 0
+    """The engine's counters. The fields are stored. Every submit probes
+    the TLB once and is either accepted or blocked, so the TLB counts are
+    derived: `tlb_accesses` is `accepted + blocked_cycles`, and
+    `tlb_misses` is `tlb_accesses - tlb_hits`."""
     accepted: int = 0
     completions: int = 0
     faults: int = 0
-    tlb_accesses: int = 0
     tlb_hits: int = 0
-    tlb_misses: int = 0
     scoreboard_merges: int = 0
     merge_buffer_accesses: int = 0
     walks_started: int = 0
@@ -173,6 +174,14 @@ class TranslationStats:
     cache_hit_l4: int = 0
     cache_hit_l3: int = 0
     cache_hit_l2: int = 0
+
+    @property
+    def tlb_accesses(self) -> int:
+        return self.accepted + self.blocked_cycles
+
+    @property
+    def tlb_misses(self) -> int:
+        return self.tlb_accesses - self.tlb_hits
 
     @property
     def tlb_hit_rate(self) -> float:
@@ -186,11 +195,11 @@ class TranslationStats:
 class Oracle:
     """The oracle MMU of one page table, at the table's page size: every
     translation completes in the cycle it is offered, with
-    `PageTable.leaf`'s answer, and is counted nowhere. `run_layer` fetches
-    through `npu.oracle_fetch` when handed one. `cfg` and `stats` read as
-    an engine's would, mode "oracle" and every counter zero, for what reads
-    them off `run_layer`'s engine argument: its `RunStats.mmu_stats` and
-    perfbench's tracer."""
+    `PageTable.walk_outcome`'s answer, and is counted nowhere. `run_layer`
+    fetches through `npu.oracle_fetch` when handed one. `cfg` and `stats`
+    read as an engine's would, mode "oracle" and every counter zero, for
+    what reads them off `run_layer`'s engine argument: its
+    `RunStats.mmu_stats` and perfbench's tracer."""
     pt: PageTable
     cfg: ClassVar[MmuConfig] = MmuConfig(mode="oracle")
     stats: ClassVar[TranslationStats] = TranslationStats()
@@ -199,7 +208,6 @@ class Oracle:
 @dataclass
 class _Walker:
     vpn: int = 0
-    finish: int = 0
     leading: int = 0                      # request id of the walk's owner
     merged: list = field(default_factory=list)  # (first request id, count)
     merges: int = 0                       # merge slots taken
@@ -234,7 +242,6 @@ class TranslationEngine:
         self._events: list = []           # (cycle, seq, kind, payload)
         self._walk_ends: list = []        # finish cycles of pending walks (heap)
         self._seq = 0
-        self._next_req = 0
         self._last_tick = -1
         self._retry_until = 0             # submits before it: charged retries
 
@@ -246,41 +253,36 @@ class TranslationEngine:
 
     @property
     def next_request_id(self) -> int:
-        """The id the next accepted request gets."""
-        return self._next_req
+        """The id the next accepted request gets: requests are numbered
+        in acceptance order from 0."""
+        return self.stats.accepted
 
     def submit(self, vpn: int, now: int) -> SubmitResult:
         if now < self._retry_until:       # a retry `skip_blocked` charged
             return _BLOCKED
         stats, cfg = self.stats, self.cfg
-        stats.submitted += 1
-        stats.tlb_accesses += 1
+        rid = stats.accepted
         frame = self._tlb.get(vpn)
         if frame is not None:
             self._tlb.move_to_end(vpn)
             stats.tlb_hits += 1
-            stats.accepted += 1
-            rid = self._next_req
-            self._next_req = rid + 1
+            stats.accepted = rid + 1
             done = now + cfg.tlb_hit_latency
             self._seq = seq = self._seq + 1
             heappush(self._events, (done, seq, "deliver",
                                     TranslationCompletion(rid, vpn, frame, done)))
             return SubmitResult(SubmitStatus.TLB_HIT, rid, done)
-        stats.tlb_misses += 1
 
         if cfg.prmb_slots > 0:
             wid = self._scoreboard.get(vpn)
             if wid is not None:
                 walker = self._walkers[wid]
                 if walker.merges < cfg.prmb_slots:
-                    rid = self._next_req
-                    self._next_req = rid + 1
                     walker.merged.append((rid, 1))
                     walker.merges += 1
                     stats.scoreboard_merges += 1
                     stats.merge_buffer_accesses += 1
-                    stats.accepted += 1
+                    stats.accepted = rid + 1
                     return SubmitResult(SubmitStatus.MERGED, rid)
                 stats.blocked_cycles += 1
                 return _BLOCKED
@@ -288,10 +290,8 @@ class TranslationEngine:
         if not self._free:
             stats.blocked_cycles += 1
             return _BLOCKED
-        rid = self._next_req
-        self._next_req = rid + 1
         self._start_walk(vpn, now, rid)
-        stats.accepted += 1
+        stats.accepted = rid + 1
         return SubmitResult(SubmitStatus.NEW_WALK, rid)
 
     def accept_run(self, vpn: int, count: int, now: int) -> int:
@@ -310,7 +310,7 @@ class TranslationEngine:
         if ends and ends[0] - now < count:
             count = ends[0] - now + 1
         stats = self.stats
-        rid = self._next_req
+        rid = stats.accepted
         frame = self._tlb.get(vpn)
         if frame is not None:
             self._tlb.move_to_end(vpn)
@@ -329,13 +329,9 @@ class TranslationEngine:
                 return 0
             walker.merged.append((rid, count))
             walker.merges += count
-            stats.tlb_misses += count
             stats.scoreboard_merges += count
             stats.merge_buffer_accesses += count
-        self._next_req = rid + count
-        stats.submitted += count
-        stats.accepted += count
-        stats.tlb_accesses += count
+        stats.accepted = rid + count
         return count
 
     def tick(self, now: int) -> Sequence[TranslationCompletion]:
@@ -388,8 +384,9 @@ class TranslationEngine:
         read before that tick (a walker it frees would otherwise be missed).
         If `due > now`, nothing can change before `due`, so each retry at
         now + 1 .. due - 1 would be a blocked TLB miss and nothing more.
-        The due - now - 1 retries are charged in one step, to the counters
-        such a submit counts, and `due` is returned; the caller skips the
+        The due - now - 1 retries are charged in one step to
+        `blocked_cycles`, the one counter such a submit adds to (the TLB
+        counts follow from it), and `due` is returned; the caller skips the
         ticks of cycles now .. due - 1, which would all be idle, and
         resumes at cycle `due`. Otherwise it returns `now`.
 
@@ -402,12 +399,7 @@ class TranslationEngine:
         due = events[0][0] if events else now
         if due <= now:
             return now
-        retries = due - now - 1
-        stats = self.stats
-        stats.submitted += retries
-        stats.tlb_accesses += retries
-        stats.tlb_misses += retries
-        stats.blocked_cycles += retries
+        self.stats.blocked_cycles += due - now - 1
         self._retry_until = due
         submit = self.submit
         for t in range(now + 1, due):
@@ -454,7 +446,7 @@ class TranslationEngine:
         walker.frame = frame
         walker.fault_level = fault_level
         walker.cache_fill = fill
-        walker.finish = now + txns * cfg.walk_cycles_per_level
+        finish = now + txns * cfg.walk_cycles_per_level
 
         if cfg.prmb_slots > 0:
             self._scoreboard[vpn] = wid
@@ -462,8 +454,8 @@ class TranslationEngine:
         self.stats.walk_memory_transactions += txns
         if self.dram is not None and cfg.charge_walk_bandwidth:
             self.dram.consume(txns * 64, now)
-        self._push(walker.finish, "walk_done", wid)
-        heappush(self._walk_ends, walker.finish)
+        self._push(finish, "walk_done", wid)
+        heappush(self._walk_ends, finish)
 
     def _finish_walk(self, wid: int, now: int,
                      out: List[TranslationCompletion]) -> None:

@@ -353,15 +353,15 @@ def oracle_fetch(runs: Runs, oracle: Oracle, dram: Dram, start: int) -> int:
     """One tile fetch under the oracle MMU; return its end cycle.
 
     Group i is translated in cycle start + i, and its chunks go to DRAM
-    then: one `PageTable.leaf` read and one `Dram.issue_run` per page run.
-    A group on an unmapped page raises SimulationFault. Like
+    then: one `PageTable.walk_outcome` and one `Dram.issue_run` per page
+    run. A group on an unmapped page raises SimulationFault. Like
     `simulate_fetch`, the fetch ends no earlier than the cycle after its
     last group.
     """
-    leaf, issue_run = oracle.pt.leaf, dram.issue_run
+    walk, issue_run = oracle.pt.walk_outcome, dram.issue_run
     cycle = end = start
     for vpn, count, chunks in runs:
-        frame, level = leaf(vpn)
+        frame, level = walk(vpn)
         if frame is None:
             raise SimulationFault(vpn, level)
         end = issue_run(chunks, count, cycle)

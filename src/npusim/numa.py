@@ -82,7 +82,7 @@ def run_baseline_copy(
     npu_id: int = 0,
 ) -> LatencyBreakdown:
     """MMU-less bounce copy through CPU memory (two interconnect legs)."""
-    local_bytes, remote_bytes = _split(trace, npu_id, model.tables[0].embedding_bytes)
+    local_bytes, remote_bytes = _split(trace, npu_id, model.embedding_bytes)
     bd = LatencyBreakdown("baseline_copy", payload_bytes=local_bytes + remote_bytes)
     bd.local_cycles = _dram_read(local_bytes, dram)
     if remote_bytes:
@@ -114,12 +114,13 @@ def translate_gathers(
         page_table = build(embedding_segments(model), ps)
     else:
         _check_page_size(page_table, ps)
-    eb = model.tables[0].embedding_bytes
+    eb = model.embedding_bytes
     bases = _table_bases(model)
     vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
     if mmu.mode == "oracle":
         cycles = len(vpns)
-        faulted = any(page_table.leaf(v)[0] is None for v in vpns)
+        walk = page_table.walk_outcome
+        faulted = any(walk(v)[0] is None for v in vpns)
     else:
         engine = TranslationEngine(mmu, page_table)
         cycles = drain_trace(engine, vpns)
@@ -143,7 +144,7 @@ def run_numa(
     translations overlap the remote transfer stream, so the slower of the
     two paces the remote phase.
     """
-    local_bytes, remote_bytes = _split(trace, npu_id, model.tables[0].embedding_bytes)
+    local_bytes, remote_bytes = _split(trace, npu_id, model.embedding_bytes)
     bd = LatencyBreakdown(_NUMA_STRATEGY[link.kind],
                           payload_bytes=local_bytes + remote_bytes,
                           translation_cycles=translation_cycles)
@@ -177,7 +178,7 @@ def run_demand_paging(
     the (mutated) local page table so a second pass can demonstrate fault
     idempotence.
     """
-    eb = model.tables[0].embedding_bytes
+    eb = model.embedding_bytes
     tag = "4k" if ps is PageSize.SMALL_4K else "2m"
     bd = LatencyBreakdown(f"demand_{tag}", payload_bytes=len(trace) * eb)
 
@@ -218,4 +219,4 @@ def _check_page_size(page_table: PageTable, ps: PageSize) -> None:
 
 
 def _table_bases(model: EmbeddingModel) -> List[int]:
-    return [table_segment(model, t).base for t in range(len(model.tables))]
+    return [table_segment(model, t).base for t in range(model.tables)]

@@ -74,25 +74,18 @@ class PageTable:
     `walk_outcome` follows the same slots but returns only `(frame, None)`,
     or `(None, level)` when the walk faults at `level`: a walk's depth is
     `page_size.levels` when it succeeds and `fault_depth(level)` when it
-    faults, so modelled walks without a unified cache and demand paging
-    need nothing more.
+    faults, so modelled walks without a unified cache, the oracle MMU and
+    demand paging need nothing more. Each call walks the tree afresh, so
+    an answer is never stale after a map.
 
     `page_size` is fixed when the table is built, and every map and walk
     uses it, so a walk can never read a large page's frame as a child node.
-
-    `leaf` answers the oracle's question from a memo of `walk_outcome`
-    keyed by VPN, so an oracle MMU walks each page once rather than once
-    per access. Every `map_range` and `map_page` call clears the whole memo
-    once: a new interior node also changes the outcome for neighbouring
-    VPNs whose walks used to fault above it.
     """
 
     def __init__(self, page_size: PageSize):
         self.page_size = page_size
         self.nodes: List[array] = [array("q", _EMPTY_NODE)]
         self.mapped_pages = 0
-        # vpn -> (frame, None) or (None, fault level)
-        self._leaves: dict[int, tuple[Optional[int], Optional[int]]] = {}
 
     # -- mutation -----------------------------------------------------------
 
@@ -121,7 +114,6 @@ class PageTable:
             frame = as_int(frame)
             if not 0 <= frame < FRAME_LIMIT:
                 raise ValueError(f"frame {frame} outside 0 .. 2**63 - 1")
-        self._leaves.clear()
         indices = radix_indices(vpn, self.page_size)
         node = self._leaf_node(indices)
         if node[indices[-1]] >= 0:
@@ -137,7 +129,6 @@ class PageTable:
         descent per leaf node. A run that meets an already-mapped VPN raises
         MappingError before any VPN of that leaf node's run is mapped.
         """
-        self._leaves.clear()
         ps = self.page_size
         vpn, end = first, first + count
         while vpn < end:
@@ -189,14 +180,6 @@ class PageTable:
                 return None, level
             level -= 1
         return node, None
-
-    def leaf(self, vpn: int) -> tuple[Optional[int], Optional[int]]:
-        """`walk_outcome` of `vpn`, memoised until the next `map_range` or
-        `map_page`."""
-        hit = self._leaves.get(vpn)
-        if hit is None:
-            hit = self._leaves[vpn] = self.walk_outcome(vpn)
-        return hit
 
 
 def build(segments: Iterable[Segment], ps: PageSize) -> PageTable:

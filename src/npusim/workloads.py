@@ -63,12 +63,18 @@ class WorkloadConfig(Record):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.kind != "embedding":
+            return
         # the harness reports NPU 0's gathers; with fewer samples than NPUs
         # its batch slice is empty and every strategy would report 0 cycles
-        if self.kind == "embedding" and self.batch_samples < self.num_npus:
+        if self.batch_samples < self.num_npus:
             raise ValueError(
                 f"WorkloadConfig: batch_samples ({self.batch_samples}) must be "
                 f">= num_npus ({self.num_npus}), or NPU 0 gathers nothing")
+        if self.rows < self.lookups_per_sample:
+            raise ValueError(
+                f"WorkloadConfig: rows ({self.rows}) must be >= "
+                f"lookups_per_sample ({self.lookups_per_sample})")
 
 
 def make_layer(name: str, m: int, k: int, n: int, batch: int = 1,
@@ -98,30 +104,25 @@ def dense_suite(name: str, element_bytes: int = 1) -> Dict[str, List[LayerConfig
 
 
 @dataclass(frozen=True)
-class EmbeddingTableSpec:
-    rows: int
-    embedding_bytes: int = 256
-
-    def __post_init__(self):
-        if self.rows < 1 or self.embedding_bytes < 1:
-            raise ValueError("table must have positive rows and vector size")
-
-
-@dataclass(frozen=True)
 class EmbeddingModel:
-    tables: tuple                       # of EmbeddingTableSpec
+    """`tables` tables of `rows` embedding vectors, each `embedding_bytes`
+    long, and a minibatch of `batch` samples that look rows up in them."""
+    tables: int
+    rows: int
     batch: int
+    embedding_bytes: int = 256
     lookups_per_sample: int = 1
     index_distribution: str = "uniform"  # "uniform" | "zipf"
     zipf_s: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
+        if self.tables < 1 or self.rows < 1 or self.embedding_bytes < 1:
+            raise ValueError("tables, rows and vector size must be positive")
         if self.index_distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.index_distribution!r}")
-        for t in self.tables:
-            if t.rows < self.lookups_per_sample:
-                raise ValueError("table rows must cover lookups_per_sample")
+        if self.rows < self.lookups_per_sample:
+            raise ValueError("table rows must cover lookups_per_sample")
 
 
 @dataclass(frozen=True)
@@ -145,23 +146,22 @@ class GatherRequest(NamedTuple):
 
 
 def table_segment(model: EmbeddingModel, table: int) -> Segment:
-    spec = model.tables[table]
     return Segment(f"emb{table}", default_segment_base(table),
-                   spec.rows * spec.embedding_bytes)
+                   model.rows * model.embedding_bytes)
 
 
 def embedding_segments(model: EmbeddingModel) -> List[Segment]:
-    return [table_segment(model, t) for t in range(len(model.tables))]
+    return [table_segment(model, t) for t in range(model.tables)]
 
 
-def _draw_rows(rng: np.random.Generator, spec: EmbeddingTableSpec,
-               count: int, model: EmbeddingModel) -> np.ndarray:
+def _draw_rows(rng: np.random.Generator, count: int,
+               model: EmbeddingModel) -> np.ndarray:
     import numpy as np
 
     if model.index_distribution == "uniform":
-        return rng.integers(0, spec.rows, size=count)
+        return rng.integers(0, model.rows, size=count)
     # bounded Zipf: prob(rank r) ~ r^-s over 1..rows
-    ranks = np.arange(1, spec.rows + 1, dtype=np.float64)
+    ranks = np.arange(1, model.rows + 1, dtype=np.float64)
     probs = ranks ** -model.zipf_s
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
@@ -177,7 +177,7 @@ def gather_trace(model: EmbeddingModel, placement: Placement,
     sample, table, lookup order. Deterministic for a fixed (model.seed,
     placement).
     """
-    if len(model.tables) != len(placement.table_to_npu):
+    if model.tables != len(placement.table_to_npu):
         raise ValueError("placement must assign every table")
     nn = placement.num_npus
     if not 0 <= npu < nn:
@@ -190,9 +190,9 @@ def gather_trace(model: EmbeddingModel, placement: Placement,
     hi = (npu + 1) * model.batch // nn
     # every table's whole batch is drawn, independent of the placement and
     # of `npu`, so re-placing tables replays the same trace
-    rows = [_draw_rows(rng, spec, model.batch * lps, model)
+    rows = [_draw_rows(rng, model.batch * lps, model)
             .reshape(model.batch, lps)[lo:hi].tolist()
-            for spec in model.tables]
+            for _ in range(model.tables)]
     owners = placement.table_to_npu
     return [GatherRequest(t, row, owners[t])
             for sample in range(hi - lo)

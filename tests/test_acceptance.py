@@ -27,7 +27,6 @@ from npusim.page_table import build
 from walk_reference import RecordingEngine, build_scattered, reference_frame
 from npusim.workloads import (
     EmbeddingModel,
-    EmbeddingTableSpec,
     GatherRequest,
     Placement,
     gather_trace,
@@ -247,8 +246,7 @@ def test_criterion_08_energy_ordering():
 def test_criterion_09_numa_case_study():
     t0 = time.monotonic()
     model = EmbeddingModel(
-        tables=tuple(EmbeddingTableSpec(65536) for _ in range(8)),
-        batch=256, seed=5)
+        tables=8, rows=65536, batch=256, seed=5)
     trace = gather_trace(model, Placement.round_robin(8, 8), 0)
     copy = run_baseline_copy(trace, model, LINKS.pcie)
     translation = translate_gathers(trace, model, NEUMMU)
@@ -268,8 +266,7 @@ def test_criterion_09_numa_case_study():
 
 def test_criterion_10_large_page_pitfall():
     model = EmbeddingModel(
-        tables=tuple(EmbeddingTableSpec(1 << 20) for _ in range(4)),
-        batch=64, seed=9)
+        tables=4, rows=1 << 20, batch=64, seed=9)
     placement = Placement.round_robin(4, 4)
     trace = gather_trace(model, placement, 0)
     touches = {}

@@ -51,6 +51,22 @@ def test_records_check_direct_construction(kwargs):
         MmuConfig(**kwargs)
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("workload:\n  kind: embedding\n  rows: 1\n  lookups_per_sample: 2\n",
+     "rows (1) must be >= lookups_per_sample (2)"),
+    ("workload:\n  kind: embedding\n  batch_samples: 2\n  num_npus: 4\n",
+     "batch_samples (2) must be >= num_npus (4)"),
+], ids=["rows-below-lookups", "samples-below-npus"])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, text, problem):
+    # each key passes its own check; only the record built from them fails
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert cli.main(["validate", "--config", str(p)]) == 1
+    assert f"error: workload: WorkloadConfig: {problem}" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(p)]) == 1
+    assert problem in capsys.readouterr().err
+
+
 def test_documented_example_matches_defaults():
     example = cfgmod.load_config(str(ROOT / "configs" / "default.yaml"))
     defaults = copy.deepcopy(cfgmod.DEFAULT_CONFIG)

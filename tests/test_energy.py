@@ -18,9 +18,9 @@ def test_zero_activity_costs_nothing():
 
 
 def test_accounting_is_linear_in_events():
-    one = account(stats(walk_memory_transactions=3, tlb_accesses=10,
+    one = account(stats(walk_memory_transactions=3, accepted=10,
                         merge_buffer_accesses=2, cache_probes=5))
-    ten = account(stats(walk_memory_transactions=30, tlb_accesses=100,
+    ten = account(stats(walk_memory_transactions=30, accepted=100,
                         merge_buffer_accesses=20, cache_probes=50))
     assert abs(ten.total_pj - 10 * one.total_pj) < 1e-9
 
@@ -34,7 +34,7 @@ def test_default_table_keeps_dram_dominant():
 def test_component_attribution():
     t = EnergyTable(pj_walk_dram=100.0, pj_tlb=1.0,
                     pj_prmb=0.5, pj_tpr=0.25)
-    bd = account(stats(walk_memory_transactions=2, tlb_accesses=4,
+    bd = account(stats(walk_memory_transactions=2, accepted=4,
                        merge_buffer_accesses=6, cache_probes=8), t)
     assert bd.walk_dram_pj == 200.0
     assert bd.tlb_pj == 4.0
@@ -46,7 +46,7 @@ def test_component_attribution():
 @given(a=st.integers(0, 10**6), b=st.integers(0, 10**6),
        c=st.integers(0, 10**6), d=st.integers(0, 10**6))
 def test_total_is_sum_of_parts(a, b, c, d):
-    bd = account(stats(walk_memory_transactions=a, tlb_accesses=b,
+    bd = account(stats(walk_memory_transactions=a, accepted=b,
                        merge_buffer_accesses=c, cache_probes=d))
     assert abs(bd.total_pj - (bd.walk_dram_pj + bd.tlb_pj
                               + bd.merge_buffer_pj + bd.path_register_pj)) < 1e-6

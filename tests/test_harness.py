@@ -1,6 +1,7 @@
 """Config plumbing, CSV schema, sweeps, reports, CLI surface."""
 
 import copy
+import dataclasses
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from npusim import cli
 from npusim import config as cfgmod
 from npusim import harness, npu
+from npusim.numa import LatencyBreakdown
 from npusim.workloads import dense_suite
 
 
@@ -199,6 +201,13 @@ def test_embedding_rows_cover_strategies():
         "baseline_copy", "numa_slow", "numa_fast", "demand_4k", "demand_2m"]
 
 
+def test_every_latency_breakdown_field_is_a_csv_column():
+    # embedding rows are the breakdown's fields, and `write_csv` drops
+    # any key that is not a column
+    assert {f.name for f in dataclasses.fields(LatencyBreakdown)} \
+        <= set(harness.CSV_COLUMNS)
+
+
 def test_report_summarizes_and_rejects_empty(tmp_path):
     cfg = small_cfg()
     path = tmp_path / "r.csv"
@@ -313,6 +322,18 @@ def test_cli_run_reports_unfittable_weight_partition(monkeypatch, capsys):
     monkeypatch.setenv("NPUSIM_NPU__SPM_WEIGHT_BYTES", "1")
     assert cli.main(["run"]) == 1
     assert "W tile cannot fit half the SPM" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_key_on_two_axes(tmp_path, capsys):
+    # the later axis would overwrite the earlier: rows labelled num_ptws=8
+    # and num_ptws=16 would both run at 128
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--set", "num_ptws=8,16",
+                     "--set", "mmu.num_ptws=128", "--out", str(out)]) == 1
+    assert "'mmu.num_ptws' is on more than one axis" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(cfgmod.ConfigError):
+        harness.sweep(small_cfg(), [("prmb_slots", [0]), ("mmu.prmb_slots", [1])])
 
 
 def test_cli_sweep_rejects_invalid_base_config(tmp_path, capsys):

@@ -250,7 +250,7 @@ def test_mirrored_writes_without_output_segment_fail_before_any_fetch(mode):
     engine = mmu_of(mode, pt, dram)
     with pytest.raises(ValueError, match="output segment"):
         run_layer(layer, NpuConfig(mirror_write_traffic=True), engine, dram)
-    assert engine.stats.submitted == 0
+    assert engine.stats.tlb_accesses == 0
     assert dram.txns == 0
 
 
@@ -262,7 +262,7 @@ def test_translation_reuse_window_collapses_sequential_pages():
     reuse = TranslationEngine(MmuConfig(), pt)
     run_layer(layer, NpuConfig(reuse_last_translation=True), reuse,
               Dram(DramConfig()))
-    assert reuse.stats.submitted < base.stats.submitted
+    assert reuse.stats.tlb_accesses < base.stats.tlb_accesses
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,6 @@ from npusim.numa import (
 from npusim.page_table import build
 from npusim.workloads import (
     EmbeddingModel,
-    EmbeddingTableSpec,
     Placement,
     embedding_segments,
     gather_trace,
@@ -46,8 +45,8 @@ PLACEMENT = Placement.round_robin(4, 4)
 def trace_for(num_npus=4, tables=4, batch=64, rows=4096, seed=11,
               distribution="uniform", npu=0):
     m = EmbeddingModel(
-        tables=tuple(EmbeddingTableSpec(rows) for _ in range(tables)),
-        batch=batch, index_distribution=distribution, seed=seed)
+        tables=tables, rows=rows, batch=batch,
+        index_distribution=distribution, seed=seed)
     return m, gather_trace(m, Placement.round_robin(tables, num_npus), npu)
 
 

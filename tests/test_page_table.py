@@ -186,23 +186,15 @@ def test_build_rejects_segments_sharing_a_page(ps, lower_first):
         build([a, b] if lower_first else [b, a], ps)
 
 
-def test_map_range_clears_the_leaf_memo():
-    pt = PageTable(PS4K)
-    page = vpn(default_segment_base(0), PS4K)
-    assert pt.leaf(page + 2) == (None, 4)
-    pt.map_range(page, 3)
-    assert pt.leaf(page + 2) == (2, None)
-
-
-def test_leaf_memo_follows_maps():
-    # `leaf` memoises each page's outcome; every map must drop it,
-    # including for neighbours whose walks faulted above a node a map creates.
+def test_walk_outcome_follows_maps():
+    # every map shows in the next walk, including for neighbours whose
+    # walks faulted above a node the map creates
     pt = PageTable(PS4K)
     page = default_segment_base(0) >> PS4K.offset_bits
     probes = [page, page + 1, page + 512, page + 512 * 512]
 
     def check_all():
-        outcomes = [pt.leaf(p) for p in probes]
+        outcomes = [pt.walk_outcome(p) for p in probes]
         for p, (frame, level) in zip(probes, outcomes):
             last = pt.walk_path(p)[-1]
             if last.present:
@@ -248,5 +240,4 @@ def test_walk_outcome_is_walk_path_reduced(data, ps):
     for page in maps + probes:
         (frame, level), depth = reference_walk(pt, page)
         assert pt.walk_outcome(page) == (frame, level)
-        assert pt.leaf(page) == (frame, level)
         assert depth == (ps.levels if frame is not None else fault_depth(level))

@@ -14,7 +14,6 @@ from npusim.address_space import check_disjoint
 from npusim.workloads import (
     BATCH_TAGS,
     EmbeddingModel,
-    EmbeddingTableSpec,
     Placement,
     dense_suite,
     embedding_segments,
@@ -24,8 +23,7 @@ from npusim.workloads import (
 
 
 def model(**kw):
-    base = dict(tables=tuple(EmbeddingTableSpec(1024) for _ in range(4)),
-                batch=16, seed=3)
+    base = dict(tables=4, rows=1024, batch=16, seed=3)
     base.update(kw)
     return EmbeddingModel(**base)
 
@@ -89,7 +87,7 @@ def test_owners_follow_placement():
 
 def test_zipf_is_more_concentrated_than_uniform():
     p = Placement.round_robin(1, 1)
-    big = dict(tables=(EmbeddingTableSpec(4096),), batch=4096)
+    big = dict(tables=1, rows=4096, batch=4096)
     uni = gather_trace(model(index_distribution="uniform", **big), p, 0)
     zipf = gather_trace(model(index_distribution="zipf", zipf_s=1.2, **big), p, 0)
     assert len({g.row for g in zipf}) < len({g.row for g in uni})
