@@ -66,6 +66,8 @@ class Dram:
 
     def __init__(self, cfg: DramConfig):
         self.cfg = cfg
+        self._bw = cfg.bandwidth_bytes_per_cycle
+        self._latency = cfg.access_latency
         self._accepted = 0
         self.bytes_issued = 0
         self.txns = 0
@@ -80,11 +82,11 @@ class Dram:
         """
         if nbytes <= 0:
             raise ValueError("transaction must carry at least one byte")
-        bw = self.cfg.bandwidth_bytes_per_cycle
+        bw = self._bw
         self._accepted = accepted = max(self._accepted, now * bw) + nbytes
         self.bytes_issued += nbytes
         self.txns += 1
-        return (accepted - 1) // bw + self.cfg.access_latency
+        return (accepted - 1) // bw + self._latency
 
     def issue_run(self, chunks: Tuple[int, ...], count: int, now: int) -> int:
         """Accept `count` groups of transactions, one group per cycle from `now`.
@@ -100,13 +102,13 @@ class Dram:
         group = sum(chunks)
         if count < 1 or min(chunks, default=0) < 1:
             raise ValueError("a run needs groups of non-empty transactions")
-        bw = self.cfg.bandwidth_bytes_per_cycle
+        bw = self._bw
         self._accepted = accepted = max(
             max(self._accepted, now * bw) + count * group,
             (now + count - 1) * bw + group)
         self.bytes_issued += count * group
         self.txns += count * len(chunks)
-        return (accepted - 1) // bw + self.cfg.access_latency
+        return (accepted - 1) // bw + self._latency
 
     def consume(self, nbytes: int, now: int) -> None:
         """Debit bandwidth without a data transaction (page-walk reads).
@@ -115,8 +117,7 @@ class Dram:
         token bucket is touched here.
         """
         if nbytes > 0:
-            self._accepted = max(self._accepted,
-                                 now * self.cfg.bandwidth_bytes_per_cycle) + nbytes
+            self._accepted = max(self._accepted, now * self._bw) + nbytes
 
 
 def link_transfer_cycles(nbytes: int, link: LinkConfig) -> int:

@@ -29,14 +29,18 @@ Request life cycle per cycle-accurate submit/tick protocol:
   hits, or as would merge into the walk of that page. Only a finishing
   walk can change either outcome: it fills the TLB, which may evict the
   page or reorder the LRU list; it takes its page off the scoreboard; and
-  if it faults, the caller stops. A cycle's submit comes before its tick,
-  so the window runs up to and including the cycle in which the next walk
-  ends, and a merge run also stops at the walker's free slots. No other
-  submit is made inside the window, and only the tick of its last cycle
-  can push an event, after all of the window's submits. So a hit run is
-  one pending event whose push-order place, taken at accept time, is
-  where each of its requests would sort, and a merge run is one entry of
-  the merge buffer. Walk starts and blocked requests go through `submit`.
+  if it faults, the caller stops. A redundant walk of a hit page itself
+  (without merge buffers) refills the same frame, leaves the page at the
+  MRU end, where the hit put it, and cannot fault, as the table does not
+  change during a fetch. A cycle's submit comes before its tick, so a hit
+  run goes up to and including the cycle in which the next walk of
+  another page ends, and a merge run to the next walk end and the
+  walker's free slots. No other submit is made inside the window, and
+  only the tick of its last cycle can push an event (a page's own walk
+  pushes none), after all of the window's submits. So a hit run is one
+  pending event whose push-order place, taken at accept time, is where
+  each of its requests would sort, and a merge run is one entry of the
+  merge buffer. Walk starts and blocked requests go through `submit`.
 
   A completion covers `count` requests that complete one per cycle: one
   request, a hit run, or a merge-buffer entry drained after its walk. A
@@ -232,6 +236,8 @@ class TranslationEngine:
         self.pt = pt
         self.dram = dram
         self.stats = TranslationStats()
+        self._levels = pt.page_size.levels
+        self._charge_walks = dram is not None and cfg.charge_walk_bandwidth
         self._tlb: OrderedDict[int, int] = OrderedDict()
         self._walkers = [_Walker() for _ in range(cfg.num_ptws)]
         self._free = list(range(cfg.num_ptws - 1, -1, -1))
@@ -240,7 +246,9 @@ class TranslationEngine:
         # tests membership
         self._cache: OrderedDict = OrderedDict()
         self._events: list = []           # (cycle, seq, kind, payload)
-        self._walk_ends: list = []        # finish cycles of pending walks (heap)
+        # (finish, vpn) of pending walks (heap). A hit run stops only at
+        # another page's end, which may evict it; its own walks refill it.
+        self._walk_ends: list = []
         self._seq = 0
         self._last_tick = -1
         self._retry_until = 0             # submits before it: charged retries
@@ -299,20 +307,26 @@ class TranslationEngine:
         most `count`) that `submit` would take as TLB hits, or as merges
         into the walk of `vpn`; return how many it took.
 
-        The run stops with the cycle in which the next walk ends and, for
-        merges, at the walker's free slots. Its requests are counted as
-        that many submits would count them, and get the ids from
-        `next_request_id` on. 0 means the request of cycle `now` would
-        start a walk or block: submit it instead. Like a submit, it must
-        follow a tick that covered every event due before `now`.
+        A hit run stops with the cycle in which the next walk of another
+        page ends, whose fill may evict `vpn`; a redundant walk of `vpn`
+        itself refills the same frame and cannot fault. A merge run stops
+        with the next walk end, and at the walker's free slots. Its
+        requests are counted as that many submits would count them, and
+        get the ids from `next_request_id` on. 0 means the request of
+        cycle `now` would start a walk or block: submit it instead. Like a
+        submit, it must follow a tick that covered every event due before
+        `now`.
         """
         ends = self._walk_ends
-        if ends and ends[0] - now < count:
-            count = ends[0] - now + 1
         stats = self.stats
         rid = stats.accepted
         frame = self._tlb.get(vpn)
         if frame is not None:
+            if ends:
+                end, page = ends[0]
+                if page == vpn:
+                    end = min((f for f, v in ends if v != vpn), default=now + count)
+                count = min(count, end - now + 1)
             self._tlb.move_to_end(vpn)
             stats.tlb_hits += count
             done = now + self.cfg.tlb_hit_latency
@@ -324,7 +338,8 @@ class TranslationEngine:
             if wid is None:
                 return 0
             walker = self._walkers[wid]
-            count = min(count, self.cfg.prmb_slots - walker.merges)
+            count = min(count, self.cfg.prmb_slots - walker.merges,
+                        ends[0][0] - now + 1)
             if count < 1:
                 return 0
             walker.merged.append((rid, count))
@@ -370,7 +385,7 @@ class TranslationEngine:
                 if payload.frame is None:
                     stats.faults += count
             elif kind == "walk_done":
-                heappop(self._walk_ends)
+                heappop(self._walk_ends)  # some end of this cycle; the tick pops all
                 self._finish_walk(payload, cycle, out)
             else:  # "free"
                 self._free.append(payload)
@@ -409,19 +424,15 @@ class TranslationEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _push(self, cycle: int, kind: str, payload) -> None:
-        self._seq += 1
-        heappush(self._events, (cycle, self._seq, kind, payload))
-
     def _start_walk(self, vpn: int, now: int, rid: int) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
-        cfg, pt = self.cfg, self.pt
-        levels = pt.page_size.levels
+        cfg = self.cfg
+        levels = self._levels
         kind = cfg.translation_cache
         fill = None
         if kind == "uptc":
-            path = pt.walk_path(vpn)
+            path = self.pt.walk_path(vpn)
             reads = path[self._probe_unified(path):]
             txns = len(reads)
             last = path[-1]
@@ -430,7 +441,7 @@ class TranslationEngine:
             else:
                 frame, fault_level = None, last.level
         else:
-            frame, fault_level = pt.walk_outcome(vpn)
+            frame, fault_level = self.pt.walk_outcome(vpn)
             txns = levels if frame is not None else fault_depth(fault_level)
             if kind != "none":
                 tag = path_tag(vpn, levels)
@@ -450,53 +461,56 @@ class TranslationEngine:
 
         if cfg.prmb_slots > 0:
             self._scoreboard[vpn] = wid
-        self.stats.walks_started += 1
-        self.stats.walk_memory_transactions += txns
-        if self.dram is not None and cfg.charge_walk_bandwidth:
+        stats = self.stats
+        stats.walks_started += 1
+        stats.walk_memory_transactions += txns
+        if self._charge_walks:
             self.dram.consume(txns * 64, now)
-        self._push(finish, "walk_done", wid)
-        heappush(self._walk_ends, finish)
+        self._seq = seq = self._seq + 1
+        heappush(self._events, (finish, seq, "walk_done", wid))
+        heappush(self._walk_ends, (finish, vpn))
 
     def _finish_walk(self, wid: int, now: int,
                      out: List[TranslationCompletion]) -> None:
         walker = self._walkers[wid]
         vpn = walker.vpn
-        if self.cfg.prmb_slots > 0 and self._scoreboard.get(vpn) == wid:
+        cfg, stats = self.cfg, self.stats
+        if cfg.prmb_slots > 0 and self._scoreboard.get(vpn) == wid:
             del self._scoreboard[vpn]
 
         frame = walker.frame
         if frame is not None:
-            self._tlb_fill(vpn, frame)
-            self._cache_fill(walker)
+            tlb = self._tlb
+            if vpn in tlb:
+                tlb.move_to_end(vpn)
+            elif len(tlb) >= cfg.tlb_entries:
+                tlb.popitem(last=False)
+            tlb[vpn] = frame
+            if walker.cache_fill is not None:
+                self._cache_fill(walker)
         else:
-            self.stats.faults += 1
+            stats.faults += 1
         out.append(TranslationCompletion(walker.leading, vpn, frame, now,
                                          walker.fault_level))
-        self.stats.completions += 1
+        stats.completions += 1
 
         if not walker.merges:
             self._free.append(wid)
             return
         # Merged requests drain one per cycle after the leading completion,
         # one run per merge-buffer entry; the walker frees with the last.
+        events, seq = self._events, self._seq
         t = now + 1
         for rid, count in walker.merged:
-            self._push(t, "deliver", TranslationCompletion(
-                rid, vpn, frame, t, walker.fault_level, count))
+            seq += 1
+            heappush(events, (t, seq, "deliver", TranslationCompletion(
+                rid, vpn, frame, t, walker.fault_level, count)))
             t += count
-        self._push(t - 1, "free", wid)
-        self.stats.merge_buffer_accesses += walker.merges
+        self._seq = seq = seq + 1
+        heappush(events, (t - 1, seq, "free", wid))
+        stats.merge_buffer_accesses += walker.merges
         walker.merged = []
         walker.merges = 0
-
-    def _tlb_fill(self, vpn: int, frame: int) -> None:
-        if vpn in self._tlb:
-            self._tlb.move_to_end(vpn)
-            self._tlb[vpn] = frame
-            return
-        if len(self._tlb) >= self.cfg.tlb_entries:
-            self._tlb.popitem(last=False)
-        self._tlb[vpn] = frame
 
     # -- translation caches -------------------------------------------------
 
@@ -544,8 +558,6 @@ class TranslationEngine:
 
     def _cache_fill(self, walker: _Walker) -> None:
         fill = walker.cache_fill
-        if fill is None:
-            return
         kind = self.cfg.translation_cache
         cache = self._cache
         if kind == "tpr":

@@ -35,7 +35,7 @@ answered BLOCKED at once from a stretch marker, because blocked cycles
 are still counted from outside as BLOCKED returns. Under the `Oracle`
 every translation completes in the cycle it is offered, so `oracle_fetch`
 is a closed form: group i and its data go out at cycle start + i, with
-one page-table read and one DRAM debit per run.
+one page-table read per page and one DRAM debit per run.
 
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
@@ -327,16 +327,14 @@ def simulate_fetch(
                 left -= n
                 if not left:
                     vpn, left, chunks = next(rest, _NO_RUN)
-        for comp in tick(last):
-            if comp.frame is None:
+        for first, page, frame, at, level, n in tick(last):
+            if frame is None:
                 if owed:
                     issue_run(owed_chunks, owed, owed_at)
-                raise SimulationFault(comp.vpn, comp.fault_level)
-            first, n = comp.request_id, comp.count
+                raise SimulationFault(page, level)
             group, groups = pending.pop(first)
             if n < groups:
                 pending[first + n] = (group, groups - n)
-            at = comp.done_cycle
             if owed and at == owed_at + owed and group == owed_chunks:
                 owed += n
                 continue
@@ -353,17 +351,21 @@ def oracle_fetch(runs: Runs, oracle: Oracle, dram: Dram, start: int) -> int:
     """One tile fetch under the oracle MMU; return its end cycle.
 
     Group i is translated in cycle start + i, and its chunks go to DRAM
-    then: one `PageTable.walk_outcome` and one `Dram.issue_run` per page
-    run. A group on an unmapped page raises SimulationFault. Like
+    then: one `Dram.issue_run` per page run, and one
+    `PageTable.walk_outcome` per page, reused while consecutive runs stay
+    on it. A group on an unmapped page raises SimulationFault. Like
     `simulate_fetch`, the fetch ends no earlier than the cycle after its
     last group.
     """
     walk, issue_run = oracle.pt.walk_outcome, dram.issue_run
     cycle = end = start
+    page = None                           # the last page walked; it is mapped
     for vpn, count, chunks in runs:
-        frame, level = walk(vpn)
-        if frame is None:
-            raise SimulationFault(vpn, level)
+        if vpn != page:
+            frame, level = walk(vpn)
+            if frame is None:
+                raise SimulationFault(vpn, level)
+            page = vpn
         end = issue_run(chunks, count, cycle)
         cycle += count
     return max(end, cycle)

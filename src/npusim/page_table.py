@@ -17,7 +17,8 @@ from array import array
 from operator import index as as_int
 from typing import Iterable, List, NamedTuple, Optional
 
-from .address_space import PageSize, Segment, check_disjoint, radix_indices
+from .address_space import (INDEX_BITS, INDEX_MASK, PageSize, Segment,
+                            check_disjoint, radix_indices)
 
 # Physical region reserved for page-table nodes (one 4KB node per id).
 PT_NODE_REGION_BASE = 1 << 47
@@ -84,6 +85,9 @@ class PageTable:
 
     def __init__(self, page_size: PageSize):
         self.page_size = page_size
+        # the shift of each radix index, top-down, for `walk_outcome`
+        self._shifts = tuple(range(INDEX_BITS * (page_size.levels - 1), -1,
+                                   -INDEX_BITS))
         self.nodes: List[array] = [array("q", _EMPTY_NODE)]
         self.mapped_pages = 0
 
@@ -174,8 +178,8 @@ class PageTable:
         nodes = self.nodes
         node = 0
         level = ROOT_LEVEL
-        for index in radix_indices(vpn, self.page_size):
-            node = nodes[node][index]
+        for shift in self._shifts:
+            node = nodes[node][vpn >> shift & INDEX_MASK]
             if node < 0:
                 return None, level
             level -= 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npusim import config as cfgmod
-from npusim.address_space import PageSize, default_segment_base
+from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
 from npusim.mmu import MmuConfig, Oracle, TranslationEngine
 from npusim.npu import (
@@ -18,6 +18,7 @@ from npusim.npu import (
     linearize,
     plan_layer,
     run_layer,
+    simulate_fetch,
     tile_steps,
 )
 from npusim.page_table import build
@@ -287,6 +288,34 @@ class SubmitCountingEngine(TranslationEngine):
     def submit(self, vpn, now):
         self.submits += 1
         return super().submit(vpn, now)
+
+
+class AcceptRunRecordingEngine(TranslationEngine):
+    """An engine that keeps how many requests each `accept_run` call took."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.taken = []
+
+    def accept_run(self, vpn, count, now):
+        taken = super().accept_run(vpn, count, now)
+        self.taken.append(taken)
+        return taken
+
+
+def test_a_pages_own_walks_do_not_cut_its_hit_run():
+    """Without merge buffers, every walker starts a redundant walk of a
+    missing page. Those walks refill the same frame, so once the first one
+    ends, `accept_run` takes the rest of the page's run in one call."""
+    seg = Segment("w", default_segment_base(0), PS4K.bytes)
+    pt = build([seg], PS4K)
+    dram = Dram(DramConfig())
+    engine = AcceptRunRecordingEngine(MmuConfig(), pt, dram=dram)
+    groups = 64
+    simulate_fetch([(seg.vpn_range(PS4K)[0], groups, (64,))], engine, dram, 0)
+    walks = engine.stats.walks_started
+    assert walks == MmuConfig().num_ptws
+    assert [n for n in engine.taken if n] == [groups - walks]
 
 
 @pytest.mark.parametrize("point", ["default", "neummu"])

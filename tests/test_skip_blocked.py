@@ -122,6 +122,13 @@ def drain_outcome(drain, pages, mmu, dram_cfg, ps, start):
 @example(runs=[(0, 1, (64,)), (0, 5, (64,)), (1, 1, (64,)), (0, 40, (64,))],
          mmu=MmuConfig(num_ptws=2, tlb_entries=1, walk_cycles_per_level=7),
          dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0)
+# One TLB entry, no merge buffer. Page 0 starts three walks, ending at
+# cycles 28 .. 30, and page 1 one, ending at 31. Page 0 hits from cycle 29:
+# its own walks ending at 29 and 30 leave the hit run alone, but page 1's
+# fill at 31 evicts page 0, so the run stops there.
+@example(runs=[(0, 3, (64,)), (1, 1, (64,)), (0, 40, (64,))],
+         mmu=MmuConfig(num_ptws=4, tlb_entries=1, walk_cycles_per_level=7),
+         dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0)
 # The walk of unmapped page 6 faults at cycle 59, the cycle in which a
 # pending run of page 0's hits (accepted at cycles 32 .. 59) delivers.
 @example(runs=[(0, 1, (64,)), (0, 3, (64,)), (MAPPED_PAGES, 1, (64,)),
