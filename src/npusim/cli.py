@@ -6,8 +6,6 @@ import argparse
 import sys
 from typing import Any, List, Optional, Sequence, Tuple
 
-import yaml
-
 from . import config as cfgmod
 from . import harness
 
@@ -18,7 +16,8 @@ def _parse_set(specs: Sequence[str]) -> List[Tuple[str, List[Any]]]:
         if "=" not in spec:
             raise ValueError(f"--set expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
-        items.append((key, [yaml.safe_load(v) for v in values.split(",")]))
+        items.append((key, [cfgmod.parse_scalar(v, f"--set {key}")
+                            for v in values.split(",")]))
     return items
 
 
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="cross-product parameter sweep")
     common(sw)
     sw.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (>= 1)")
+                    help="worker processes (>= 1; at most one per point)")
     sw.add_argument("--set", action="append", default=[], metavar="KEY=V1,V2",
                     help="sweep axis, values parsed as YAML scalars; "
                          "repeatable, order defines nesting")
@@ -89,7 +88,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"error: {err}", file=sys.stderr)
                 return 1
             sys.stdout.write(cfgmod.dump_effective(cfg))
-    except (ValueError, OSError, yaml.YAMLError) as exc:  # ConfigError too
+    except (ValueError, OSError) as exc:  # ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

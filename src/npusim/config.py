@@ -6,7 +6,12 @@ explicit schema_version. Each section is the frozen record named in
 types and ranges (see ``schema``). User files are deep-merged over the
 defaults, then environment variables with the ``NPUSIM_`` prefix override
 individual keys (``NPUSIM_MMU__NUM_PTWS=16`` maps to ``mmu.num_ptws``;
-values are parsed as YAML scalars).
+values are parsed as YAML scalars by ``parse_scalar``, as are the CLI's
+``--set`` values). YAML that does not parse is a ``ConfigError`` naming its
+file, variable or key.
+
+PyYAML and hashlib are imported by the functions that use them, so a run
+with no config file, env override or seeded stream loads neither.
 
 One master seed fans out to per-generator sub-seeds via
 ``seed_for(master, tag)`` (SHA-256 of "master:tag", low 63 bits), so adding
@@ -16,12 +21,9 @@ a consumer never perturbs the streams of existing ones.
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
-
-import yaml
 
 from .energy import EnergyTable
 from .memory import DramConfig, LinksConfig
@@ -82,11 +84,33 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _yaml_error(where: str, exc: Exception) -> ConfigError:
+    """One line: where the YAML came from, its problem and its place."""
+    problem = getattr(exc, "problem", None) or str(exc)
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        problem += f" (line {mark.line + 1}, column {mark.column + 1})"
+    return ConfigError([f"{where}: {problem}"])
+
+
+def parse_scalar(text: str, where: str) -> Any:
+    """Parse an env or --set value as YAML; `where` names it in errors."""
+    import yaml  # here, so start-up does not load it
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise _yaml_error(f"{where}={text!r}", exc) from None
+
+
 def load_config(path: Optional[str] = None) -> Dict[str, Any]:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
+        import yaml  # here, so start-up does not load it
         with open(path) as fh:
-            user = yaml.safe_load(fh) or {}
+            try:
+                user = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise _yaml_error(path, exc) from None
         if not isinstance(user, dict):
             raise ConfigError([f"{path}: top level must be a mapping"])
         cfg = _deep_merge(cfg, user)
@@ -103,7 +127,7 @@ def apply_env_overrides(
         if not name.startswith(ENV_PREFIX):
             continue
         key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        set_by_path(cfg, key, yaml.safe_load(raw))
+        set_by_path(cfg, key, parse_scalar(raw, name))
     return cfg
 
 
@@ -159,9 +183,11 @@ def validate(cfg: Dict[str, Any]) -> List[str]:
 
 def dump_effective(cfg: Dict[str, Any]) -> str:
     """Canonical YAML of the effective config; reloads to an identical run."""
+    import yaml  # here, so start-up does not load it
     return yaml.safe_dump(cfg, sort_keys=True)
 
 
 def seed_for(master: int, tag: str) -> int:
+    import hashlib  # here, so a run that draws no seeded stream skips it
     digest = hashlib.sha256(f"{master}:{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1

@@ -12,8 +12,8 @@ depends only on the layer, the NPU config and the page size, never on the
 MMU. Each `run_single` or `sweep` call owns one dict of plans under that
 key: the oracle and modelled runs of a layer share its plan, and a serial
 sweep shares it across every point. The dict is dropped when the call
-returns, so no plan outlives the call that built it; with `jobs > 1` each
-point builds its own.
+returns, so no plan outlives the call that built it; with worker processes
+each point builds its own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import copy
 import csv
 import io
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -232,8 +231,12 @@ def sweep(
         if suffix:
             sub["config_id"] += "+" + ",".join(suffix)
         tasks.append((sub, seed))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers up front: no more than the points
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        # here, so start-up does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         plans: Plans = {}

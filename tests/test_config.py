@@ -3,10 +3,14 @@ and every key changes some output."""
 
 import copy
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import npusim
 from npusim import cli
 from npusim import config as cfgmod
 from npusim import harness
@@ -32,6 +36,52 @@ def test_unknown_env_key_rejected(monkeypatch, capsys):
     monkeypatch.setenv("NPUSIM_MMU__NUM_PTW", "64")
     assert cli.main(["validate"]) == 1
     assert "mmu.num_ptw" in capsys.readouterr().err
+
+
+def test_malformed_env_value_names_its_variable(monkeypatch, capsys):
+    with pytest.raises(cfgmod.ConfigError, match="NPUSIM_MMU__NUM_PTWS='\\[1'"):
+        cfgmod.apply_env_overrides(cfgmod.load_config(),
+                                   {"NPUSIM_MMU__NUM_PTWS": "[1"})
+    monkeypatch.setenv("NPUSIM_MMU__NUM_PTWS", "[1")
+    assert cli.main(["validate"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: NPUSIM_MMU__NUM_PTWS='[1': ")
+
+
+def test_malformed_set_value_names_its_key(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--set", "num_ptws=8,[1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --set num_ptws='[1': ")
+    assert not out.exists()
+
+
+def test_yaml_syntax_error_in_a_file_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text("mmu:\n  num_ptws: [1\n")
+    with pytest.raises(cfgmod.ConfigError, match=str(p)):
+        cfgmod.load_config(str(p))
+    assert cli.main(["validate", "--config", str(p)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {p}: ")
+
+
+# Imported where they are used: NumPy when a gather trace is drawn, PyYAML
+# when a file, env or --set value is read or a config dumped, hashlib when
+# a seeded stream is drawn, the process pool when a sweep has workers.
+DEFERRED = ("numpy", "yaml", "hashlib", "_hashlib", "concurrent.futures",
+            "multiprocessing")
+
+
+def test_start_up_leaves_deferred_modules_unloaded():
+    code = ("import sys, npusim.cli, npusim.harness, npusim.config as c; "
+            "assert c.validate(c.load_config()) == []; "
+            f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(cfgmod.ENV_PREFIX)}
+    env["PYTHONPATH"] = str(Path(npusim.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("key", ["workload.zipf_s", "energy.pj_walk_dram",

@@ -1,5 +1,6 @@
 """Config plumbing, CSV schema, sweeps, reports, CLI surface."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import itertools
@@ -132,6 +133,35 @@ def test_sweep_parallel_matches_serial():
     serial = harness.rows_to_csv(harness.sweep(cfg, items, jobs=1))
     parallel = harness.rows_to_csv(harness.sweep(cfg, items, jobs=2))
     assert serial == parallel
+
+
+def test_sweep_starts_no_more_workers_than_points(monkeypatch):
+    # a fork pool starts all its workers up front, so --jobs is capped at
+    # the points; one point, or none, runs in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = small_cfg()
+    assert harness.sweep(cfg, [("mmu.num_ptws", [])], jobs=4) == []
+    one = harness.sweep(cfg, [("mmu.num_ptws", [8])], jobs=4)
+    two = harness.sweep(cfg, [("mmu.num_ptws", [1, 8])], jobs=4)
+    assert sizes == [2]
+    assert harness.rows_to_csv(one + two) == harness.rows_to_csv(
+        harness.sweep(cfg, [("mmu.num_ptws", [8])])
+        + harness.sweep(cfg, [("mmu.num_ptws", [1, 8])]))
 
 
 def test_shared_fetch_plans_keep_every_point_exact():

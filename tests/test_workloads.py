@@ -1,14 +1,7 @@
 """Dense layer suites and embedding gather trace generation."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-import npusim
 
 from npusim.address_space import check_disjoint
 from npusim.workloads import (
@@ -105,13 +98,3 @@ def test_embedding_segments_disjoint():
 def test_bad_distribution_rejected():
     with pytest.raises(ValueError):
         model(index_distribution="gaussian")
-
-
-def test_importing_the_simulator_leaves_numpy_unloaded():
-    # NumPy is imported when a gather trace is drawn, not at start-up
-    code = ("import sys, npusim.cli, npusim.harness, npusim.config; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
-    env = dict(os.environ, PYTHONPATH=str(Path(npusim.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
