@@ -41,8 +41,6 @@ from .numa import (
 from .page_table import build
 from .workloads import (
     STRATEGIES,
-    EmbeddingModel,
-    Placement,
     WorkloadConfig,
     dense_suite,
     gather_trace,
@@ -130,24 +128,9 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
     return rows
 
 
-def _embedding_model(wl: WorkloadConfig, seed: int) -> Tuple[EmbeddingModel, Placement]:
-    model = EmbeddingModel(
-        tables=wl.tables,
-        rows=wl.rows,
-        batch=wl.batch_samples,
-        embedding_bytes=wl.embedding_bytes,
-        lookups_per_sample=wl.lookups_per_sample,
-        index_distribution=wl.distribution,
-        zipf_s=wl.zipf_s,
-        seed=cfgmod.seed_for(seed, "gather"),
-    )
-    return model, Placement.round_robin(wl.tables, wl.num_npus)
-
-
 def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     wl = WorkloadConfig(**cfg["workload"])
-    model, placement = _embedding_model(wl, seed)
-    trace = gather_trace(model, placement, 0)
+    trace = gather_trace(wl, cfgmod.seed_for(seed, "gather"))
     dram = DramConfig(**cfg["memory"])
     links = LinksConfig(**cfg["links"])
     mmu = MmuConfig(**cfg["mmu"])
@@ -157,15 +140,15 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     translation_cycles = None  # shared by both NUMA links
     for strat in strategies:
         if strat == "baseline_copy":
-            breakdowns.append(run_baseline_copy(trace, model, links.pcie, dram))
+            breakdowns.append(run_baseline_copy(trace, wl, links.pcie, dram))
         elif strat in ("numa_slow", "numa_fast"):
             if translation_cycles is None:
-                translation_cycles = translate_gathers(trace, model, mmu)
+                translation_cycles = translate_gathers(trace, wl, mmu)
             link = links.nvlink if strat == "numa_fast" else links.pcie
-            breakdowns.append(run_numa(trace, model, translation_cycles, link, dram))
+            breakdowns.append(run_numa(trace, wl, translation_cycles, link, dram))
         else:
-            bd, _ = run_demand_paging(trace, model, PAGE_SIZES[strat.split("_")[1]],
-                                      placement, links.nvlink, mmu, dram)
+            bd, _ = run_demand_paging(trace, wl, PAGE_SIZES[strat.split("_")[1]],
+                                      links.nvlink, mmu, dram)
             breakdowns.append(bd)
 
     rows = []
@@ -300,7 +283,7 @@ def report(csv_paths: Sequence[str]) -> str:
     if numa_rows:
         lines.append("")
         lines.append("== embedding gather latency (reduction vs baseline copy) ==")
-        by_wl: Dict[str, List[Dict[str, str]]] = {}
+        by_wl: Dict[Tuple[str, str], List[Dict[str, str]]] = {}
         for r in numa_rows:
             by_wl.setdefault((r["workload"], r["config_id"]), []).append(r)
         for (wl, cid), group in by_wl.items():
@@ -311,7 +294,8 @@ def report(csv_paths: Sequence[str]) -> str:
                 red = ""
                 if base and r["strategy"] != "baseline_copy":
                     red = f"{100.0 * (base - total) / base:8.1f}%"
-                lines.append(f"{wl:40s} {r['strategy']:15s} {total:12d} {red:>9s}")
+                lines.append(f"{wl:40s} {cid:30s} {r['strategy']:15s} "
+                             f"{total:12d} {red:>9s}")
 
     energetic = [r for r in dense if r["energy_pj_total"]]
     if energetic:

@@ -2,8 +2,11 @@
 NUMA reads, and demand-paged migration at 4KB or 2MB granularity.
 
 All three strategies move the exact same payload bytes; only the transport
-differs. Runs take the perspective of one NPU working through its share of
-an all-to-all gather:
+differs. Every run is NPU 0's view of its share of an all-to-all gather:
+a gather is local when its table sits on NPU 0, and tables are placed
+round-robin (table t on NPU t % num_npus), as `workloads.gather_trace`
+places them. The strategies read the sizes of the tables from the same
+`WorkloadConfig` record the trace was drawn from:
 
   * baseline copy: the NPU has no MMU, so every remote embedding bounces
     source-NPU -> CPU memory -> destination NPU over the CPU interconnect,
@@ -33,9 +36,8 @@ from .memory import DramConfig, LinkConfig, link_transfer_cycles
 from .mmu import MmuConfig, TranslationEngine, drain_trace
 from .page_table import PageTable, build, fault_depth
 from .workloads import (
-    EmbeddingModel,
     GatherRequest,
-    Placement,
+    WorkloadConfig,
     embedding_segments,
     table_segment,
 )
@@ -61,10 +63,9 @@ class LatencyBreakdown:
 _NUMA_STRATEGY = {"pcie": "numa_slow", "nvlink": "numa_fast"}
 
 
-def _split(trace: List[GatherRequest], npu_id: int,
-           embedding_bytes: int) -> Tuple[int, int]:
-    """Local and remote payload bytes of `trace` as seen by NPU `npu_id`."""
-    local = sum(1 for g in trace if g.owner_npu == npu_id) * embedding_bytes
+def _split(trace: List[GatherRequest], embedding_bytes: int) -> Tuple[int, int]:
+    """Local and remote payload bytes of `trace` as seen by NPU 0."""
+    local = sum(1 for g in trace if g.owner_npu == 0) * embedding_bytes
     return local, len(trace) * embedding_bytes - local
 
 
@@ -76,13 +77,12 @@ def _dram_read(nbytes: int, dram: DramConfig) -> int:
 
 def run_baseline_copy(
     trace: List[GatherRequest],
-    model: EmbeddingModel,
+    wl: WorkloadConfig,
     cpu_link: LinkConfig,
     dram: DramConfig = DramConfig(),
-    npu_id: int = 0,
 ) -> LatencyBreakdown:
     """MMU-less bounce copy through CPU memory (two interconnect legs)."""
-    local_bytes, remote_bytes = _split(trace, npu_id, model.embedding_bytes)
+    local_bytes, remote_bytes = _split(trace, wl.embedding_bytes)
     bd = LatencyBreakdown("baseline_copy", payload_bytes=local_bytes + remote_bytes)
     bd.local_cycles = _dram_read(local_bytes, dram)
     if remote_bytes:
@@ -94,7 +94,7 @@ def run_baseline_copy(
 
 def translate_gathers(
     trace: List[GatherRequest],
-    model: EmbeddingModel,
+    wl: WorkloadConfig,
     mmu: MmuConfig,
     page_table: Optional[PageTable] = None,
 ) -> int:
@@ -111,11 +111,11 @@ def translate_gathers(
     """
     ps = PAGE_SIZES[mmu.page_size]
     if page_table is None:
-        page_table = build(embedding_segments(model), ps)
+        page_table = build(embedding_segments(wl), ps)
     else:
         _check_page_size(page_table, ps)
-    eb = model.embedding_bytes
-    bases = _table_bases(model)
+    eb = wl.embedding_bytes
+    bases = _table_bases(wl)
     vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
     if mmu.mode == "oracle":
         cycles = len(vpns)
@@ -132,11 +132,10 @@ def translate_gathers(
 
 def run_numa(
     trace: List[GatherRequest],
-    model: EmbeddingModel,
+    wl: WorkloadConfig,
     translation_cycles: int,
     link: LinkConfig,
     dram: DramConfig = DramConfig(),
-    npu_id: int = 0,
 ) -> LatencyBreakdown:
     """Fine-grained NUMA gathers over the slow (PCIe) or fast (NVLink) link.
 
@@ -144,7 +143,7 @@ def run_numa(
     translations overlap the remote transfer stream, so the slower of the
     two paces the remote phase.
     """
-    local_bytes, remote_bytes = _split(trace, npu_id, model.embedding_bytes)
+    local_bytes, remote_bytes = _split(trace, wl.embedding_bytes)
     bd = LatencyBreakdown(_NUMA_STRATEGY[link.kind],
                           payload_bytes=local_bytes + remote_bytes,
                           translation_cycles=translation_cycles)
@@ -160,40 +159,34 @@ def run_numa(
 
 def run_demand_paging(
     trace: List[GatherRequest],
-    model: EmbeddingModel,
+    wl: WorkloadConfig,
     ps: PageSize,
-    placement: Placement,
     link: LinkConfig,
     mmu: MmuConfig,
     dram: DramConfig = DramConfig(),
-    npu_id: int = 0,
     page_table: Optional[PageTable] = None,
 ) -> Tuple[LatencyBreakdown, PageTable]:
     """Fault-and-migrate remote pages into local memory, then gather locally.
 
-    The local table starts with the tables `placement` gives this NPU
-    mapped, whether or not the trace gathers from them. Of `mmu`, only the
-    walk and TLB-hit latencies are read. A given `page_table` must hold
-    pages of size `ps`, or ValueError is raised. Returns the breakdown and
-    the (mutated) local page table so a second pass can demonstrate fault
-    idempotence.
+    The local table starts with NPU 0's own tables mapped, whether or not
+    the trace gathers from them. Of `mmu`, only the walk and TLB-hit
+    latencies are read. A given `page_table` must hold pages of size `ps`,
+    or ValueError is raised. Returns the breakdown and the (mutated) local
+    page table so a second pass can demonstrate fault idempotence.
     """
-    eb = model.embedding_bytes
-    tag = "4k" if ps is PageSize.SMALL_4K else "2m"
+    eb = wl.embedding_bytes
+    tag = next(name for name, size in PAGE_SIZES.items() if size is ps)
     bd = LatencyBreakdown(f"demand_{tag}", payload_bytes=len(trace) * eb)
 
     if page_table is None:
-        page_table = build(
-            [table_segment(model, t) for t, owner in enumerate(placement.table_to_npu)
-             if owner == npu_id],
-            ps,
-        )
+        page_table = build([table_segment(wl, t)
+                            for t in range(0, wl.tables, wl.num_npus)], ps)
     else:
         _check_page_size(page_table, ps)
 
-    bases = _table_bases(model)
+    bases = _table_bases(wl)
     for g in trace:
-        if g.owner_npu == npu_id:
+        if g.owner_npu == 0:
             continue
         page = vpn_of(bases[g.table] + g.row * eb, ps)
         frame, fault_level = page_table.walk_outcome(page)
@@ -218,5 +211,5 @@ def _check_page_size(page_table: PageTable, ps: PageSize) -> None:
                          f"pages, not {ps.name}")
 
 
-def _table_bases(model: EmbeddingModel) -> List[int]:
-    return [table_segment(model, t).base for t in range(model.tables)]
+def _table_bases(wl: WorkloadConfig) -> List[int]:
+    return [table_segment(wl, t).base for t in range(wl.tables)]

@@ -1,11 +1,14 @@
 """Workload generators: dense GEMM layer suites and sparse embedding
-gather traces with model-parallel table placement.
+gather traces with model-parallel tables placed round-robin.
 
 Dense suite shapes are representative stand-ins for the public model
 families they are named after (lowered to GEMM); they are not measured
-layer lists. Embedding traces draw per-sample rows from a uniform or
-bounded-Zipf distribution, deterministically from a seed. NumPy is imported
-only when a trace is drawn, so importing the simulator does not load it.
+layer lists. An embedding trace is drawn from the `WorkloadConfig` record
+itself: per-sample rows come from a uniform or bounded-Zipf distribution,
+deterministically from a seed (the harness passes
+`config.seed_for(master, "gather")`), and table t sits on NPU
+t % num_npus. NumPy is imported only when a trace is drawn, so importing
+the simulator does not load it.
 """
 
 from __future__ import annotations
@@ -103,98 +106,63 @@ def dense_suite(name: str, element_bytes: int = 1) -> Dict[str, List[LayerConfig
     return out
 
 
-@dataclass(frozen=True)
-class EmbeddingModel:
-    """`tables` tables of `rows` embedding vectors, each `embedding_bytes`
-    long, and a minibatch of `batch` samples that look rows up in them."""
-    tables: int
-    rows: int
-    batch: int
-    embedding_bytes: int = 256
-    lookups_per_sample: int = 1
-    index_distribution: str = "uniform"  # "uniform" | "zipf"
-    zipf_s: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tables < 1 or self.rows < 1 or self.embedding_bytes < 1:
-            raise ValueError("tables, rows and vector size must be positive")
-        if self.index_distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.index_distribution!r}")
-        if self.rows < self.lookups_per_sample:
-            raise ValueError("table rows must cover lookups_per_sample")
-
-
-@dataclass(frozen=True)
-class Placement:
-    num_npus: int
-    table_to_npu: tuple
-
-    def __post_init__(self):
-        if any(not 0 <= o < self.num_npus for o in self.table_to_npu):
-            raise ValueError("table owner out of range")
-
-    @staticmethod
-    def round_robin(num_tables: int, num_npus: int) -> "Placement":
-        return Placement(num_npus, tuple(t % num_npus for t in range(num_tables)))
-
-
 class GatherRequest(NamedTuple):
     table: int
     row: int
     owner_npu: int
 
 
-def table_segment(model: EmbeddingModel, table: int) -> Segment:
+def table_segment(wl: WorkloadConfig, table: int) -> Segment:
     return Segment(f"emb{table}", default_segment_base(table),
-                   model.rows * model.embedding_bytes)
+                   wl.rows * wl.embedding_bytes)
 
 
-def embedding_segments(model: EmbeddingModel) -> List[Segment]:
-    return [table_segment(model, t) for t in range(model.tables)]
+def embedding_segments(wl: WorkloadConfig) -> List[Segment]:
+    return [table_segment(wl, t) for t in range(wl.tables)]
 
 
 def _draw_rows(rng: np.random.Generator, count: int,
-               model: EmbeddingModel) -> np.ndarray:
+               wl: WorkloadConfig) -> np.ndarray:
     import numpy as np
 
-    if model.index_distribution == "uniform":
-        return rng.integers(0, model.rows, size=count)
+    if wl.distribution == "uniform":
+        return rng.integers(0, wl.rows, size=count)
     # bounded Zipf: prob(rank r) ~ r^-s over 1..rows
-    ranks = np.arange(1, model.rows + 1, dtype=np.float64)
-    probs = ranks ** -model.zipf_s
+    ranks = np.arange(1, wl.rows + 1, dtype=np.float64)
+    probs = ranks ** -wl.zipf_s
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     return np.searchsorted(cdf, rng.random(count))
 
 
-def gather_trace(model: EmbeddingModel, placement: Placement,
-                 npu: int) -> List[GatherRequest]:
+def gather_trace(wl: WorkloadConfig, seed: int, npu: int = 0) -> List[GatherRequest]:
     """NPU `npu`'s gather list for one minibatch's all-to-all.
 
     Samples are data-parallel: NPU i owns a contiguous slice of the batch
     and gathers that slice's lookups from every table, remote or not, in
-    sample, table, lookup order. Deterministic for a fixed (model.seed,
-    placement).
+    sample, table, lookup order. Table t sits on NPU t % num_npus.
+    Deterministic for a fixed (wl, seed). `wl` must be of kind
+    "embedding", whose batch and row checks the trace relies on, or
+    ValueError is raised.
     """
-    if model.tables != len(placement.table_to_npu):
-        raise ValueError("placement must assign every table")
-    nn = placement.num_npus
+    if wl.kind != "embedding":
+        raise ValueError(f"gather_trace needs an embedding workload, "
+                         f"not {wl.kind!r}")
+    nn = wl.num_npus
     if not 0 <= npu < nn:
         raise ValueError(f"npu {npu} out of range for {nn} NPUs")
     import numpy as np                    # here, so start-up does not load it
 
-    rng = np.random.default_rng(model.seed)
-    lps = model.lookups_per_sample
-    lo = npu * model.batch // nn
-    hi = (npu + 1) * model.batch // nn
-    # every table's whole batch is drawn, independent of the placement and
-    # of `npu`, so re-placing tables replays the same trace
-    rows = [_draw_rows(rng, model.batch * lps, model)
-            .reshape(model.batch, lps)[lo:hi].tolist()
-            for _ in range(model.tables)]
-    owners = placement.table_to_npu
-    return [GatherRequest(t, row, owners[t])
+    rng = np.random.default_rng(seed)
+    batch = wl.batch_samples
+    lps = wl.lookups_per_sample
+    lo = npu * batch // nn
+    hi = (npu + 1) * batch // nn
+    # every table's whole batch is drawn, independent of num_npus and of
+    # `npu`, so re-placing tables replays the same trace
+    rows = [_draw_rows(rng, batch * lps, wl).reshape(batch, lps)[lo:hi].tolist()
+            for _ in range(wl.tables)]
+    return [GatherRequest(t, row, t % nn)
             for sample in range(hi - lo)
-            for t in range(len(owners))
+            for t in range(wl.tables)
             for row in rows[t][sample]]

@@ -26,9 +26,8 @@ from npusim.numa import (
 from npusim.page_table import build
 from walk_reference import RecordingEngine, build_scattered, reference_frame
 from npusim.workloads import (
-    EmbeddingModel,
     GatherRequest,
-    Placement,
+    WorkloadConfig,
     gather_trace,
     make_layer,
 )
@@ -245,9 +244,9 @@ def test_criterion_08_energy_ordering():
 
 def test_criterion_09_numa_case_study():
     t0 = time.monotonic()
-    model = EmbeddingModel(
-        tables=8, rows=65536, batch=256, seed=5)
-    trace = gather_trace(model, Placement.round_robin(8, 8), 0)
+    model = WorkloadConfig(
+        kind="embedding", num_npus=8, tables=8, rows=65536, batch_samples=256)
+    trace = gather_trace(model, 5)
     copy = run_baseline_copy(trace, model, LINKS.pcie)
     translation = translate_gathers(trace, model, NEUMMU)
     slow = run_numa(trace, model, translation, LINKS.pcie)
@@ -265,10 +264,9 @@ def test_criterion_09_numa_case_study():
 
 
 def test_criterion_10_large_page_pitfall():
-    model = EmbeddingModel(
-        tables=4, rows=1 << 20, batch=64, seed=9)
-    placement = Placement.round_robin(4, 4)
-    trace = gather_trace(model, placement, 0)
+    model = WorkloadConfig(
+        kind="embedding", num_npus=4, tables=4, rows=1 << 20, batch_samples=64)
+    trace = gather_trace(model, 9)
     touches = {}
     for g in trace:
         key = (g.table, g.row * 256 // 4096)
@@ -276,8 +274,7 @@ def test_criterion_10_large_page_pitfall():
     sparse_enough = sum(touches.values()) / len(touches) < 2
 
     def demand(trace, ps):
-        return run_demand_paging(trace, model, ps, placement, LINKS.nvlink,
-                                 MmuConfig())[0]
+        return run_demand_paging(trace, model, ps, LINKS.nvlink, MmuConfig())[0]
 
     small = demand(trace, PS4K)
     large = demand(trace, PS2M)

@@ -11,7 +11,7 @@ from npusim import cli
 from npusim import config as cfgmod
 from npusim import harness, npu
 from npusim.numa import LatencyBreakdown
-from npusim.workloads import dense_suite
+from npusim.workloads import STRATEGIES, dense_suite
 
 
 def small_cfg(**overrides):
@@ -250,6 +250,18 @@ def test_report_summarizes_and_rejects_empty(tmp_path):
         harness.write_csv([], fh)
     with pytest.raises(ValueError):
         harness.report([str(empty)])
+
+
+def test_report_tells_embedding_sweep_points_apart(tmp_path):
+    cfg = small_cfg(**{"workload.kind": "embedding", "workload.strategy": "all",
+                       "workload.rows": 4096, "workload.batch_samples": 16})
+    path = tmp_path / "s.csv"
+    with open(path, "w", newline="") as fh:
+        harness.write_csv(harness.sweep(cfg, [("num_ptws", [1, 128])]), fh)
+    lines = harness.report([str(path)]).splitlines()
+    for cid in ("default+num_ptws=1", "default+num_ptws=128"):
+        rows = [line.split() for line in lines if cid in line.split()]
+        assert [r[2] for r in rows] == list(STRATEGIES)
 
 
 # -- CLI --------------------------------------------------------------------

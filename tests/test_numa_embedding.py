@@ -21,8 +21,7 @@ from npusim.numa import (
 )
 from npusim.page_table import build
 from npusim.workloads import (
-    EmbeddingModel,
-    Placement,
+    WorkloadConfig,
     embedding_segments,
     gather_trace,
     table_segment,
@@ -38,16 +37,12 @@ PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
 
 
-# the placement that trace_for() uses by default
-PLACEMENT = Placement.round_robin(4, 4)
-
-
 def trace_for(num_npus=4, tables=4, batch=64, rows=4096, seed=11,
               distribution="uniform", npu=0):
-    m = EmbeddingModel(
-        tables=tables, rows=rows, batch=batch,
-        index_distribution=distribution, seed=seed)
-    return m, gather_trace(m, Placement.round_robin(tables, num_npus), npu)
+    m = WorkloadConfig(
+        kind="embedding", num_npus=num_npus, tables=tables, rows=rows,
+        batch_samples=batch, distribution=distribution)
+    return m, gather_trace(m, seed, npu)
 
 
 def numa(tr, m, link, mmu=NEUMMU):
@@ -59,8 +54,8 @@ def copy(tr, m):
     return run_baseline_copy(tr, m, PCIE)
 
 
-def demand(tr, m, ps, placement=PLACEMENT, **kwargs):
-    return run_demand_paging(tr, m, ps, placement, NVLINK, NEUMMU, **kwargs)
+def demand(tr, m, ps, **kwargs):
+    return run_demand_paging(tr, m, ps, NVLINK, NEUMMU, **kwargs)
 
 
 def remote_bytes(tr):
@@ -128,9 +123,10 @@ def test_demand_paging_second_pass_is_fault_free():
 
 
 def test_demand_paging_maps_own_tables_without_gathers():
-    # ownership comes from the placement, not from the gathers in the trace
+    # ownership comes from the round-robin placement, not from the gathers
+    # in the trace
     m, tr = trace_for()
-    own = [t for t, owner in enumerate(PLACEMENT.table_to_npu) if owner == 0]
+    own = [t for t in range(m.tables) if t % m.num_npus == 0]
     rest = [g for g in tr if g.table not in own]
     assert own and len(rest) < len(tr)
     _, pt = demand(rest, m, PS4K)
@@ -159,7 +155,7 @@ def test_local_only_trace_has_no_remote_terms():
     for bd in (copy(tr, m), numa(tr, m, NVLINK)):
         assert bd.remote_leg1 == bd.staging == bd.remote_leg2 == 0
         assert bd.numa_transfer_cycles == 0
-    bd, _ = demand(tr, m, PS4K, Placement.round_robin(4, 1))
+    bd, _ = demand(tr, m, PS4K)
     assert bd.faults == 0
 
 
@@ -240,6 +236,13 @@ def test_strategy_all_translates_once(monkeypatch):
             == rows["numa_fast"]["translation_cycles"] > 0)
 
 
+def large_page_study(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_page_study.py"), *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True)
+
+
 def test_large_page_study_script_output():
     # the six table rows at 4096 rows x 4 tables and x 2 tables, seed 0
     expected = {
@@ -257,10 +260,24 @@ def test_large_page_study_script_output():
               ["sparse", "2m", "1", "2.0", "16.0", "100", "13806"]],
     }
     for tables, rows in expected.items():
-        out = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "large_page_study.py"),
-             "--rows", "4096", "--tables", tables, "--seed", "0"],
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            capture_output=True, text=True,
-            check=True).stdout
-        assert [line.split() for line in out.splitlines()[1:]] == rows
+        run = large_page_study("--rows", "4096", "--tables", tables, "--seed", "0")
+        assert run.returncode == 0, run.stderr
+        assert [line.split() for line in run.stdout.splitlines()[1:]] == rows
+
+
+def test_large_page_study_refuses_an_empty_npu_slice():
+    # the sparse batch of 64 samples over 128 NPUs leaves NPU 0 nothing to
+    # gather; the script used to print all-zero sparse rows
+    run = large_page_study("--rows", "4096", "--tables", "128")
+    assert run.returncode != 0
+    assert "batch_samples (64) must be >= num_npus (128)" in run.stderr
+
+
+def test_large_page_study_sequential_needs_no_batch():
+    # the sequential pattern draws no samples, so 16 NPUs are fine even
+    # though its batch would once have been 8
+    run = large_page_study("--rows", "4096", "--tables", "16")
+    assert run.returncode == 0, run.stderr
+    assert [line.split()[:2] for line in run.stdout.splitlines()[1:]] == [
+        [pattern, page] for pattern in ("sequential", "zipf", "sparse")
+        for page in ("4k", "2m")]

@@ -6,19 +6,20 @@ import pytest
 from npusim.address_space import check_disjoint
 from npusim.workloads import (
     BATCH_TAGS,
-    EmbeddingModel,
-    Placement,
+    WorkloadConfig,
     dense_suite,
     embedding_segments,
     gather_trace,
     make_layer,
 )
 
+SEED = 3
 
-def model(**kw):
-    base = dict(tables=4, rows=1024, batch=16, seed=3)
+
+def workload(**kw):
+    base = dict(kind="embedding", tables=4, rows=1024, batch_samples=16)
     base.update(kw)
-    return EmbeddingModel(**base)
+    return WorkloadConfig(**base)
 
 
 def test_suites_present_with_batch_variants():
@@ -41,22 +42,21 @@ def test_make_layer_sizes_segments_to_operands():
 
 
 def test_gather_trace_deterministic():
-    p = Placement.round_robin(4, 2)
+    wl = workload(num_npus=2)
     for npu in range(2):
-        a = gather_trace(model(), p, npu)
-        b = gather_trace(model(), p, npu)
+        a = gather_trace(wl, SEED, npu)
+        b = gather_trace(wl, SEED, npu)
         assert a == b
-        c = gather_trace(model(seed=4), p, npu)
+        c = gather_trace(wl, 4, npu)
         assert a != c
 
 
 def test_all_to_all_counts():
-    m = model(batch=16, lookups_per_sample=2)
-    p = Placement.round_robin(4, 2)
-    traces = {npu: gather_trace(m, p, npu) for npu in range(p.num_npus)}
+    wl = workload(num_npus=2, batch_samples=16, lookups_per_sample=2)
+    traces = {npu: gather_trace(wl, SEED, npu) for npu in range(wl.num_npus)}
     assert set(traces) == {0, 1}
     with pytest.raises(ValueError):
-        gather_trace(m, p, 2)
+        gather_trace(wl, SEED, 2)
     # each NPU's batch slice gathers from every table
     for npu, trace in traces.items():
         assert len(trace) == (16 // 2) * 4 * 2
@@ -65,36 +65,44 @@ def test_all_to_all_counts():
 
 
 def test_replacement_keeps_rows_fixed():
-    m = model()
-    rows_a = [g.row for g in gather_trace(m, Placement.round_robin(4, 2), 0)]
-    rows_b = [g.row for g in gather_trace(m, Placement.round_robin(4, 4), 0)]
+    rows_a = [g.row for g in gather_trace(workload(num_npus=2), SEED)]
+    rows_b = [g.row for g in gather_trace(workload(num_npus=4), SEED)]
     # same draw, different owners and batch split; prefix slice matches
     assert rows_b == rows_a[:len(rows_b)]
 
 
 def test_owners_follow_placement():
-    p = Placement(2, (1, 0, 1, 0))
-    for g in gather_trace(model(), p, 0):
-        assert g.owner_npu == p.table_to_npu[g.table]
+    for num_npus in (1, 2, 3):
+        for g in gather_trace(workload(num_npus=num_npus), SEED):
+            assert g.owner_npu == g.table % num_npus
 
 
 def test_zipf_is_more_concentrated_than_uniform():
-    p = Placement.round_robin(1, 1)
-    big = dict(tables=1, rows=4096, batch=4096)
-    uni = gather_trace(model(index_distribution="uniform", **big), p, 0)
-    zipf = gather_trace(model(index_distribution="zipf", zipf_s=1.2, **big), p, 0)
+    big = dict(num_npus=1, tables=1, rows=4096, batch_samples=4096)
+    uni = gather_trace(workload(distribution="uniform", **big), SEED)
+    zipf = gather_trace(workload(distribution="zipf", zipf_s=1.2, **big), SEED)
     assert len({g.row for g in zipf}) < len({g.row for g in uni})
 
 
 def test_rows_in_range():
-    for g in gather_trace(model(), Placement.round_robin(4, 1), 0):
+    for g in gather_trace(workload(num_npus=1), SEED):
         assert 0 <= g.row < 1024
 
 
 def test_embedding_segments_disjoint():
-    check_disjoint(embedding_segments(model()))
+    check_disjoint(embedding_segments(workload()))
 
 
 def test_bad_distribution_rejected():
     with pytest.raises(ValueError):
-        model(index_distribution="gaussian")
+        workload(distribution="gaussian")
+
+
+def test_gather_trace_refuses_a_dense_record():
+    # the batch and row checks apply only to embedding records, so a dense
+    # one could hand the trace an empty NPU slice or too few rows
+    for wl in (WorkloadConfig(kind="dense", batch_samples=2, num_npus=4),
+               WorkloadConfig(kind="dense", rows=1, lookups_per_sample=2),
+               WorkloadConfig()):
+        with pytest.raises(ValueError, match="needs an embedding workload"):
+            gather_trace(wl, SEED)
