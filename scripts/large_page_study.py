@@ -30,11 +30,13 @@ def main():
         except ValueError as e:
             ap.error(str(e))
 
-    # the sequential pattern reads each table's first 2048 rows in order;
-    # the others draw a batch of samples from the seed
+    # the sequential pattern reads each table's first 2048 rows (all of
+    # them, in a smaller table) in order; the others draw a batch of
+    # samples from the seed
+    sequential = range(min(args.rows, 2048))
     patterns = [("sequential", workload(),
                  [GatherRequest(t, r, t % args.tables)
-                  for t in range(args.tables) for r in range(2048)])]
+                  for t in range(args.tables) for r in sequential])]
     for pattern, dist, zipf_s, batch in (("zipf", "zipf", 1.2, 256),
                                          ("sparse", "uniform", 1.0, 64)):
         wl = workload(distribution=dist, zipf_s=zipf_s, batch_samples=batch)

@@ -276,7 +276,7 @@ def report(csv_paths: Sequence[str]) -> str:
             total = int(r["total_cycles"])
             oracle = int(r["oracle_cycles"])
             norm = oracle / total if total else 0.0
-            lines.append(f"{r['workload']:40s} {r['config_id'][:30]:30s} "
+            lines.append(f"{r['workload']:40s} {r['config_id']:30s} "
                          f"{total:12d} {norm:7.3f} {float(r['mmu_overhead_pct']):10.2f}")
 
     numa_rows = [r for r in rows if r["strategy"]]
@@ -302,6 +302,6 @@ def report(csv_paths: Sequence[str]) -> str:
         lines.append("")
         lines.append("== translation energy ==")
         for r in energetic:
-            lines.append(f"{r['workload']:40s} {r['config_id'][:30]:30s} "
+            lines.append(f"{r['workload']:40s} {r['config_id']:30s} "
                          f"{float(r['energy_pj_total']):14.6g} pJ")
     return "\n".join(lines) + "\n"

@@ -159,6 +159,11 @@ class TranslationCompletion(NamedTuple):
     count: int = 1
 
 
+# Builds a SubmitResult or TranslationCompletion from all of its fields,
+# `_new(Cls, fields)`, at about half the cost of the generated constructor.
+_new = tuple.__new__
+
+
 @dataclass
 class TranslationStats:
     """The engine's counters. The fields are stored. Every submit probes
@@ -209,7 +214,7 @@ class Oracle:
     stats: ClassVar[TranslationStats] = TranslationStats()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Walker:
     vpn: int = 0
     leading: int = 0                      # request id of the walk's owner
@@ -236,7 +241,14 @@ class TranslationEngine:
         self.pt = pt
         self.dram = dram
         self.stats = TranslationStats()
-        self._levels = pt.page_size.levels
+        self._levels = levels = pt.page_size.levels
+        self._tag_mask = (1 << INDEX_BITS * (levels - 1)) - 1  # of `path_tag`
+        # the knobs the walk path reads, read once
+        self._hit_latency = cfg.tlb_hit_latency
+        self._prmb_slots = cfg.prmb_slots
+        self._walk_cycles = cfg.walk_cycles_per_level
+        self._cache_kind = cfg.translation_cache
+        self._tlb_entries = cfg.tlb_entries
         self._charge_walks = dram is not None and cfg.charge_walk_bandwidth
         self._tlb: OrderedDict[int, int] = OrderedDict()
         self._walkers = [_Walker() for _ in range(cfg.num_ptws)]
@@ -268,30 +280,30 @@ class TranslationEngine:
     def submit(self, vpn: int, now: int) -> SubmitResult:
         if now < self._retry_until:       # a retry `skip_blocked` charged
             return _BLOCKED
-        stats, cfg = self.stats, self.cfg
+        stats = self.stats
         rid = stats.accepted
         frame = self._tlb.get(vpn)
         if frame is not None:
             self._tlb.move_to_end(vpn)
             stats.tlb_hits += 1
             stats.accepted = rid + 1
-            done = now + cfg.tlb_hit_latency
+            done = now + self._hit_latency
             self._seq = seq = self._seq + 1
-            heappush(self._events, (done, seq, "deliver",
-                                    TranslationCompletion(rid, vpn, frame, done)))
-            return SubmitResult(SubmitStatus.TLB_HIT, rid, done)
+            heappush(self._events, (done, seq, "deliver", _new(
+                TranslationCompletion, (rid, vpn, frame, done, None, 1))))
+            return _new(SubmitResult, (SubmitStatus.TLB_HIT, rid, done))
 
-        if cfg.prmb_slots > 0:
+        if self._prmb_slots:
             wid = self._scoreboard.get(vpn)
             if wid is not None:
                 walker = self._walkers[wid]
-                if walker.merges < cfg.prmb_slots:
+                if walker.merges < self._prmb_slots:
                     walker.merged.append((rid, 1))
                     walker.merges += 1
                     stats.scoreboard_merges += 1
                     stats.merge_buffer_accesses += 1
                     stats.accepted = rid + 1
-                    return SubmitResult(SubmitStatus.MERGED, rid)
+                    return _new(SubmitResult, (SubmitStatus.MERGED, rid, None))
                 stats.blocked_cycles += 1
                 return _BLOCKED
 
@@ -300,7 +312,7 @@ class TranslationEngine:
             return _BLOCKED
         self._start_walk(vpn, now, rid)
         stats.accepted = rid + 1
-        return SubmitResult(SubmitStatus.NEW_WALK, rid)
+        return _new(SubmitResult, (SubmitStatus.NEW_WALK, rid, None))
 
     def accept_run(self, vpn: int, count: int, now: int) -> int:
         """Accept the requests for `vpn` of cycles now, now + 1, ... (at
@@ -326,20 +338,24 @@ class TranslationEngine:
                 end, page = ends[0]
                 if page == vpn:
                     end = min((f for f, v in ends if v != vpn), default=now + count)
-                count = min(count, end - now + 1)
+                if end - now + 1 < count:
+                    count = end - now + 1
             self._tlb.move_to_end(vpn)
             stats.tlb_hits += count
-            done = now + self.cfg.tlb_hit_latency
+            done = now + self._hit_latency
             self._seq = seq = self._seq + 1
-            heappush(self._events, (done, seq, "deliver", TranslationCompletion(
-                rid, vpn, frame, done, count=count)))
+            heappush(self._events, (done, seq, "deliver", _new(
+                TranslationCompletion, (rid, vpn, frame, done, None, count))))
         else:
             wid = self._scoreboard.get(vpn)   # empty without merge buffers
             if wid is None:
                 return 0
             walker = self._walkers[wid]
-            count = min(count, self.cfg.prmb_slots - walker.merges,
-                        ends[0][0] - now + 1)
+            free = self._prmb_slots - walker.merges
+            if free < count:
+                count = free
+            if ends[0][0] - now + 1 < count:
+                count = ends[0][0] - now + 1
             if count < 1:
                 return 0
             walker.merged.append((rid, count))
@@ -370,15 +386,18 @@ class TranslationEngine:
                 if count > 1:
                     # the run goes out up to `now` and up to the next
                     # event; the rest keeps its place in push order
-                    cut = min(now, events[0][0] - 1) if events else now
+                    cut = now
+                    if events and events[0][0] <= now:
+                        cut = events[0][0] - 1
                     if cut < cycle + count - 1:
-                        head = max(cut - cycle + 1, 1)
+                        head = cut - cycle + 1 if cut > cycle else 1
                         rid, vpn, frame, _, level, _ = payload
-                        heappush(events, (cycle + head, seq, kind, TranslationCompletion(
-                            rid + head, vpn, frame, cycle + head, level,
-                            count - head)))
-                        payload = TranslationCompletion(rid, vpn, frame, cycle,
-                                                        level, head)
+                        heappush(events, (cycle + head, seq, kind, _new(
+                            TranslationCompletion, (rid + head, vpn, frame,
+                                                    cycle + head, level,
+                                                    count - head))))
+                        payload = _new(TranslationCompletion,
+                                       (rid, vpn, frame, cycle, level, head))
                         count = head
                 out.append(payload)
                 stats.completions += count
@@ -427,9 +446,9 @@ class TranslationEngine:
     def _start_walk(self, vpn: int, now: int, rid: int) -> None:
         wid = self._free.pop()
         walker = self._walkers[wid]
-        cfg = self.cfg
+        stats = self.stats
         levels = self._levels
-        kind = cfg.translation_cache
+        kind = self._cache_kind
         fill = None
         if kind == "uptc":
             path = self.pt.walk_path(vpn)
@@ -444,10 +463,19 @@ class TranslationEngine:
             frame, fault_level = self.pt.walk_outcome(vpn)
             txns = levels if frame is not None else fault_depth(fault_level)
             if kind != "none":
-                tag = path_tag(vpn, levels)
+                tag = vpn >> INDEX_BITS & self._tag_mask  # `path_tag`
+                if kind == "tpr":         # a path cache of one entry
+                    stats.cache_probes += 1
+                    nearest = walker.path_register
+                    depth = 0 if nearest is None else levels - 1 - (  # `prefix_depth`
+                        (tag ^ nearest).bit_length() + INDEX_BITS - 1) // INDEX_BITS
+                    if depth:
+                        self._count_hits(depth)
+                else:
+                    depth = self._probe_path_cache(tag, levels)
                 # Only a full-path tag match lets the walk jump to the leaf
                 # node, and only when the radix path actually reaches it.
-                if self._probe_path_tag(walker, tag, levels) and txns == levels:
+                if depth == levels - 1 and txns == levels:
                     txns = 1
                 if frame is not None:
                     fill = tag
@@ -457,11 +485,10 @@ class TranslationEngine:
         walker.frame = frame
         walker.fault_level = fault_level
         walker.cache_fill = fill
-        finish = now + txns * cfg.walk_cycles_per_level
+        finish = now + txns * self._walk_cycles
 
-        if cfg.prmb_slots > 0:
+        if self._prmb_slots:
             self._scoreboard[vpn] = wid
-        stats = self.stats
         stats.walks_started += 1
         stats.walk_memory_transactions += txns
         if self._charge_walks:
@@ -474,8 +501,8 @@ class TranslationEngine:
                      out: List[TranslationCompletion]) -> None:
         walker = self._walkers[wid]
         vpn = walker.vpn
-        cfg, stats = self.cfg, self.stats
-        if cfg.prmb_slots > 0 and self._scoreboard.get(vpn) == wid:
+        stats = self.stats
+        if self._prmb_slots and self._scoreboard.get(vpn) == wid:
             del self._scoreboard[vpn]
 
         frame = walker.frame
@@ -483,15 +510,19 @@ class TranslationEngine:
             tlb = self._tlb
             if vpn in tlb:
                 tlb.move_to_end(vpn)
-            elif len(tlb) >= cfg.tlb_entries:
+            elif len(tlb) >= self._tlb_entries:
                 tlb.popitem(last=False)
             tlb[vpn] = frame
-            if walker.cache_fill is not None:
-                self._cache_fill(walker)
+            fill = walker.cache_fill
+            if fill is not None:
+                if self._cache_kind == "tpr":
+                    walker.path_register = fill
+                else:
+                    self._cache_fill(fill)
         else:
             stats.faults += 1
-        out.append(TranslationCompletion(walker.leading, vpn, frame, now,
-                                         walker.fault_level))
+        out.append(_new(TranslationCompletion, (walker.leading, vpn, frame, now,
+                                                walker.fault_level, 1)))
         stats.completions += 1
 
         if not walker.merges:
@@ -501,10 +532,11 @@ class TranslationEngine:
         # one run per merge-buffer entry; the walker frees with the last.
         events, seq = self._events, self._seq
         t = now + 1
+        level = walker.fault_level
         for rid, count in walker.merged:
             seq += 1
-            heappush(events, (t, seq, "deliver", TranslationCompletion(
-                rid, vpn, frame, t, walker.fault_level, count)))
+            heappush(events, (t, seq, "deliver", _new(
+                TranslationCompletion, (rid, vpn, frame, t, level, count))))
             t += count
         self._seq = seq = seq + 1
         heappush(events, (t - 1, seq, "free", wid))
@@ -514,22 +546,21 @@ class TranslationEngine:
 
     # -- translation caches -------------------------------------------------
 
-    def _probe_path_tag(self, walker: _Walker, tag: int, levels: int) -> bool:
-        """Probe the path register (tpr) or path cache (tpc) for `tag`;
-        True on a full-path match. Counts a hit at each level of the
-        longest prefix any entry shares with `tag`."""
-        stats = self.stats
-        stats.cache_probes += 1
-        if self.cfg.translation_cache == "tpr":
-            nearest = walker.path_register
-        else:  # tpc: the longest shared prefix leaves the smallest XOR
-            cache = self._cache
-            nearest = min(cache, key=tag.__xor__) if cache else None
-            if tag in cache:
-                cache.move_to_end(tag)
-        depth = 0 if nearest is None else prefix_depth(tag, nearest, levels)
+    def _probe_path_cache(self, tag: int, levels: int) -> int:
+        """Probe the path cache (tpc) for `tag`; return the longest prefix
+        any entry shares with it (`levels - 1` on a full-path match) and
+        count a hit at each of its levels. `_start_walk` probes a path
+        register (tpr) the same way, inline."""
+        self.stats.cache_probes += 1
+        cache = self._cache
+        if not cache:
+            return 0
+        # the longest shared prefix leaves the smallest XOR
+        depth = prefix_depth(tag, min(cache, key=tag.__xor__), levels)
+        if tag in cache:
+            cache.move_to_end(tag)
         self._count_hits(depth)
-        return depth == levels - 1
+        return depth
 
     def _probe_unified(self, path: List[WalkStep]) -> int:
         """Probe the unified cache for the walk's interior entries from the
@@ -549,20 +580,13 @@ class TranslationEngine:
         """Count a hit at each of the `depth` levels a probe skipped from
         the root: L4, then L3, then L2."""
         stats = self.stats
-        if depth >= 1:
-            stats.cache_hit_l4 += 1
-        if depth >= 2:
-            stats.cache_hit_l3 += 1
-        if depth >= 3:
-            stats.cache_hit_l2 += 1
+        stats.cache_hit_l4 += depth >= 1
+        stats.cache_hit_l3 += depth >= 2
+        stats.cache_hit_l2 += depth >= 3
 
-    def _cache_fill(self, walker: _Walker) -> None:
-        fill = walker.cache_fill
-        kind = self.cfg.translation_cache
+    def _cache_fill(self, fill) -> None:  # tpc and uptc; tpr is inline
         cache = self._cache
-        if kind == "tpr":
-            walker.path_register = fill
-        elif kind == "tpc":
+        if self._cache_kind == "tpc":
             cache[fill] = None
             cache.move_to_end(fill)
             while len(cache) > self.cfg.cache_entries:
@@ -578,26 +602,32 @@ class TranslationEngine:
 def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0) -> int:
     """Feed VPNs at one submit per cycle (retrying blocks) and run to drain.
 
-    Returns the cycles elapsed. The completions are left to the engine's
-    ticks and kept nowhere; the engine's stats count them and their
-    faults. A blocked stretch skips its idle ticks through
-    `TranslationEngine.skip_blocked`.
+    Returns the cycles elapsed, as a submit and a tick in every cycle
+    would give. The completions are left to the engine's ticks and kept
+    nowhere; the engine's stats count them and their faults. No tick is
+    idle: one is made only in a cycle with an event due. A blocked stretch
+    runs through `TranslationEngine.skip_blocked`, and once every VPN is
+    in, the drain jumps from event to event.
     """
     submit, tick, skip = engine.submit, engine.tick, engine.skip_blocked
+    events = engine._events               # (cycle, ...) heap; [0] is next
     blocked = SubmitStatus.BLOCKED
-    n = len(vpns)
     cycle = start
-    i = 0
-    while i < n or engine.in_flight > 0:
-        if i < n:
-            vpn = vpns[i]
-            if submit(vpn, cycle).status is not blocked:
-                i += 1
+    for vpn in vpns:
+        while submit(vpn, cycle).status is blocked:
+            # a block leaves an event pending: a walk end or a walker's free
+            if events[0][0] > cycle:
+                cycle = skip(vpn, cycle)
             else:
-                due = skip(vpn, cycle)
-                if due > cycle:
-                    cycle = due
-                    continue
+                tick(cycle)
+                cycle += 1
+        if events and events[0][0] <= cycle:
+            tick(cycle)
+        cycle += 1
+    # every request still in flight has a pending event, and vice versa
+    while events:
+        if events[0][0] > cycle:
+            cycle = events[0][0]
         tick(cycle)
         cycle += 1
     return cycle - start

@@ -312,7 +312,8 @@ def simulate_fetch(
                 last = cycle + n - 1
             else:
                 if owed:
-                    end = max(end, issue_run(owed_chunks, owed, owed_at))
+                    if (landed := issue_run(owed_chunks, owed, owed_at)) > end:
+                        end = landed
                     owed = 0
                 if submit(vpn, cycle).status is not blocked:
                     n = 1
@@ -338,13 +339,13 @@ def simulate_fetch(
             if owed and at == owed_at + owed and group == owed_chunks:
                 owed += n
                 continue
-            if owed:
-                end = max(end, issue_run(owed_chunks, owed, owed_at))
+            if owed and (landed := issue_run(owed_chunks, owed, owed_at)) > end:
+                end = landed
             owed_chunks, owed_at, owed = group, at, n
         cycle = last + 1
-    if owed:
-        end = max(end, issue_run(owed_chunks, owed, owed_at))
-    return max(end, cycle)
+    if owed and (landed := issue_run(owed_chunks, owed, owed_at)) > end:
+        end = landed
+    return end if end > cycle else cycle
 
 
 def oracle_fetch(runs: Runs, oracle: Oracle, dram: Dram, start: int) -> int:

@@ -18,7 +18,8 @@ places them. The strategies read the sizes of the tables from the same
     `translate_gathers` result.
   * demand paging: remote pages start unmapped locally; first touch walks
     to the fault, migrates the whole page across the link, maps it, and
-    retries locally.
+    retries locally. A mapped page stays mapped, so only a page's first
+    touch is walked.
 
 CPU staging cost is modeled as one DRAM write plus one DRAM read with the
 same fixed-latency DRAM parameters (a documented floor, not a measured CPU
@@ -29,9 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, countOf
 from typing import List, Optional, Tuple
 
-from .address_space import PAGE_SIZES, PageSize, vpn as vpn_of
+from .address_space import PAGE_SIZES, PageSize
 from .memory import DramConfig, LinkConfig, link_transfer_cycles
 from .mmu import MmuConfig, TranslationEngine, drain_trace
 from .page_table import PageTable, build, fault_depth
@@ -65,7 +67,7 @@ _NUMA_STRATEGY = {"pcie": "numa_slow", "nvlink": "numa_fast"}
 
 def _split(trace: List[GatherRequest], embedding_bytes: int) -> Tuple[int, int]:
     """Local and remote payload bytes of `trace` as seen by NPU 0."""
-    local = sum(1 for g in trace if g.owner_npu == 0) * embedding_bytes
+    local = countOf(map(attrgetter("owner_npu"), trace), 0) * embedding_bytes
     return local, len(trace) * embedding_bytes - local
 
 
@@ -114,9 +116,7 @@ def translate_gathers(
         page_table = build(embedding_segments(wl), ps)
     else:
         _check_page_size(page_table, ps)
-    eb = wl.embedding_bytes
-    bases = _table_bases(wl)
-    vpns = [vpn_of(bases[g.table] + g.row * eb, ps) for g in trace]
+    vpns = _pages(trace, wl, ps)
     if mmu.mode == "oracle":
         cycles = len(vpns)
         walk = page_table.walk_outcome
@@ -169,9 +169,13 @@ def run_demand_paging(
     """Fault-and-migrate remote pages into local memory, then gather locally.
 
     The local table starts with NPU 0's own tables mapped, whether or not
-    the trace gathers from them. Of `mmu`, only the walk and TLB-hit
-    latencies are read. A given `page_table` must hold pages of size `ps`,
-    or ValueError is raised. Returns the breakdown and the (mutated) local
+    the trace gathers from them. Each remote page is walked once, at its
+    first touch, in first-touch order: a page that faults there is mapped
+    and stays mapped, so every later gather of it would walk to its frame
+    and add nothing. That gives what walking every remote gather gives,
+    with one walk per page. Of `mmu`, only the walk and TLB-hit latencies
+    are read. A given `page_table` must hold pages of size `ps`, or
+    ValueError is raised. Returns the breakdown and the (mutated) local
     page table so a second pass can demonstrate fault idempotence.
     """
     eb = wl.embedding_bytes
@@ -184,12 +188,9 @@ def run_demand_paging(
     else:
         _check_page_size(page_table, ps)
 
-    bases = _table_bases(wl)
-    for g in trace:
-        if g.owner_npu == 0:
-            continue
-        page = vpn_of(bases[g.table] + g.row * eb, ps)
-        frame, fault_level = page_table.walk_outcome(page)
+    walk = page_table.walk_outcome
+    for page in dict.fromkeys(_pages([g for g in trace if g.owner_npu], wl, ps)):
+        frame, fault_level = walk(page)
         if frame is None:
             bd.fault_handling_cycles += (fault_depth(fault_level)
                                          * mmu.walk_cycles_per_level)
@@ -211,5 +212,10 @@ def _check_page_size(page_table: PageTable, ps: PageSize) -> None:
                          f"pages, not {ps.name}")
 
 
-def _table_bases(wl: WorkloadConfig) -> List[int]:
-    return [table_segment(wl, t).base for t in range(wl.tables)]
+def _pages(trace: List[GatherRequest], wl: WorkloadConfig,
+           ps: PageSize) -> List[int]:
+    """`address_space.vpn` of each gather's address: a table lies inside
+    the 48-bit address space, so that is one shift."""
+    eb, shift = wl.embedding_bytes, ps.offset_bits
+    bases = [table_segment(wl, t).base for t in range(wl.tables)]
+    return [bases[table] + row * eb >> shift for table, row, _ in trace]

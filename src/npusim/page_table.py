@@ -13,6 +13,7 @@ never collide with data addresses.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from operator import index as as_int
 from typing import Iterable, List, NamedTuple, Optional
@@ -85,20 +86,23 @@ class PageTable:
 
     def __init__(self, page_size: PageSize):
         self.page_size = page_size
-        # the shift of each radix index, top-down, for `walk_outcome`
+        # the shift of each radix index, top-down (`radix_indices`)
         self._shifts = tuple(range(INDEX_BITS * (page_size.levels - 1), -1,
                                    -INDEX_BITS))
+        self._interior_shifts = self._shifts[:-1]
         self.nodes: List[array] = [array("q", _EMPTY_NODE)]
         self.mapped_pages = 0
 
     # -- mutation -----------------------------------------------------------
 
-    def _leaf_node(self, indices: tuple) -> array:
-        """The node that holds a page's leaf slot, allocating missing
-        interior nodes on the way down."""
+    def _leaf_node(self, vpn: int) -> array:
+        """The node that holds `vpn`'s leaf slot, at index
+        `vpn & INDEX_MASK`, allocating missing interior nodes on the way
+        down."""
         nodes = self.nodes
         node = nodes[0]
-        for index in indices[:-1]:
+        for shift in self._interior_shifts:
+            index = vpn >> shift & INDEX_MASK
             child = node[index]
             if child < 0:
                 child = node[index] = len(nodes)
@@ -118,11 +122,11 @@ class PageTable:
             frame = as_int(frame)
             if not 0 <= frame < FRAME_LIMIT:
                 raise ValueError(f"frame {frame} outside 0 .. 2**63 - 1")
-        indices = radix_indices(vpn, self.page_size)
-        node = self._leaf_node(indices)
-        if node[indices[-1]] >= 0:
+        node = self._leaf_node(vpn)
+        leaf = vpn & INDEX_MASK
+        if node[leaf] >= 0:
             raise MappingError(f"vpn {vpn:#x} already mapped")
-        node[indices[-1]] = frame
+        node[leaf] = frame
         self.mapped_pages += 1
         return frame
 
@@ -130,22 +134,22 @@ class PageTable:
         """Map VPNs first .. first+count-1 to counted frames in VPN order.
 
         The same table as `map_page` on each VPN in turn, reached with one
-        descent per leaf node. A run that meets an already-mapped VPN raises
-        MappingError before any VPN of that leaf node's run is mapped.
+        descent per leaf node; a leaf node's run of counted frames is
+        packed in one `struct.pack` and written in one slice. A run that
+        meets an already-mapped VPN raises MappingError before any VPN of
+        that leaf node's run is mapped.
         """
-        ps = self.page_size
         vpn, end = first, first + count
         while vpn < end:
-            indices = radix_indices(vpn, ps)
-            node = self._leaf_node(indices)
-            lo = indices[-1]
+            node = self._leaf_node(vpn)
+            lo = vpn & INDEX_MASK
             n = min(512 - lo, end - vpn)
             run = node[lo:lo + n]
             if run.count(ABSENT) != n:
                 taken = next(i for i, slot in enumerate(run) if slot >= 0)
                 raise MappingError(f"vpn {vpn + taken:#x} already mapped")
             frame = self.mapped_pages
-            node[lo:lo + n] = array("q", range(frame, frame + n))
+            node[lo:lo + n] = array("q", struct.pack(f"{n}q", *range(frame, frame + n)))
             self.mapped_pages = frame + n
             vpn += n
 
@@ -177,12 +181,10 @@ class PageTable:
         when the walk faults on an absent slot at `level`."""
         nodes = self.nodes
         node = 0
-        level = ROOT_LEVEL
         for shift in self._shifts:
             node = nodes[node][vpn >> shift & INDEX_MASK]
             if node < 0:
-                return None, level
-            level -= 1
+                return None, ROOT_LEVEL - self._shifts.index(shift)
         return node, None
 
 

@@ -264,6 +264,20 @@ def test_report_tells_embedding_sweep_points_apart(tmp_path):
         assert [r[2] for r in rows] == list(STRATEGIES)
 
 
+def test_report_prints_whole_dense_config_ids(tmp_path):
+    """Ids that differ only past their 30th character stay apart in the
+    performance and the energy section."""
+    path = tmp_path / "s.csv"
+    with open(path, "w", newline="") as fh:
+        harness.write_csv(harness.sweep(small_cfg(), [("num_ptws", [1, 8]),
+                                                      ("prmb_slots", [4, 8])]), fh)
+    lines = harness.report([str(path)]).splitlines()
+    ids = [row["config_id"] for row in harness.read_csv(str(path))]
+    assert len({cid[:30] for cid in ids}) < len(set(ids)) == 4
+    for cid in ids:
+        assert sum(line.split()[1:2] == [cid] for line in lines) == 2
+
+
 # -- CLI --------------------------------------------------------------------
 
 def test_cli_run_writes_csv(tmp_path):

@@ -11,16 +11,18 @@ import pytest
 from npusim import config as cfgmod
 from npusim import harness, numa as numa_mod
 from npusim.address_space import PageSize, vpn
-from npusim.memory import LinksConfig
+from npusim.memory import DramConfig, LinksConfig, link_transfer_cycles
 from npusim.mmu import MmuConfig, drain_trace
 from npusim.numa import (
+    LatencyBreakdown,
     run_baseline_copy,
     run_demand_paging,
     run_numa,
     translate_gathers,
 )
-from npusim.page_table import build
+from npusim.page_table import build, fault_depth
 from npusim.workloads import (
+    GatherRequest,
     WorkloadConfig,
     embedding_segments,
     gather_trace,
@@ -133,6 +135,61 @@ def test_demand_paging_maps_own_tables_without_gathers():
     for t in own:
         assert all(reference_frame(pt, p) is not None
                    for p in table_segment(m, t).vpn_range(PS4K))
+
+
+def gather_page(wl, g, ps):
+    return vpn(table_segment(wl, g.table).base + g.row * wl.embedding_bytes, ps)
+
+
+def per_gather_demand(tr, m, ps, link=NVLINK, mmu=NEUMMU, dram=DramConfig()):
+    """`run_demand_paging` with a walk for every remote gather, mapping
+    its page when the walk faults."""
+    eb = m.embedding_bytes
+    bd = LatencyBreakdown(f"demand_{'4k' if ps is PS4K else '2m'}",
+                          payload_bytes=len(tr) * eb)
+    pt = build([table_segment(m, t) for t in range(0, m.tables, m.num_npus)], ps)
+    for g in tr:
+        if g.owner_npu != 0:
+            frame, level = pt.walk_outcome(gather_page(m, g, ps))
+            if frame is None:
+                bd.fault_handling_cycles += fault_depth(level) * mmu.walk_cycles_per_level
+                bd.faults += 1
+                pt.map_page(gather_page(m, g, ps))
+    bd.migration_cycles = bd.faults * link_transfer_cycles(ps.bytes, link)
+    bd.migration_bytes = bd.faults * ps.bytes
+    bd.local_cycles = (dram.access_latency
+                       + math.ceil(len(tr) * eb / dram.bandwidth_bytes_per_cycle)
+                       + len(tr) * mmu.tlb_hit_latency)
+    bd.total_cycles = bd.local_cycles + bd.fault_handling_cycles + bd.migration_cycles
+    return bd, pt
+
+
+def revisiting_traces():
+    """A Zipf trace, and one remote page gathered by every sample between
+    local gathers."""
+    m, zipf = trace_for(batch=256, distribution="zipf")
+    one_page = [g for sample in range(64) for g in (
+        GatherRequest(0, sample, 0), GatherRequest(1, sample % 8, 1))]
+    return [(m, zipf), (m, one_page)]
+
+
+@pytest.mark.parametrize("ps", [PS4K, PS2M])
+@pytest.mark.parametrize("case", [0, 1])
+def test_demand_paging_walks_a_page_once_as_every_gather_would(case, ps):
+    m, tr = revisiting_traces()[case]
+    remote = [gather_page(m, g, ps) for g in tr if g.owner_npu != 0]
+    assert len(set(remote)) < len(remote)     # pages are revisited
+    bd, pt = demand(tr, m, ps)
+    ref_bd, ref_pt = per_gather_demand(tr, m, ps)
+    assert bd.faults > 0
+    assert bd == ref_bd
+    assert pt.nodes == ref_pt.nodes
+
+
+@pytest.mark.parametrize("ps", [PS4K, PS2M])
+def test_page_numbers_are_address_space_vpns(ps):
+    for m, tr in revisiting_traces() + [trace_for(rows=65536, tables=8)]:
+        assert numa_mod._pages(tr, m, ps) == [gather_page(m, g, ps) for g in tr]
 
 
 def test_large_pages_fault_less_but_move_more():
@@ -263,6 +320,16 @@ def test_large_page_study_script_output():
         run = large_page_study("--rows", "4096", "--tables", tables, "--seed", "0")
         assert run.returncode == 0, run.stderr
         assert [line.split() for line in run.stdout.splitlines()[1:]] == rows
+
+
+def test_large_page_study_reads_inside_small_tables():
+    # with 1024-row tables the sequential pattern reads all 1024 rows of
+    # each, not rows 0 .. 2047: 4 tables x 1024 rows x 256 B = 1024 KB
+    run = large_page_study("--rows", "1024", "--tables", "4")
+    assert run.returncode == 0, run.stderr
+    sequential = [line.split() for line in run.stdout.splitlines()[1:]
+                  if line.split()[0] == "sequential"]
+    assert [row[4] for row in sequential] == ["1024.0", "1024.0"]
 
 
 def test_large_page_study_refuses_an_empty_npu_slice():

@@ -152,6 +152,21 @@ def test_simulate_fetch_matches_per_cycle_reference(runs, mmu, dram_cfg, ps, sta
 @example(pages=[0, 1, 2, 0, 3, 4],
          mmu=MmuConfig(num_ptws=2, walk_cycles_per_level=7),
          dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0)
+# One walker. Page 1 is blocked at cycles 4 .. 7 behind page 0's walk,
+# which ends at 7 and frees the walker in the cycle of the last blocked
+# submit; page 1's walk starts at 8.
+@example(pages=[0, 1, 2],
+         mmu=MmuConfig(num_ptws=1, walk_cycles_per_level=1),
+         dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=3)
+# Three requests merge into page 0's walk, which ends at cycle 31; they
+# drain at 32 .. 34, and the last of them ends the drain.
+@example(pages=[0, 0, 0, 0],
+         mmu=MmuConfig(num_ptws=1, prmb_slots=32, walk_cycles_per_level=7),
+         dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=3)
+# The trace is in by cycle 5, while all three walks run until 403 .. 405.
+@example(pages=[0, 1, 2],
+         mmu=MmuConfig(walk_cycles_per_level=100),
+         dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=3)
 @settings(max_examples=300, deadline=None)
 @given(pages=st.lists(st.integers(0, MAPPED_PAGES), max_size=40),
        mmu=MMU_POINTS, dram_cfg=DRAM_POINTS, ps=PAGE_SIZES,
@@ -159,6 +174,39 @@ def test_simulate_fetch_matches_per_cycle_reference(runs, mmu, dram_cfg, ps, sta
 def test_drain_trace_matches_per_cycle_reference(pages, mmu, dram_cfg, ps, start):
     assert (drain_outcome(drain_trace, pages, mmu, dram_cfg, ps, start)
             == drain_outcome(reference_drain, pages, mmu, dram_cfg, ps, start))
+
+
+class TickCountingEngine(RecordingEngine):
+    """A recording engine that keeps the cycle of every tick."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ticks = []
+
+    def tick(self, now):
+        out = super().tick(now)
+        self.ticks.append((now, len(out)))
+        return out
+
+
+@pytest.mark.parametrize("mmu", [
+    MmuConfig(num_ptws=2, walk_cycles_per_level=7),
+    MmuConfig(num_ptws=2, tlb_entries=1, prmb_slots=1, walk_cycles_per_level=7),
+    MmuConfig(num_ptws=8, prmb_slots=32, tlb_hit_latency=0,
+              translation_cache="tpr", walk_cycles_per_level=1),
+])
+def test_drain_trace_makes_no_idle_tick(mmu):
+    """Every tick of `drain_trace` delivers something: it ticks exactly the
+    cycles in which some request completes."""
+    seg = Segment("s", BASE, MAPPED_PAGES * 4096)
+    engine = TickCountingEngine(mmu, build([seg], PageSize.SMALL_4K))
+    first = seg.vpn_range(PageSize.SMALL_4K)[0]
+    pages = [0, 1, 2, 0, 0, 3, 4, 0, MAPPED_PAGES, 5, 1, 1, 1, 2] * 3
+    drain_trace(engine, [first + page for page in pages], 7)
+    assert engine.stats.completions == len(pages)
+    assert all(delivered for _, delivered in engine.ticks)
+    assert ([now for now, _ in engine.ticks]
+            == sorted({comp.done_cycle for comp in engine.delivered}))
 
 
 def test_skip_blocked_counts_every_retry_and_returns_the_next_event():
