@@ -41,6 +41,9 @@ Request life cycle per cycle-accurate submit/tick protocol:
   pending event whose push-order place, taken at accept time, is where
   each of its requests would sort, and a merge run is one entry of the
   merge buffer. Walk starts and blocked requests go through `submit`.
+  It reads only what a walk end changes, so it need only follow a tick
+  that covered every *walk end* before `now`: runs up to `next_walk_end`
+  can go in one after another and be ticked once, before the next submit.
 
   A completion covers `count` requests that complete one per cycle: one
   request, a hit run, or a merge-buffer entry drained after its walk. A
@@ -87,6 +90,7 @@ level from `PageTable.walk_outcome` and its depth from that.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -277,6 +281,11 @@ class TranslationEngine:
         in acceptance order from 0."""
         return self.stats.accepted
 
+    @property
+    def next_walk_end(self) -> float:
+        """The cycle the next pending walk ends in; infinity if none."""
+        return self._walk_ends[0][0] if self._walk_ends else math.inf
+
     def submit(self, vpn: int, now: int) -> SubmitResult:
         if now < self._retry_until:       # a retry `skip_blocked` charged
             return _BLOCKED
@@ -325,9 +334,9 @@ class TranslationEngine:
         with the next walk end, and at the walker's free slots. Its
         requests are counted as that many submits would count them, and
         get the ids from `next_request_id` on. 0 means the request of
-        cycle `now` would start a walk or block: submit it instead. Like a
-        submit, it must follow a tick that covered every event due before
-        `now`.
+        cycle `now` would start a walk or block: submit it instead. It
+        must follow a tick that covered every walk end before `now`; the
+        deliveries and walker frees due before `now` may still be pending.
         """
         ends = self._walk_ends
         stats = self.stats

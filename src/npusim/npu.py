@@ -25,17 +25,19 @@ Both fetch loops walk the same runs, and `run_layer` picks one by its MMU.
 Under a modelled `TranslationEngine`, `simulate_fetch` drives the engine
 with the timing of one submit and one tick per cycle, but a page run's
 TLB hits and merges go in through one `TranslationEngine.accept_run`
-call, and the engine delivers them as runs of groups, each debited to
-DRAM in one closed-form `Dram.issue_run`. While the MMU blocks a group
-(walkers busy or merge buffer full), nothing changes until the engine's
-next event, so the engine's `skip_blocked` charges the group's retries
-up to that cycle to its counters in one step and the loop skips its idle
-ticks. `skip_blocked` still makes one `submit` call per retry, each
-answered BLOCKED at once from a stretch marker, because blocked cycles
-are still counted from outside as BLOCKED returns. Under the `Oracle`
+call, a stretch of such runs is ticked once, and the engine delivers
+them as runs of groups, each debited to DRAM in one closed-form
+`Dram.issue_run`. While the MMU blocks a group (walkers busy or merge
+buffer full), nothing changes until the engine's next event, so the
+engine's `skip_blocked` charges the group's retries up to that cycle to
+its counters in one step and the loop skips its idle ticks.
+`skip_blocked` still makes one `submit` call per retry, each answered
+BLOCKED at once from a stretch marker, because blocked cycles are still
+counted from outside as BLOCKED returns. Under the `Oracle`
 every translation completes in the cycle it is offered, so `oracle_fetch`
 is a closed form: group i and its data go out at cycle start + i, with
-one page-table read per page and one DRAM debit per run.
+one page-table read per page and one DRAM debit per stretch of runs with
+the same chunks.
 
 Weight-stationary compute timing for a (m, k, n) sub-GEMM on a PxP array:
 load a PxP weight block, stream m rows, drain the pipeline, repeated per
@@ -59,6 +61,9 @@ MB = 1024 * 1024
 # (vpn, count, chunks) is `count` groups on page `vpn`, each of `chunks` bytes.
 Runs = List[Tuple[int, int, Tuple[int, ...]]]
 _NO_RUN = (0, 0, ())                      # past the last run: no groups left
+# The most page runs `simulate_fetch` accepts between two ticks: it bounds
+# the deliveries they leave pending in the engine, and changes no result.
+_STRETCH_RUNS = 32
 
 
 class SimulationFault(Exception):
@@ -273,19 +278,21 @@ def simulate_fetch(
     """Run one tile fetch through the MMU and DRAM; return its end cycle.
 
     Offers one translation group per cycle, in DMA order. A page run's
-    TLB hits and merges go in through one `engine.accept_run` call, and
-    the cycles it took are ticked at once; a group that starts a walk or
-    blocks goes through `engine.submit`. A blocked stretch runs through
+    TLB hits and merges go in through one `engine.accept_run` call. While
+    runs are taken whole and no walk ends by their last cycle, nothing
+    that call reads can change, so those of the next run go in from the
+    cycle after; one tick covers a stretch of at most `_STRETCH_RUNS` runs.
+    A group that starts a walk or blocks goes through `engine.submit`,
+    after a tick of every earlier cycle. A blocked stretch runs through
     `engine.skip_blocked`, which charges the retries and lets the loop
-    skip the idle ticks until the next engine event. Completed groups
-    release their chunks to DRAM: groups that complete in consecutive cycles with
-    the same chunks are debited together, in one `Dram.issue_run`, before
-    anything else reaches DRAM. The engine hands completions out in cycle
-    order, so DRAM sees walk reads and data in the per-cycle order.
-    The fetch ends when its last data lands, and no earlier than the cycle
-    after the engine's last tick: with a zero DRAM latency data lands in
-    the cycle it was translated, and the next fetch must not tick that
-    cycle again.
+    skip the idle ticks until the next engine event. Groups that complete
+    in consecutive cycles with the same chunks are debited to DRAM in one
+    `Dram.issue_run`, before anything else reaches DRAM (a walk reads the
+    page table). The engine hands completions out in cycle order, so DRAM
+    sees walk reads and data in the per-cycle order. The fetch ends when
+    its last data lands, and no earlier than the cycle after the engine's
+    last tick: with a zero DRAM latency data lands in the cycle it was
+    translated, and the next fetch must not tick that cycle again.
     """
     accept, submit = engine.accept_run, engine.submit
     tick, skip = engine.tick, engine.skip_blocked
@@ -309,25 +316,40 @@ def simulate_fetch(
         if left:
             n = accept(vpn, left, cycle)
             if n:
-                last = cycle + n - 1
+                # A stretch: while runs are taken whole and no walk ends by
+                # `last`, the next run goes in at `last + 1`; one tick for all
+                last -= 1
+                stretch = _STRETCH_RUNS
+                while True:
+                    pending[rid] = (chunks, n)
+                    rid += n
+                    last += n
+                    left -= n
+                    if left:
+                        break
+                    vpn, left, chunks = next(rest, _NO_RUN)
+                    stretch -= 1
+                    if not (left and stretch) or engine.next_walk_end <= last:
+                        break
+                    n = accept(vpn, left, last + 1)
+                    if not n:
+                        break
             else:
                 if owed:
                     if (landed := issue_run(owed_chunks, owed, owed_at)) > end:
                         end = landed
                     owed = 0
-                if submit(vpn, cycle).status is not blocked:
-                    n = 1
-                else:
+                if submit(vpn, cycle).status is blocked:
                     due = skip(vpn, cycle)
                     if due > cycle:       # cycles before `due` tick idle
                         cycle = due
                         continue
-            if n:
-                pending[rid] = (chunks, n)
-                rid += n
-                left -= n
-                if not left:
-                    vpn, left, chunks = next(rest, _NO_RUN)
+                else:
+                    pending[rid] = (chunks, 1)
+                    rid += 1
+                    left -= 1
+                    if not left:
+                        vpn, left, chunks = next(rest, _NO_RUN)
         for first, page, frame, at, level, n in tick(last):
             if frame is None:
                 if owed:
@@ -352,23 +374,33 @@ def oracle_fetch(runs: Runs, oracle: Oracle, dram: Dram, start: int) -> int:
     """One tile fetch under the oracle MMU; return its end cycle.
 
     Group i is translated in cycle start + i, and its chunks go to DRAM
-    then: one `Dram.issue_run` per page run, and one
-    `PageTable.walk_outcome` per page, reused while consecutive runs stay
-    on it. A group on an unmapped page raises SimulationFault. Like
-    `simulate_fetch`, the fetch ends no earlier than the cycle after its
-    last group.
+    then. Runs sit in consecutive cycles, so a stretch of runs with the
+    same chunks is one `Dram.issue_run`, the closed form of their debits.
+    One `PageTable.walk_outcome` per page serves consecutive runs on it.
+    A group on an unmapped page raises SimulationFault once the groups
+    before it are debited. Like `simulate_fetch`, the fetch ends no
+    earlier than the cycle after its last group.
     """
     walk, issue_run = oracle.pt.walk_outcome, dram.issue_run
     cycle = end = start
     page = None                           # the last page walked; it is mapped
+    owed_chunks, owed = (), 0             # the last groups before `cycle`, undebited
     for vpn, count, chunks in runs:
         if vpn != page:
             frame, level = walk(vpn)
             if frame is None:
+                if owed:
+                    issue_run(owed_chunks, owed, cycle - owed)
                 raise SimulationFault(vpn, level)
             page = vpn
-        end = issue_run(chunks, count, cycle)
+        if chunks != owed_chunks:
+            if owed:
+                end = issue_run(owed_chunks, owed, cycle - owed)
+            owed_chunks, owed = chunks, 0
+        owed += count
         cycle += count
+    if owed:
+        end = issue_run(owed_chunks, owed, cycle - owed)
     return max(end, cycle)
 
 

@@ -7,7 +7,8 @@ it is held to a naive chunk-by-chunk reference written here.
 closed form over page runs. Its reference here goes group by group: the
 last step of a reference walk, then one `Dram.issue` per chunk in the
 group's cycle. Both must give the same end cycle and the same DRAM state,
-and fault on the same page at the same level.
+and fault on the same page at the same level. `oracle_fetch` debits a
+stretch of runs with the same chunks in one `Dram.issue_run`.
 """
 
 import pytest
@@ -153,3 +154,69 @@ def test_tile_into_unmapped_page_faults_alike(second, unmapped, level):
     assert oracle == reference
     fault = ("fault", (BASE + unmapped) >> PS4K.offset_bits, level)
     assert oracle[0] == modeled[0] == fault
+
+
+class CountingDram(Dram):
+    """A DRAM model that keeps the arguments of every `issue_run`."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.runs = []
+
+    def issue_run(self, chunks, count, now):
+        self.runs.append((chunks, count, now))
+        return super().issue_run(chunks, count, now)
+
+
+def page_runs(pattern, first_page=0):
+    """Runs on consecutive pages from page `first_page` of BASE's table,
+    one per (count, chunks)."""
+    first = (BASE >> PS4K.offset_bits) + first_page
+    return [(first + i, count, chunks) for i, (count, chunks) in enumerate(pattern)]
+
+
+def debit_each(runs, dram, start):
+    """What one `issue_run` per page run leaves in `dram`; the end cycle."""
+    end = cycle = start
+    for _, count, chunks in runs:
+        end = dram.issue_run(chunks, count, cycle)
+        cycle += count
+    return max(end, cycle)
+
+
+@pytest.mark.parametrize("pages", [1, 2, MAPPED_PAGES])
+def test_runs_with_the_same_chunks_are_one_debit(pages):
+    runs = page_runs([(3, (64,))] * pages)
+    dram = CountingDram(DramConfig(bandwidth_bytes_per_cycle=40))
+    end = oracle_fetch(runs, Oracle(mapped_table()), dram, 5)
+    assert dram.runs == [((64,), 3 * pages, 5)]
+    each = Dram(DramConfig(bandwidth_bytes_per_cycle=40))
+    assert end == debit_each(runs, each, 5)
+    assert {k: v for k, v in vars(dram).items() if k != "runs"} == vars(each)
+
+
+def test_a_change_of_chunks_starts_a_new_debit():
+    runs = page_runs([(2, (64,)), (1, (64,)), (4, (100,)), (2, (100,)),
+                      (1, (64, 8)), (3, (64,))])
+    dram = CountingDram(DramConfig(bandwidth_bytes_per_cycle=40))
+    end = oracle_fetch(runs, Oracle(mapped_table()), dram, 0)
+    assert dram.runs == [((64,), 3, 0), ((100,), 6, 3), ((64, 8), 1, 9),
+                         ((64,), 3, 10)]
+    each = Dram(DramConfig(bandwidth_bytes_per_cycle=40))
+    assert end == debit_each(runs, each, 0)
+    assert {k: v for k, v in vars(dram).items() if k != "runs"} == vars(each)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_fault_debits_the_runs_before_it(k):
+    """The runs before the first unmapped page, run k, are debited, and
+    nothing after."""
+    runs = page_runs([(2, (64,))] * 4, first_page=MAPPED_PAGES - k)
+    pt = mapped_table()
+    dram = Dram(DramConfig(bandwidth_bytes_per_cycle=40))
+    with pytest.raises(SimulationFault) as fault:
+        oracle_fetch(runs, Oracle(pt), dram, 7)
+    assert fault.value.vpn == runs[k][0]
+    before = Dram(DramConfig(bandwidth_bytes_per_cycle=40))
+    debit_each(runs[:k], before, 7)
+    assert vars(dram) == vars(before)

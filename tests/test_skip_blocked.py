@@ -3,11 +3,11 @@
 `npu.simulate_fetch` and `mmu.drain_trace` skip the idle ticks of a blocked
 stretch through `TranslationEngine.skip_blocked`, and `simulate_fetch`
 takes a page run's TLB hits and merges through `accept_run`, ticks the
-cycles they cover at once and debits DRAM a run of groups at a time. The
-references here submit, tick and debit one group in every cycle, as the
-submit/tick protocol was first written. Both sides must end in the same
-cycle with the same engine counters, the same DRAM state and the same
-completions in the same order, or fault on the same page.
+cycles of a stretch of such runs at once and debits DRAM a run of groups
+at a time. The references here submit, tick and debit one group in every
+cycle, as the submit/tick protocol was first written. Both sides must end
+in the same cycle with the same engine counters, the same DRAM state and
+the same completions in the same order, or fault on the same page.
 """
 
 from dataclasses import fields
@@ -15,6 +15,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from npusim import npu
 from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
 from npusim.mmu import MmuConfig, SubmitStatus, TranslationEngine, drain_trace
@@ -110,6 +111,39 @@ def drain_outcome(drain, pages, mmu, dram_cfg, ps, start):
     return cycles, engine.delivered, engine.stats, vars(dram)
 
 
+# Stretches of page runs that `simulate_fetch` ticks once.
+STRETCHES = {
+    # Pages 0 and 1 are in the TLB from cycle 29; then 40 runs of hits and
+    # no walk, more than one stretch holds.
+    "more runs than the cap": dict(
+        runs=[(0, 1, (64,)), (1, 1, (64,))]
+        + [(i % 2, 1 + i % 3, (64,) if i % 4 < 2 else (100,)) for i in range(40)],
+        mmu=MmuConfig(num_ptws=2, walk_cycles_per_level=7),
+        dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0),
+    # Two TLB entries. The walk of page 2 starts at cycle 31 and ends at 59,
+    # the last cycle of the stretch of page 0's hits from 32; its fill
+    # evicts page 1, which walks again. The stretch of cycle 30 ends at
+    # page 2's miss.
+    "a walk end on the stretch's last cycle": dict(
+        runs=[(page, count, (64,)) for page, count in
+              [(0, 1), (1, 1), (0, 2), (2, 1), (0, 10), (0, 18), (1, 3), (0, 5)]],
+        mmu=MmuConfig(num_ptws=2, tlb_entries=2, walk_cycles_per_level=7),
+        dram_cfg=DramConfig(), ps=PageSize.SMALL_4K, start=0),
+    # Merges into the walks of pages 0 and 1 at cycles 2 .. 10, ended by
+    # page 2's miss at 11; hits complete in the cycle they are accepted.
+    "a stretch ending on a miss, zero hit latency": dict(
+        runs=[(0, 1, (64,)), (1, 1, (64,)), (0, 3, (64, 100)), (1, 4, (64,)),
+              (0, 2, (64,)), (2, 3, (64,)), (0, 4, (64,)), (2, 2, (64,))],
+        mmu=MmuConfig(num_ptws=2, prmb_slots=32, tlb_hit_latency=0,
+                      walk_cycles_per_level=7),
+        dram_cfg=DramConfig(bandwidth_bytes_per_cycle=16, access_latency=0),
+        ps=PageSize.SMALL_4K, start=0),
+}
+
+
+@example(**STRETCHES["more runs than the cap"])
+@example(**STRETCHES["a walk end on the stretch's last cycle"])
+@example(**STRETCHES["a stretch ending on a miss, zero hit latency"])
 # Two walkers, no merge buffer. Page 4 is blocked when the walk of page 2
 # ends at cycle 57, and the next event is two cycles later: a skip target
 # read after the tick of cycle 57 would miss the walker it frees.
@@ -147,6 +181,17 @@ def drain_outcome(drain, pages, mmu, dram_cfg, ps, start):
 def test_simulate_fetch_matches_per_cycle_reference(runs, mmu, dram_cfg, ps, start):
     assert (fetch_outcome(simulate_fetch, runs, mmu, dram_cfg, ps, start)
             == fetch_outcome(reference_fetch, runs, mmu, dram_cfg, ps, start))
+
+
+@pytest.mark.parametrize("cap", [1, 10**6])
+@pytest.mark.parametrize("name", list(STRETCHES))
+def test_stretch_cap_changes_no_outcome(name, cap, monkeypatch):
+    """The cap on a stretch bounds pending events only: one run per tick,
+    or no cap at all, gives the same fetch."""
+    case = STRETCHES[name]
+    capped = fetch_outcome(simulate_fetch, **case)
+    monkeypatch.setattr(npu, "_STRETCH_RUNS", cap)
+    assert fetch_outcome(simulate_fetch, **case) == capped
 
 
 @example(pages=[0, 1, 2, 0, 3, 4],
@@ -207,6 +252,27 @@ def test_drain_trace_makes_no_idle_tick(mmu):
     assert all(delivered for _, delivered in engine.ticks)
     assert ([now for now, _ in engine.ticks]
             == sorted({comp.done_cycle for comp in engine.delivered}))
+
+
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 100])
+def test_all_hit_runs_tick_once_per_stretch(k):
+    """A fetch of k page runs that all hit in the TLB, with no walk
+    pending, ticks once per stretch of at most `_STRETCH_RUNS` runs. The
+    hits complete in the cycle they are accepted, so no delivery is left
+    for ticks after the last stretch."""
+    seg = Segment("s", BASE, MAPPED_PAGES * 4096)
+    mmu = MmuConfig(tlb_hit_latency=0)
+    dram = Dram(DramConfig())
+    engine = TickCountingEngine(mmu, build([seg], PageSize.SMALL_4K), dram=dram)
+    first = seg.vpn_range(PageSize.SMALL_4K)[0]
+    start = simulate_fetch([(first, 1, (64,)), (first + 1, 1, (64,))],
+                           engine, dram, 0)
+    engine.ticks.clear()
+    runs = [(first + i % 2, 1 + i % 3, (64,)) for i in range(k)]
+    simulate_fetch(runs, engine, dram, start)
+    assert engine.stats.walks_started == 2
+    assert engine.stats.completions == 2 + sum(count for _, count, _ in runs)
+    assert len(engine.ticks) <= -(-k // npu._STRETCH_RUNS) + 1
 
 
 def test_skip_blocked_counts_every_retry_and_returns_the_next_event():
