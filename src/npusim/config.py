@@ -25,12 +25,13 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
+from .address_space import check_disjoint
 from .energy import EnergyTable
 from .memory import DramConfig, LinksConfig
 from .mmu import MmuConfig
-from .npu import NpuConfig
+from .npu import NpuConfig, layer_segments, tile_fit
 from .schema import Record, check, knob
-from .workloads import WorkloadConfig
+from .workloads import WorkloadConfig, dense_suite
 
 SCHEMA_VERSION = 1
 
@@ -162,7 +163,9 @@ def validate(cfg: Dict[str, Any]) -> List[str]:
     """Return a list of "key.path: problem" strings; empty means valid.
 
     A section whose keys all pass is also built as its record, so checks
-    that span keys (`WorkloadConfig`'s) run as they do in a run.
+    that span keys (`WorkloadConfig`'s) run as they do in a run. A valid
+    dense workload's layers are built too, and each must fit the SPM and
+    map disjoint segments, as its run checks.
     """
     errors = check(Header, {k: v for k, v in cfg.items() if k not in SECTIONS})
     for name, record in SECTIONS.items():
@@ -178,6 +181,14 @@ def validate(cfg: Dict[str, Any]) -> List[str]:
             record(**section)
         except ValueError as exc:
             errors.append(f"{name}: {exc}")
+    if not errors and cfg["workload"]["kind"] == "dense":
+        npu, wl = NpuConfig(**cfg["npu"]), WorkloadConfig(**cfg["workload"])
+        try:
+            for layer in dense_suite(wl.suite, npu.element_bytes)[wl.batch]:
+                tile_fit(layer, npu)
+                check_disjoint(layer_segments(layer, npu))
+        except ValueError as exc:
+            errors.append(f"npu: {exc}")
     return errors
 
 

@@ -26,11 +26,12 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .address_space import PAGE_SIZES, PageSize, check_disjoint
+from .address_space import PAGE_SIZES, PageSize
 from .energy import EnergyTable, account
 from .memory import Dram, DramConfig, LinksConfig
-from .mmu import MmuConfig, Oracle, TranslationEngine
-from .npu import LayerConfig, LayerPlan, NpuConfig, plan_layer, run_layer
+from .mmu import MmuConfig, Oracle, TranslationEngine, TranslationStats
+from .npu import (LayerConfig, LayerPlan, NpuConfig, layer_segments, plan_layer,
+                  run_layer)
 from .numa import (
     LatencyBreakdown,
     run_baseline_copy,
@@ -67,14 +68,6 @@ def _blank_row(cfg: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return row
 
 
-def _layer_segments(layer, mirror_writes: bool):
-    segs = [layer.ia_segment, layer.w_segment]
-    if mirror_writes and layer.out_segment is not None:
-        segs.append(layer.out_segment)
-    check_disjoint(segs)
-    return segs
-
-
 # A call's fetch plans, keyed on all that a plan depends on.
 Plans = Dict[Tuple[LayerConfig, NpuConfig, PageSize], LayerPlan]
 
@@ -94,34 +87,33 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = plan_layer(layer, npu, ps)
-        pt = build(_layer_segments(layer, npu.mirror_write_traffic), ps)
+        pt = build(layer_segments(layer, npu), ps)
         oracle = run_layer(layer, npu, Oracle(pt), Dram(dram_cfg), plan)
-        stats = oracle  # an oracle-mode row is its own baseline
+        # an oracle-mode row is its own baseline, with zero MMU counters
+        total, stats = oracle, TranslationStats()
         if mmu.mode != "oracle":
             dram = Dram(dram_cfg)
             engine = TranslationEngine(mmu, pt, dram=dram)
-            stats = run_layer(layer, npu, engine, dram, plan)
+            total = run_layer(layer, npu, engine, dram, plan)
+            stats = engine.stats
 
-        energy = account(stats.mmu_stats, etable)
-        overhead = 0.0
-        if oracle.total_cycles:
-            overhead = 100.0 * (stats.total_cycles - oracle.total_cycles) \
-                / oracle.total_cycles
+        energy = account(stats, etable)
+        overhead = 100.0 * (total - oracle) / oracle if oracle else 0.0
         row = _blank_row(cfg, seed)
         row.update({
             "workload": f"{wl.suite}/{wl.batch}/{layer.name}",
             "mode": mmu.mode,
-            "total_cycles": stats.total_cycles,
-            "oracle_cycles": oracle.total_cycles,
+            "total_cycles": total,
+            "oracle_cycles": oracle,
             "mmu_overhead_pct": overhead,
-            "tlb_hit_rate": stats.mmu_stats.tlb_hit_rate,
-            "walks_started": stats.mmu_stats.walks_started,
-            "walk_mem_txns": stats.mmu_stats.walk_memory_transactions,
-            "pts_merges": stats.mmu_stats.scoreboard_merges,
-            "blocked_cycles": stats.mmu_stats.blocked_cycles,
-            "tpr_hit_l4": stats.mmu_stats.cache_hit_l4,
-            "tpr_hit_l3": stats.mmu_stats.cache_hit_l3,
-            "tpr_hit_l2": stats.mmu_stats.cache_hit_l2,
+            "tlb_hit_rate": stats.tlb_hit_rate,
+            "walks_started": stats.walks_started,
+            "walk_mem_txns": stats.walk_memory_transactions,
+            "pts_merges": stats.scoreboard_merges,
+            "blocked_cycles": stats.blocked_cycles,
+            "tpr_hit_l4": stats.cache_hit_l4,
+            "tpr_hit_l3": stats.cache_hit_l3,
+            "tpr_hit_l2": stats.cache_hit_l2,
             "energy_pj_total": energy.total_pj,
         })
         rows.append(row)

@@ -65,7 +65,6 @@ class Dram:
     """
 
     def __init__(self, cfg: DramConfig):
-        self.cfg = cfg
         self._bw = cfg.bandwidth_bytes_per_cycle
         self._latency = cfg.access_latency
         self._accepted = 0

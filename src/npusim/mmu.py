@@ -92,7 +92,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from typing import ClassVar, List, NamedTuple, Optional, Sequence
@@ -200,9 +200,6 @@ class TranslationStats:
     def tlb_hit_rate(self) -> float:
         return self.tlb_hits / self.tlb_accesses if self.tlb_accesses else 0.0
 
-    def copy(self) -> "TranslationStats":
-        return TranslationStats(**{f.name: getattr(self, f.name) for f in fields(self)})
-
 
 @dataclass(frozen=True)
 class Oracle:
@@ -211,8 +208,8 @@ class Oracle:
     `PageTable.walk_outcome`'s answer, and is counted nowhere. `run_layer`
     fetches through `npu.oracle_fetch` when handed one. `cfg` and `stats`
     read as an engine's would, mode "oracle" and every counter zero, for
-    what reads them off `run_layer`'s engine argument: its
-    `RunStats.mmu_stats` and perfbench's tracer."""
+    perfbench's tracer, which reads them off `run_layer`'s engine
+    argument; no simulator code reads them."""
     pt: PageTable
     cfg: ClassVar[MmuConfig] = MmuConfig(mode="oracle")
     stats: ClassVar[TranslationStats] = TranslationStats()

@@ -3,13 +3,14 @@
 No tensor arithmetic happens here: layers are GEMMs whose operands live in
 virtual-address segments, and the model tracks only address and timing
 behavior. The DMA blocks input activations (IA) and weights (W) into tiles
-that each fit half of the corresponding scratchpad partition. A tile
-becomes translation groups in one place, `linearize`: its spans are cut into
-fixed-size DMA chunks, and a group is one chunk's page, or with the reuse
-window a run of same-page chunks. `linearize` hands the groups out as page
-runs, (vpn, count, chunks): `count` consecutive groups on one page that
-carry the same chunk sizes. The DMA offers the MMU one group per cycle
-while fetching. Compute for tile n overlaps the fetch of tile n+1; a
+that each fit half of the corresponding scratchpad partition (`tile_fit`
+sizes them). A tile fetch is its tuple of (start va, length) spans, and it
+becomes translation groups in one place, `linearize`: its spans are cut
+into fixed-size DMA chunks, and a group is one chunk's page, or with the
+reuse window a run of same-page chunks. `linearize` hands the groups out
+as page runs, (vpn, count, chunks): `count` consecutive groups on one page
+that carry the same chunk sizes. The DMA offers the MMU one group per
+cycle while fetching. Compute for tile n overlaps the fetch of tile n+1; a
 tile's compute starts only after its fetch fully lands (barrier), and a
 buffer is reusable only after the compute reading it ends.
 
@@ -19,7 +20,7 @@ layer's plan holds, per tile step, the page runs of its IA and W fetches
 compute cycles. A plan is a function of (layer, NPU config, page size)
 alone; the harness builds it once per run or sweep call and hands the same
 plan to a layer's oracle and modelled `run_layer` at every sweep point, so
-`run_layer` only walks precomputed runs.
+`run_layer` only walks precomputed runs and returns the layer's cycles.
 
 Both fetch loops walk the same runs, and `run_layer` picks one by its MMU.
 Under a modelled `TranslationEngine`, `simulate_fetch` drives the engine
@@ -107,19 +108,15 @@ class LayerConfig:
         return self.m * self.batch
 
 
-@dataclass(frozen=True)
-class TileFetch:
-    tensor: str                       # "ia" | "w" | "out"
-    spans: Tuple[Tuple[int, int], ...]  # (start va, length), ascending
-    total_bytes: int
+# A tile fetch: its (start va, length) spans, ascending.
+Spans = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class TileStep:
-    fetches: Tuple[TileFetch, ...]    # IA then W, never interleaved
+    fetches: Tuple[Spans, Spans]      # IA then W, never interleaved
     gemm: Tuple[int, int, int]        # (m, k, n) of this sub-GEMM
-    out_bytes: int
-    out: Optional[TileFetch]          # output write-back; None without out segment
+    out: Optional[Spans]              # output write-back; None without out segment
 
 
 @dataclass(frozen=True)
@@ -134,22 +131,6 @@ class PlanStep:
 LayerPlan = Tuple[PlanStep, ...]
 
 
-@dataclass
-class TilePhase:
-    tile_id: int
-    fetch_start: int
-    fetch_end: int
-    compute_start: int
-    compute_end: int
-
-
-@dataclass
-class RunStats:
-    total_cycles: int
-    tile_phases: List[TilePhase]
-    mmu_stats: object = None          # TranslationStats snapshot
-
-
 def _row_spans(base: int, rows: int, row_stride: int, row_bytes: int):
     """Spans for `rows` rows of `row_bytes`, merging contiguous neighbors."""
     spans: List[Tuple[int, int]] = []
@@ -162,20 +143,14 @@ def _row_spans(base: int, rows: int, row_stride: int, row_bytes: int):
     return tuple(spans)
 
 
-def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
-    """Block the layer into double-bufferable tile steps.
-
-    K is tiled to fit the IA half-partition with all m_eff rows resident,
-    then N is tiled to fit the W half-partition. IA and W are both row-major
-    inside their segments (IA: m_eff x k, W: k x n).
-    """
+def tile_fit(layer: LayerConfig, npu: NpuConfig) -> Tuple[int, int]:
+    """The tile sizes (k_t, n_t): K is tiled to fit the IA half-partition
+    with all m_eff rows resident, then N to fit the W half-partition.
+    ValueError if no tile fits."""
     eb = npu.element_bytes
     m, k, n = layer.m_eff, layer.k, layer.n
     half_a = npu.spm_activation_bytes // 2
     half_w = npu.spm_weight_bytes // 2
-    if layer.ia_segment.length < m * k * eb or layer.w_segment.length < k * n * eb:
-        raise ValueError(f"layer {layer.name}: segments smaller than operands")
-
     k_t = min(k, half_a // (m * eb))
     if k_t < 1:
         raise ValueError(f"layer {layer.name}: one IA row set exceeds half the SPM")
@@ -186,6 +161,28 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
         if k_t < 1:
             raise ValueError(f"layer {layer.name}: W tile cannot fit half the SPM")
         n_t = min(n, half_w // (k_t * eb))
+    return k_t, n_t
+
+
+def layer_segments(layer: LayerConfig, npu: NpuConfig) -> List[Segment]:
+    """The segments a layer's run maps: IA, W, and the output when write
+    traffic is mirrored."""
+    segs = [layer.ia_segment, layer.w_segment]
+    if npu.mirror_write_traffic and layer.out_segment is not None:
+        segs.append(layer.out_segment)
+    return segs
+
+
+def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
+    """Block the layer into double-bufferable tile steps of `tile_fit`'s
+    sizes. IA and W are both row-major inside their segments (IA: m_eff x
+    k, W: k x n), and so is the m_eff x n output.
+    """
+    eb = npu.element_bytes
+    m, k, n = layer.m_eff, layer.k, layer.n
+    if layer.ia_segment.length < m * k * eb or layer.w_segment.length < k * n * eb:
+        raise ValueError(f"layer {layer.name}: segments smaller than operands")
+    k_t, n_t = tile_fit(layer, npu)
 
     steps: List[TileStep] = []
     for k0 in range(0, k, k_t):
@@ -195,22 +192,17 @@ def tile_steps(layer: LayerConfig, npu: NpuConfig) -> List[TileStep]:
             ia = _row_spans(layer.ia_segment.base + k0 * eb, m, k * eb, kt * eb)
             w = _row_spans(layer.w_segment.base + k0 * n * eb + n0 * eb,
                            kt, n * eb, nt * eb)
-            fetches = (
-                TileFetch("ia", ia, sum(s[1] for s in ia)),
-                TileFetch("w", w, sum(s[1] for s in w)),
-            )
             out = None
             if layer.out_segment is not None:
                 # the m x nt output tile sits at column n0 of the m x n output
-                spans = _row_spans(layer.out_segment.base + n0 * eb,
-                                   m, n * eb, nt * eb)
-                out = TileFetch("out", spans, m * nt * eb)
-            steps.append(TileStep(fetches, (m, kt, nt), m * nt * eb, out))
+                out = _row_spans(layer.out_segment.base + n0 * eb,
+                                 m, n * eb, nt * eb)
+            steps.append(TileStep((ia, w), (m, kt, nt), out))
     return steps
 
 
-def linearize(tile: TileFetch, npu: NpuConfig, ps: PageSize) -> Runs:
-    """A tile's translation groups in DMA order, as page runs.
+def linearize(spans: Spans, npu: NpuConfig, ps: PageSize) -> Runs:
+    """A tile fetch's translation groups in DMA order, as page runs.
 
     Each span is cut into `dma_txn_bytes` chunks, the last one short. A
     group is one chunk; with the reuse window it is all consecutive
@@ -225,7 +217,7 @@ def linearize(tile: TileFetch, npu: NpuConfig, ps: PageSize) -> Runs:
     same = (chunk,)
     runs: list = []                       # [vpn, count, chunks] while building
     run = page = None
-    for base, length in tile.spans:
+    for base, length in spans:
         full, tail = divmod(length, chunk)
         va = base & VA_MASK
         while full or tail:
@@ -263,7 +255,7 @@ def plan_layer(layer: LayerConfig, npu: NpuConfig, ps: PageSize) -> LayerPlan:
     if mirror and layer.out_segment is None:
         raise ValueError("mirror_write_traffic requires an output segment")
     return tuple(
-        PlanStep(tuple(linearize(tile, npu, ps) for tile in step.fetches),
+        PlanStep(tuple(linearize(spans, npu, ps) for spans in step.fetches),
                  compute_cycles(*step.gemm, npu),
                  linearize(step.out, npu, ps) if mirror else None)
         for step in tile_steps(layer, npu))
@@ -410,41 +402,31 @@ def run_layer(
     engine: Union[TranslationEngine, Oracle],
     dram: Dram,
     plan: Optional[LayerPlan] = None,
-) -> RunStats:
-    """Execute the double-buffered tile pipeline for one layer.
+) -> int:
+    """Execute the double-buffered tile pipeline for one layer; return
+    its total cycles, the end of its last compute.
 
     `engine` is a modelled MMU, or the `Oracle`. `plan` is
     `plan_layer(layer, npu, engine.pt.page_size)`, built here if not given.
+    One DMA fetches the steps in order; a step's fetch waits for the
+    compute two steps back to free its buffer and, with mirrored writes,
+    for the previous compute, whose output the DMA then writes. A compute
+    starts after its data lands and after the previous compute ends.
     """
     if plan is None:
         plan = plan_layer(layer, npu, engine.pt.page_size)
     fetch = oracle_fetch if isinstance(engine, Oracle) else simulate_fetch
-    phases: List[TilePhase] = []
-    fetch_end_prev = 0
-    compute_ends: List[int] = []
-
-    for i, step in enumerate(plan):
-        buffer_free = compute_ends[i - 2] if i >= 2 else 0
-        fetch_start = max(fetch_end_prev, buffer_free)
-        if npu.mirror_write_traffic and i >= 1:
-            # the DMA was busy mirroring writes until the previous compute end
-            fetch_start = max(fetch_start, compute_ends[i - 1])
-        cursor = fetch_start
+    mirror = npu.mirror_write_traffic
+    # the previous fetch's end, and the compute ends of steps i-2 and i-1
+    fetch_end = older = last = 0
+    for step in plan:
+        # compute ends rise, so with mirrored writes `last` covers `older`
+        cursor = max(fetch_end, last if mirror else older)
         for runs in step.fetches:
             cursor = fetch(runs, engine, dram, cursor)
         fetch_end = cursor
-        compute_start = max(fetch_end, compute_ends[i - 1] if i >= 1 else 0)
-        compute_end = compute_start + step.compute
+        end = max(fetch_end, last) + step.compute
         if step.out is not None:
-            compute_end = fetch(step.out, engine, dram, compute_end)
-        phases.append(TilePhase(i, fetch_start, fetch_end,
-                                compute_start, compute_end))
-        fetch_end_prev = fetch_end
-        compute_ends.append(compute_end)
-
-    total = compute_ends[-1] if compute_ends else 0
-    return RunStats(
-        total_cycles=total,
-        tile_phases=phases,
-        mmu_stats=engine.stats.copy(),
-    )
+            end = fetch(step.out, engine, dram, end)
+        older, last = last, end
+    return last

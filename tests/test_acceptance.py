@@ -162,9 +162,9 @@ def test_criterion_04_full_system_gap():
     def cycles(mmu):
         dram = Dram(DramConfig())
         eng = TranslationEngine(mmu, pt, dram=dram)
-        return run_layer(layer, npu, eng, dram).total_cycles
+        return run_layer(layer, npu, eng, dram)
 
-    oracle = run_layer(layer, npu, Oracle(pt), Dram(DramConfig())).total_cycles
+    oracle = run_layer(layer, npu, Oracle(pt), Dram(DramConfig()))
     baseline = cycles(MmuConfig(num_ptws=8, prmb_slots=0,
                                 translation_cache="none", tlb_entries=2048))
     full = cycles(NEUMMU)

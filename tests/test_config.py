@@ -101,20 +101,35 @@ def test_records_check_direct_construction(kwargs):
         MmuConfig(**kwargs)
 
 
-@pytest.mark.parametrize("text, problem", [
+HUGE_SPM = ("  spm_activation_bytes: 100000000000000\n"
+            "  spm_weight_bytes: 100000000000000\n")
+
+
+@pytest.mark.parametrize("text, error", [
     ("workload:\n  kind: embedding\n  rows: 1\n  lookups_per_sample: 2\n",
-     "rows (1) must be >= lookups_per_sample (2)"),
+     "workload: WorkloadConfig: rows (1) must be >= lookups_per_sample (2)"),
     ("workload:\n  kind: embedding\n  batch_samples: 2\n  num_npus: 4\n",
-     "batch_samples (2) must be >= num_npus (4)"),
-], ids=["rows-below-lookups", "samples-below-npus"])
-def test_validate_rejects_what_run_rejects(tmp_path, capsys, text, problem):
-    # each key passes its own check; only the record built from them fails
+     "workload: WorkloadConfig: batch_samples (2) must be >= num_npus (4)"),
+    ("npu:\n  spm_activation_bytes: 1\n",
+     "npu: layer toy-gemm: one IA row set exceeds half the SPM"),
+    ("npu:\n  spm_weight_bytes: 1\n",
+     "npu: layer toy-gemm: W tile cannot fit half the SPM"),
+    ("npu:\n  element_bytes: 1000000000\nworkload:\n  suite: cnn\n",
+     "npu: segment conv-a-ia: exceeds 48-bit address space"),
+    # without the check, `run` would linearize terabyte spans before mapping
+    ("npu:\n  element_bytes: 1000000000\n" + HUGE_SPM,
+     "npu: segments toy-gemm-ia and toy-gemm-w overlap"),
+], ids=["rows-below-lookups", "samples-below-npus", "ia-spm-too-small",
+        "w-spm-too-small", "segment-past-48-bits", "segments-overlap"])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, text, error):
+    # each key passes its own check; only the record or the layers built
+    # from them fail
     p = tmp_path / "c.yaml"
     p.write_text(text)
     assert cli.main(["validate", "--config", str(p)]) == 1
-    assert f"error: workload: WorkloadConfig: {problem}" in capsys.readouterr().err
+    assert f"error: {error}" in capsys.readouterr().err
     assert cli.main(["run", "--config", str(p)]) == 1
-    assert problem in capsys.readouterr().err
+    assert f"error: {error}" in capsys.readouterr().err
 
 
 def test_documented_example_matches_defaults():

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npusim import config as cfgmod
+from npusim import npu as npumod
 from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
 from npusim.mmu import MmuConfig, Oracle, TranslationEngine
 from npusim.npu import (
     NpuConfig,
     SimulationFault,
-    TileFetch,
     compute_cycles,
+    layer_segments,
     linearize,
     plan_layer,
     run_layer,
@@ -50,6 +51,11 @@ def page(va):
     return va >> PS4K.offset_bits
 
 
+def nbytes(spans):
+    """The bytes a tile fetch's (start va, length) spans carry."""
+    return sum(length for _, length in spans)
+
+
 def groups(runs):
     """Expand page runs into one (vpn, chunk sizes) pair per translation group."""
     return [(vpn, list(chunks)) for vpn, count, chunks in runs
@@ -58,7 +64,7 @@ def groups(runs):
 
 def test_linearize_page_span_into_64b_txns():
     base = default_segment_base(0)
-    tile = TileFetch("ia", ((base, 4096),), 4096)
+    tile = ((base, 4096),)
     runs = linearize(tile, NpuConfig(), PS4K)
     assert runs == [(page(base), 64, (64,))]
     txns = groups(runs)
@@ -73,8 +79,7 @@ def test_linearize_page_span_into_64b_txns():
 
 def test_linearize_strided_rows():
     base = default_segment_base(0)
-    spans = tuple((base + r * 1024, 256) for r in range(100))
-    tile = TileFetch("w", spans, 100 * 256)
+    tile = tuple((base + r * 1024, 256) for r in range(100))
     runs = linearize(tile, NpuConfig(), PS4K)
     # the four rows that share a page make one run of 16 beats
     assert runs == [(page(base) + p, 16, (64,)) for p in range(25)]
@@ -87,7 +92,7 @@ def test_linearize_strided_rows():
 
 
 def test_tail_transaction_is_short():
-    tile = TileFetch("ia", ((default_segment_base(0), 100),), 100)
+    tile = ((default_segment_base(0), 100),)
     runs = linearize(tile, NpuConfig(), PS4K)
     assert [sizes for _, sizes in groups(runs)] == [[64], [36]]
     # a short tail is a run of its own
@@ -100,8 +105,8 @@ def test_contiguous_rows_merge_into_one_span():
     steps = tile_steps(layer, NpuConfig())
     assert len(steps) == 1
     ia = steps[0].fetches[0]
-    assert len(ia.spans) == 1
-    assert ia.total_bytes == 512
+    assert len(ia) == 1
+    assert nbytes(ia) == 512
 
 
 def test_tiling_covers_all_operand_bytes():
@@ -109,14 +114,12 @@ def test_tiling_covers_all_operand_bytes():
     npu = NpuConfig(spm_activation_bytes=1 * MB, spm_weight_bytes=1 * MB)
     steps = tile_steps(layer, npu)
     eb = npu.element_bytes
-    ia_bytes = sum(f.total_bytes for s in steps for f in s.fetches
-                   if f.tensor == "ia")
-    w_bytes = sum(f.total_bytes for s in steps for f in s.fetches
-                  if f.tensor == "w")
+    ia_bytes = sum(nbytes(s.fetches[0]) for s in steps)
+    w_bytes = sum(nbytes(s.fetches[1]) for s in steps)
     n_blocks = len({s.gemm[2] for s in steps})  # just sanity on shape
     assert w_bytes == layer.k * layer.n * eb    # W fetched exactly once
     assert ia_bytes % (layer.m * layer.k * eb) == 0  # IA refetched per N block
-    assert sum(s.out_bytes for s in steps) >= layer.m * layer.n * eb
+    assert sum(nbytes(s.out) for s in steps) >= layer.m * layer.n * eb
 
 
 def test_tiles_respect_half_partitions():
@@ -124,8 +127,8 @@ def test_tiles_respect_half_partitions():
     npu = NpuConfig(spm_activation_bytes=1 * MB, spm_weight_bytes=1 * MB)
     for step in tile_steps(layer, npu):
         ia, w = step.fetches
-        assert ia.total_bytes <= npu.spm_activation_bytes // 2
-        assert w.total_bytes <= npu.spm_weight_bytes // 2
+        assert nbytes(ia) <= npu.spm_activation_bytes // 2
+        assert nbytes(w) <= npu.spm_weight_bytes // 2
 
 
 def test_unfittable_layer_rejected():
@@ -149,25 +152,58 @@ def test_batch_multiplies_rows():
     assert l8.m_eff == 8 * l1.m_eff
     s1 = tile_steps(l1, NpuConfig())[0]
     s8 = tile_steps(l8, NpuConfig())[0]
-    assert s8.fetches[0].total_bytes == 8 * s1.fetches[0].total_bytes
-    assert s8.fetches[1].total_bytes == s1.fetches[1].total_bytes
+    assert nbytes(s8.fetches[0]) == 8 * nbytes(s1.fetches[0])
+    assert nbytes(s8.fetches[1]) == nbytes(s1.fetches[1])
 
 
-def test_oracle_pipeline_overlaps_fetch_and_compute():
+@pytest.mark.parametrize("mirror", [False, True], ids=["plain", "mirrored"])
+@pytest.mark.parametrize("mode", ["oracle", "modeled"])
+def test_pipeline_follows_the_double_buffering_rules(mode, mirror, monkeypatch):
+    """Every fetch starts, and the layer ends, where the pipeline's rules
+    put them, given each fetch's recorded end:
+    - one DMA fetches the steps' IA, then W, in order;
+    - a step's buffer is free once the compute two steps back ends;
+    - with mirrored writes, the DMA is busy until the previous compute
+      ends, and writes each step's output from its compute end on;
+    - a compute starts after its data and after the previous compute."""
     layer = make_layer("l", 64, 2048, 1024)
-    npu = NpuConfig(spm_activation_bytes=1 * MB, spm_weight_bytes=1 * MB)
-    eng = mmu_of("oracle", build([layer.ia_segment, layer.w_segment], PS4K))
-    stats = run_layer(layer, npu, eng, Dram(DramConfig()))
-    phases = stats.tile_phases
-    assert len(phases) >= 2
-    for prev, cur in zip(phases, phases[1:]):
-        assert cur.fetch_start >= prev.fetch_end       # single DMA engine
-        assert cur.compute_start >= prev.compute_end   # single array
-        assert cur.compute_start >= cur.fetch_end      # data before compute
-    # double buffering: some fetch overlaps the previous tile's compute
-    assert any(cur.fetch_start < prev.compute_end
-               for prev, cur in zip(phases, phases[1:]))
-    assert stats.total_cycles == phases[-1].compute_end
+    npu = NpuConfig(array_dim=32, spm_activation_bytes=1 * MB,
+                    spm_weight_bytes=1 * MB, mirror_write_traffic=mirror)
+    pt = build(layer_segments(layer, npu), PS4K)
+    fetches = []                          # (start, end) of every fetch, in order
+    for name in ("oracle_fetch", "simulate_fetch"):
+        def recording(runs, engine, dram, start, fetch=getattr(npumod, name)):
+            end = fetch(runs, engine, dram, start)
+            fetches.append((start, end))
+            return end
+        monkeypatch.setattr(npumod, name, recording)
+    plan = plan_layer(layer, npu, PS4K)
+    dram = Dram(DramConfig())
+    total = run_layer(layer, npu, mmu_of(mode, pt, dram), dram, plan)
+
+    recorded = iter(fetches)
+    # the previous fetch's end, and the compute ends of steps i-2 and i-1
+    fetch_end = older = last = 0
+    overlaps = []                         # per step: fetch before the last compute ends
+    for step in plan:
+        due = max(fetch_end, older, last if mirror else 0)
+        overlaps.append(due < last)
+        for _ in step.fetches:
+            start, fetch_end = next(recorded)
+            assert start == due
+            due = fetch_end
+        end = max(fetch_end, last) + step.compute
+        if mirror:
+            start, written = next(recorded)
+            assert start == end
+            end = written
+        older, last = last, end
+    assert next(recorded, None) is None
+    assert total == last
+    assert len(plan) >= 3
+    # double buffering: some fetch overlaps the previous tile's compute,
+    # unless the DMA was writing its output back
+    assert any(overlaps) == (not mirror)
 
 
 def test_modeled_run_never_faster_than_oracle():
@@ -179,7 +215,7 @@ def test_modeled_run_never_faster_than_oracle():
     dram = Dram(DramConfig())
     eng = TranslationEngine(MmuConfig(), pt, dram=dram)
     modeled = run_layer(layer, npu, eng, dram)
-    assert modeled.total_cycles >= oracle.total_cycles
+    assert modeled >= oracle
     assert dram.bytes_issued == oracle_dram.bytes_issued
 
 
@@ -193,8 +229,8 @@ def test_run_layer_plans_at_the_table_page_size(mode):
     def run(plan):
         dram = Dram(DramConfig())
         mmu = mmu_of(mode, pt, dram)
-        stats = run_layer(layer, npu, mmu, dram, plan)
-        return stats, mmu.stats.copy()
+        cycles = run_layer(layer, npu, mmu, dram, plan)
+        return cycles, replace(mmu.stats)
 
     planned = run(plan_layer(layer, npu, PS2M))
     if mode == "modeled":                   # 3-level walks: 2 MB pages
@@ -238,7 +274,7 @@ def test_mirrored_output_tiles_land_at_their_columns(mode):
 
     steps = tile_steps(layer, npu)
     assert len(steps) == 8
-    written = sorted(span for step in steps for span in step.out.spans)
+    written = sorted(span for step in steps for span in step.out)
     assert written == [(out.base + r * 8192 + c * 1024, 1024)
                        for r in range(4) for c in range(8)]
 
@@ -272,14 +308,15 @@ def test_translation_reuse_window_collapses_sequential_pages():
 def test_plan_covers_operands_generic(m, k, n, batch):
     layer = make_layer("l", m, k, n, batch=batch)
     npu = NpuConfig()
-    tiles = [f for step in tile_steps(layer, npu) for f in step.fetches]
-    w_bytes = sum(t.total_bytes for t in tiles if t.tensor == "w")
+    steps = tile_steps(layer, npu)
+    w_bytes = sum(nbytes(step.fetches[1]) for step in steps)
     assert w_bytes == k * n
-    for t in tiles:
-        for start, length in t.spans:
-            assert length > 0
-            seg = layer.ia_segment if t.tensor == "ia" else layer.w_segment
-            assert seg.base <= start and start + length <= seg.end
+    for step in steps:
+        ia, w = step.fetches
+        for seg, spans in ((layer.ia_segment, ia), (layer.w_segment, w)):
+            for start, length in spans:
+                assert length > 0
+                assert seg.base <= start and start + length <= seg.end
 
 
 class SubmitCountingEngine(TranslationEngine):

@@ -20,7 +20,6 @@ from npusim.mmu import MmuConfig, Oracle, TranslationEngine
 from npusim.npu import (
     NpuConfig,
     SimulationFault,
-    TileFetch,
     linearize,
     oracle_fetch,
     simulate_fetch,
@@ -85,13 +84,13 @@ def tiles(draw):
         cursor += rows * stride + draw(st.integers(0, PS4K.bytes))
     if draw(st.booleans()):
         spans.append((cursor, draw(st.integers(1, 63))))
-    return TileFetch("w", tuple(spans), sum(n for _, n in spans))
+    return tuple(spans)
 
 
 def reference_groups(tile, chunk, reuse, ps):
     """Cut every span into chunks one by one, then merge same-page neighbours."""
     chunks = []
-    for base, length in tile.spans:
+    for base, length in tile:
         off = 0
         while off < length:
             chunks.append(((base + off) % 2**48 // ps.bytes, min(chunk, length - off)))
@@ -116,7 +115,7 @@ def test_linearize_matches_chunk_by_chunk_reference(tile, chunk, reuse, ps):
     groups = [(vpn, list(chunks)) for vpn, count, chunks in runs
               for _ in range(count)]
     assert groups == reference_groups(tile, chunk, reuse, ps)
-    assert sum(sum(sizes) for _, sizes in groups) == tile.total_bytes
+    assert sum(sum(sizes) for _, sizes in groups) == sum(n for _, n in tile)
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +126,7 @@ def test_linearize_matches_chunk_by_chunk_reference(tile, chunk, reuse, ps):
        latency=st.sampled_from([0, 100]),
        warmup=st.integers(1, 2000),
        start=st.integers(0, 40))
-@example(tile=TileFetch("w", ((BASE + MAPPED_PAGES * PS4K.bytes - 100, 200),), 200),
+@example(tile=((BASE + MAPPED_PAGES * PS4K.bytes - 100, 200),),
          chunk=64, reuse=True, bandwidth=40, latency=100, warmup=1, start=3)
 def test_oracle_fetch_matches_per_group_reference(tile, chunk, reuse, bandwidth,
                                                   latency, warmup, start):
@@ -146,7 +145,7 @@ def test_oracle_fetch_matches_per_group_reference(tile, chunk, reuse, bandwidth,
     (1 << 30, 1 << 30, 3),
 ])
 def test_tile_into_unmapped_page_faults_alike(second, unmapped, level):
-    tile = TileFetch("w", ((BASE, 512), (BASE + second, 128)), 640)
+    tile = ((BASE, 512), (BASE + second, 128))
     npu = NpuConfig()
     oracle, reference, modeled = [
         run(fetch, tile, npu, mapped_table(), DramConfig(), 1, 0)

@@ -10,7 +10,7 @@ in the same cycle with the same engine counters, the same DRAM state and
 the same completions in the same order, or fault on the same page.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -281,7 +281,7 @@ def test_skip_blocked_counts_every_retry_and_returns_the_next_event():
     assert engine.submit(first, 0).status is SubmitStatus.NEW_WALK
     assert engine.tick(0) == ()
     assert engine.submit(first + 1, 1).status is BLOCKED
-    before = engine.stats.copy()
+    before = replace(engine.stats)
     # the walk ends at cycle 40: retries at 2 .. 39, ticks 1 .. 39 skipped
     assert engine.skip_blocked(first + 1, 1) == 40
     assert engine.stats.tlb_accesses == before.tlb_accesses + 38
@@ -324,7 +324,7 @@ def test_skip_blocked_charges_the_stretch_up_front(cause, monkeypatch):
     that many blocked submits would leave it."""
     engine, vpn, now, after = blocked_engine(cause)
     reference, _, _, _ = blocked_engine(cause)
-    before = engine.stats.copy()
+    before = replace(engine.stats)
     calls = []
     submit = TranslationEngine.submit
 
