@@ -13,9 +13,10 @@ upper-level radix entries unless deliberately configured to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+from .schema import Struct
 
 VA_BITS = 48
 VA_MASK = (1 << VA_BITS) - 1
@@ -64,8 +65,7 @@ def radix_indices(page: int, ps: PageSize) -> tuple:
     return ((page >> 18) & INDEX_MASK, (page >> 9) & INDEX_MASK, page & INDEX_MASK)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Struct):
     """A named, contiguous region of the virtual address space."""
 
     name: str

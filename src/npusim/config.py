@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from .address_space import check_disjoint
@@ -31,19 +30,17 @@ from .memory import DramConfig, LinksConfig
 from .mmu import MmuConfig
 from .npu import NpuConfig, layer_segments, tile_fit
 from .schema import Record, check, knob
-from .workloads import WorkloadConfig, dense_suite
+from .workloads import WorkloadConfig, dense_suite, embedding_segments
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
 class Header(Record):
     """The top-level scalars of a config document."""
     schema_version: int = knob(SCHEMA_VERSION, choices=(SCHEMA_VERSION,))
     config_id: str = "default"
 
 
-@dataclass(frozen=True)
 class Seeds(Record):
     master: int = knob(0, lo=0)
 
@@ -59,8 +56,8 @@ SECTIONS = {
 }
 
 DEFAULT_CONFIG: Dict[str, Any] = {
-    **asdict(Header()),
-    **{name: asdict(record()) for name, record in SECTIONS.items()},
+    **vars(Header()),
+    **{name: vars(record()) for name, record in SECTIONS.items()},
 }
 
 ENV_PREFIX = "NPUSIM_"
@@ -163,9 +160,9 @@ def validate(cfg: Dict[str, Any]) -> List[str]:
     """Return a list of "key.path: problem" strings; empty means valid.
 
     A section whose keys all pass is also built as its record, so checks
-    that span keys (`WorkloadConfig`'s) run as they do in a run. A valid
-    dense workload's layers are built too, and each must fit the SPM and
-    map disjoint segments, as its run checks.
+    that span keys (`WorkloadConfig`'s) run as they do in a run. As in a
+    run, a valid dense workload's layers must fit the SPM, and a layer's
+    segments, or the embedding tables a strategy maps, must be disjoint.
     """
     errors = check(Header, {k: v for k, v in cfg.items() if k not in SECTIONS})
     for name, record in SECTIONS.items():
@@ -181,14 +178,17 @@ def validate(cfg: Dict[str, Any]) -> List[str]:
             record(**section)
         except ValueError as exc:
             errors.append(f"{name}: {exc}")
-    if not errors and cfg["workload"]["kind"] == "dense":
+    if not errors:
         npu, wl = NpuConfig(**cfg["npu"]), WorkloadConfig(**cfg["workload"])
         try:
-            for layer in dense_suite(wl.suite, npu.element_bytes)[wl.batch]:
-                tile_fit(layer, npu)
-                check_disjoint(layer_segments(layer, npu))
+            if wl.kind == "dense":
+                for layer in dense_suite(wl.suite, wl.batch, npu.element_bytes):
+                    tile_fit(layer, npu)
+                    check_disjoint(layer_segments(layer, npu))
+            elif wl.strategy != "baseline_copy":  # the one strategy that maps none
+                check_disjoint(embedding_segments(wl))
         except ValueError as exc:
-            errors.append(f"npu: {exc}")
+            errors.append(f"{'npu' if wl.kind == 'dense' else 'workload'}: {exc}")
     return errors
 
 

@@ -9,13 +9,10 @@ meaningful, not absolute joules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .mmu import TranslationStats
-from .schema import Record, knob
+from .schema import Record, Struct, knob
 
 
-@dataclass(frozen=True)
 class EnergyTable(Record):
     pj_walk_dram: float = knob(100.0, gt=0)   # per page-walk DRAM read
     pj_prmb: float = knob(0.5, gt=0)          # per merge-buffer access
@@ -23,8 +20,7 @@ class EnergyTable(Record):
     pj_tpr: float = knob(0.1, gt=0)           # per path-register/cache probe
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(Struct):
     walk_dram_pj: float
     merge_buffer_pj: float
     tlb_pj: float

@@ -22,7 +22,6 @@ import copy
 import csv
 import io
 import itertools
-from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
@@ -79,7 +78,7 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
     dram_cfg = DramConfig(**cfg["memory"])
     ps = PAGE_SIZES[mmu.page_size]
     etable = EnergyTable(**cfg["energy"])
-    layers = dense_suite(wl.suite, npu.element_bytes)[wl.batch]
+    layers = dense_suite(wl.suite, wl.batch, npu.element_bytes)
 
     rows = []
     for layer in layers:
@@ -148,7 +147,7 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
                f"/{wl.distribution}/b{wl.batch_samples}")
     for bd in breakdowns:
         row = _blank_row(cfg, seed)
-        row.update(asdict(bd), workload=wl_name, mode=mmu.mode)
+        row.update(vars(bd), workload=wl_name, mode=mmu.mode)
         rows.append(row)
     return rows
 

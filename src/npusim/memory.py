@@ -10,20 +10,17 @@ plus a bandwidth-proportional term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
-from .schema import Record, knob
+from .schema import Record, Struct, knob
 
 
-@dataclass(frozen=True)
 class DramConfig(Record):
     bandwidth_bytes_per_cycle: int = knob(600, lo=1)   # 600 GB/s at 1GHz
     access_latency: int = knob(100, lo=0)
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(Struct):
     kind: str  # "pcie" (CPU<->NPU) or "nvlink" (NPU<->NPU)
     bandwidth_bytes_per_cycle: int
     numa_latency: int
@@ -33,7 +30,6 @@ class LinkConfig:
             raise ValueError("bandwidth must be positive")
 
 
-@dataclass(frozen=True)
 class LinksConfig(Record):
     pcie_bandwidth: int = knob(16, lo=1)       # bytes/cycle, CPU<->NPU
     nvlink_bandwidth: int = knob(160, lo=1)    # bytes/cycle, NPU<->NPU

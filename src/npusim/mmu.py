@@ -92,15 +92,14 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from typing import ClassVar, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .address_space import INDEX_BITS, PAGE_SIZES
 from .memory import Dram
 from .page_table import PageTable, WalkStep, fault_depth
-from .schema import Record, knob
+from .schema import Record, Struct, knob
 
 
 def path_tag(vpn: int, levels: int) -> int:
@@ -115,7 +114,6 @@ def prefix_depth(a: int, b: int, levels: int) -> int:
     return levels - 1 - ((a ^ b).bit_length() + INDEX_BITS - 1) // INDEX_BITS
 
 
-@dataclass(frozen=True)
 class MmuConfig(Record):
     mode: str = knob("modeled", choices=("modeled", "oracle"))
     tlb_entries: int = knob(2048, lo=1)
@@ -168,8 +166,7 @@ class TranslationCompletion(NamedTuple):
 _new = tuple.__new__
 
 
-@dataclass
-class TranslationStats:
+class TranslationStats(Struct, frozen=False):
     """The engine's counters. The fields are stored. Every submit probes
     the TLB once and is either accepted or blocked, so the TLB counts are
     derived: `tlb_accesses` is `accepted + blocked_cycles`, and
@@ -201,8 +198,7 @@ class TranslationStats:
         return self.tlb_hits / self.tlb_accesses if self.tlb_accesses else 0.0
 
 
-@dataclass(frozen=True)
-class Oracle:
+class Oracle(Struct):
     """The oracle MMU of one page table, at the table's page size: every
     translation completes in the cycle it is offered, with
     `PageTable.walk_outcome`'s answer, and is counted nowhere. `run_layer`
@@ -211,15 +207,14 @@ class Oracle:
     perfbench's tracer, which reads them off `run_layer`'s engine
     argument; no simulator code reads them."""
     pt: PageTable
-    cfg: ClassVar[MmuConfig] = MmuConfig(mode="oracle")
-    stats: ClassVar[TranslationStats] = TranslationStats()
+    cfg = MmuConfig(mode="oracle")
+    stats = TranslationStats()
 
 
-@dataclass(slots=True)
-class _Walker:
+class _Walker(Struct, frozen=False):
+    merged: list                          # (first request id, count)
     vpn: int = 0
     leading: int = 0                      # request id of the walk's owner
-    merged: list = field(default_factory=list)  # (first request id, count)
     merges: int = 0                       # merge slots taken
     frame: Optional[int] = None
     fault_level: Optional[int] = None
@@ -252,7 +247,7 @@ class TranslationEngine:
         self._tlb_entries = cfg.tlb_entries
         self._charge_walks = dram is not None and cfg.charge_walk_bandwidth
         self._tlb: OrderedDict[int, int] = OrderedDict()
-        self._walkers = [_Walker() for _ in range(cfg.num_ptws)]
+        self._walkers = [_Walker([]) for _ in range(cfg.num_ptws)]
         self._free = list(range(cfg.num_ptws - 1, -1, -1))
         self._scoreboard: dict[int, int] = {}
         # shared tpc tags or uptc entry addresses; keys only, as a probe

@@ -48,13 +48,12 @@ weight block:  ceil(k/P) * ceil(n/P) * (m + 2P) cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .address_space import VA_MASK, PageSize, Segment
 from .memory import Dram
 from .mmu import Oracle, SubmitStatus, TranslationEngine
-from .schema import Record, knob
+from .schema import Record, Struct, knob
 
 MB = 1024 * 1024
 
@@ -76,7 +75,6 @@ class SimulationFault(Exception):
         self.level = level
 
 
-@dataclass(frozen=True)
 class NpuConfig(Record):
     array_dim: int = knob(128, lo=1)
     spm_activation_bytes: int = knob(15 * MB, lo=1)
@@ -87,8 +85,7 @@ class NpuConfig(Record):
     mirror_write_traffic: bool = False     # extrapolation: OA write-back traffic
 
 
-@dataclass(frozen=True)
-class LayerConfig:
+class LayerConfig(Struct):
     name: str
     m: int
     k: int
@@ -112,15 +109,13 @@ class LayerConfig:
 Spans = Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TileStep:
+class TileStep(Struct):
     fetches: Tuple[Spans, Spans]      # IA then W, never interleaved
     gemm: Tuple[int, int, int]        # (m, k, n) of this sub-GEMM
     out: Optional[Spans]              # output write-back; None without out segment
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Struct):
     """What `run_layer` reads of one tile step; its spans are not kept."""
     fetches: Tuple[Runs, ...]         # IA then W runs, fetched in that order
     compute: int                      # compute cycles of the sub-GEMM

@@ -29,7 +29,6 @@ model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter, countOf
 from typing import List, Optional, Tuple
 
@@ -37,6 +36,7 @@ from .address_space import PAGE_SIZES, PageSize
 from .memory import DramConfig, LinkConfig, link_transfer_cycles
 from .mmu import MmuConfig, TranslationEngine, drain_trace
 from .page_table import PageTable, build, fault_depth
+from .schema import Struct
 from .workloads import (
     GatherRequest,
     WorkloadConfig,
@@ -44,8 +44,7 @@ from .workloads import (
     table_segment,
 )
 
-@dataclass
-class LatencyBreakdown:
+class LatencyBreakdown(Struct, frozen=False):
     strategy: str
     total_cycles: int = 0
     local_cycles: int = 0

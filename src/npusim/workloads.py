@@ -13,7 +13,6 @@ the simulator does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, NamedTuple
 
 from .address_space import Segment, default_segment_base
@@ -48,7 +47,6 @@ DISTRIBUTIONS = ("uniform", "zipf")
 STRATEGIES = ("baseline_copy", "numa_slow", "numa_fast", "demand_4k", "demand_2m")
 
 
-@dataclass(frozen=True)
 class WorkloadConfig(Record):
     kind: str = knob("dense", choices=("dense", "embedding"))
     suite: str = knob("toy", choices=tuple(_DENSE_SHAPES))
@@ -92,18 +90,13 @@ def make_layer(name: str, m: int, k: int, n: int, batch: int = 1,
                        ia_segment=ia, w_segment=w, out_segment=out)
 
 
-def dense_suite(name: str, element_bytes: int = 1) -> Dict[str, List[LayerConfig]]:
-    """Layer lists for a shipped suite, keyed by batch tag b01/b04/b08."""
+def dense_suite(name: str, tag: str, element_bytes: int = 1) -> List[LayerConfig]:
+    """The layers of a shipped suite at batch tag `tag` (b01/b04/b08)."""
     if name not in _DENSE_SHAPES:
         raise ValueError(f"unknown suite {name!r}; shipped: {sorted(_DENSE_SHAPES)}")
-    out: Dict[str, List[LayerConfig]] = {}
-    for tag, batch in BATCH_TAGS.items():
-        out[tag] = [
-            make_layer(lname, m, k, n, batch=batch, slot=i,
+    return [make_layer(lname, m, k, n, batch=BATCH_TAGS[tag], slot=i,
                        element_bytes=element_bytes)
-            for i, (lname, m, k, n) in enumerate(_DENSE_SHAPES[name])
-        ]
-    return out
+            for i, (lname, m, k, n) in enumerate(_DENSE_SHAPES[name])]
 
 
 class GatherRequest(NamedTuple):

@@ -69,8 +69,9 @@ def test_yaml_syntax_error_in_a_file_is_a_config_error(tmp_path, capsys):
 # Imported where they are used: NumPy when a gather trace is drawn, PyYAML
 # when a file, env or --set value is read or a config dumped, hashlib when
 # a seeded stream is drawn, the process pool when a sweep has workers.
+# Records are built without `dataclasses`, which would load `inspect`.
 DEFERRED = ("numpy", "yaml", "hashlib", "_hashlib", "concurrent.futures",
-            "multiprocessing")
+            "multiprocessing", "dataclasses", "inspect")
 
 
 def test_start_up_leaves_deferred_modules_unloaded():
@@ -119,8 +120,14 @@ HUGE_SPM = ("  spm_activation_bytes: 100000000000000\n"
     # without the check, `run` would linearize terabyte spans before mapping
     ("npu:\n  element_bytes: 1000000000\n" + HUGE_SPM,
      "npu: segments toy-gemm-ia and toy-gemm-w overlap"),
+    # tables sit 1 TB apart, so a 2 TB table runs into the next one
+    ("workload:\n  kind: embedding\n  rows: 8589934592\n  tables: 2\n",
+     "workload: segments emb0 and emb1 overlap"),
+    ("workload:\n  kind: embedding\n  tables: 300\n",
+     "workload: segment emb255: exceeds 48-bit address space"),
 ], ids=["rows-below-lookups", "samples-below-npus", "ia-spm-too-small",
-        "w-spm-too-small", "segment-past-48-bits", "segments-overlap"])
+        "w-spm-too-small", "segment-past-48-bits", "segments-overlap",
+        "tables-overlap", "table-past-48-bits"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text, error):
     # each key passes its own check; only the record or the layers built
     # from them fail
@@ -130,6 +137,17 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, text, error):
     assert f"error: {error}" in capsys.readouterr().err
     assert cli.main(["run", "--config", str(p)]) == 1
     assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_baseline_copy_alone_maps_no_tables(tmp_path, capsys):
+    # tables past the 48-bit address space, which no strategy but
+    # baseline_copy could map
+    p = tmp_path / "c.yaml"
+    p.write_text("workload:\n  kind: embedding\n  strategy: baseline_copy\n"
+                 "  tables: 300\n  batch_samples: 8\n")
+    assert cli.main(["validate", "--config", str(p)]) == 0
+    assert cli.main(["run", "--config", str(p)]) == 0
+    assert "baseline_copy" in capsys.readouterr().out
 
 
 def test_documented_example_matches_defaults():

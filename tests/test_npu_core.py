@@ -1,6 +1,6 @@
 """NPU tiling, DMA linearization, systolic timing, pipeline invariants."""
 
-from dataclasses import replace
+from copy import copy
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,7 @@ from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
 from npusim.mmu import MmuConfig, Oracle, TranslationEngine
 from npusim.npu import (
+    LayerConfig,
     NpuConfig,
     SimulationFault,
     compute_cycles,
@@ -230,7 +231,7 @@ def test_run_layer_plans_at_the_table_page_size(mode):
         dram = Dram(DramConfig())
         mmu = mmu_of(mode, pt, dram)
         cycles = run_layer(layer, npu, mmu, dram, plan)
-        return cycles, replace(mmu.stats)
+        return cycles, copy(mmu.stats)
 
     planned = run(plan_layer(layer, npu, PS2M))
     if mode == "modeled":                   # 3-level walks: 2 MB pages
@@ -281,7 +282,7 @@ def test_mirrored_output_tiles_land_at_their_columns(mode):
 
 @pytest.mark.parametrize("mode", ["oracle", "modeled"])
 def test_mirrored_writes_without_output_segment_fail_before_any_fetch(mode):
-    layer = replace(make_layer("l", 4, 64, 64), out_segment=None)
+    layer = LayerConfig(**{**vars(make_layer("l", 4, 64, 64)), "out_segment": None})
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     dram = Dram(DramConfig())
     engine = mmu_of(mode, pt, dram)
@@ -362,7 +363,7 @@ def test_tlb_hits_and_merges_never_reach_submit(point):
     mmu = MmuConfig()
     if point == "neummu":
         mmu = MmuConfig(**cfgmod.load_config(str(NEUMMU_YAML))["mmu"])
-    (layer,) = dense_suite("burst")["b01"]
+    (layer,) = dense_suite("burst", "b01")
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     dram = Dram(DramConfig())
     engine = SubmitCountingEngine(mmu, pt, dram=dram)

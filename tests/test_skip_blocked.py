@@ -10,7 +10,7 @@ in the same cycle with the same engine counters, the same DRAM state and
 the same completions in the same order, or fault on the same page.
 """
 
-from dataclasses import fields, replace
+from copy import copy
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -281,7 +281,7 @@ def test_skip_blocked_counts_every_retry_and_returns_the_next_event():
     assert engine.submit(first, 0).status is SubmitStatus.NEW_WALK
     assert engine.tick(0) == ()
     assert engine.submit(first + 1, 1).status is BLOCKED
-    before = replace(engine.stats)
+    before = copy(engine.stats)
     # the walk ends at cycle 40: retries at 2 .. 39, ticks 1 .. 39 skipped
     assert engine.skip_blocked(first + 1, 1) == 40
     assert engine.stats.tlb_accesses == before.tlb_accesses + 38
@@ -324,7 +324,7 @@ def test_skip_blocked_charges_the_stretch_up_front(cause, monkeypatch):
     that many blocked submits would leave it."""
     engine, vpn, now, after = blocked_engine(cause)
     reference, _, _, _ = blocked_engine(cause)
-    before = replace(engine.stats)
+    before = copy(engine.stats)
     calls = []
     submit = TranslationEngine.submit
 
@@ -338,8 +338,8 @@ def test_skip_blocked_charges_the_stretch_up_front(cause, monkeypatch):
     retries = due - now - 1
     assert retries > 0
     assert calls == list(range(now + 1, due))
-    rose = {f.name: getattr(engine.stats, f.name) - getattr(before, f.name)
-            for f in fields(before)}
+    rose = {name: getattr(engine.stats, name) - value
+            for name, value in vars(before).items()}
     assert rose == {name: retries if name == "blocked_cycles" else 0
                     for name in rose}
     for derived in ("tlb_accesses", "tlb_misses"):

@@ -5,7 +5,7 @@ through `walk_reference.reference_frame`: every completion's frame must
 equal it.
 """
 
-from dataclasses import replace
+from copy import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,7 +249,7 @@ def test_accept_run_declines_a_miss_without_a_pending_walk():
         assert eng.accept_run(a, 10, 0) == 0
         assert eng.stats == TranslationStats()
         assert eng.submit(a, 0).status is SubmitStatus.NEW_WALK
-        before = replace(eng.stats)
+        before = copy(eng.stats)
         assert eng.accept_run(b, 10, 1) == 0      # a's walk takes no b
         assert eng.stats == before
 
