@@ -23,7 +23,7 @@ def _parse_set(specs: Sequence[str]) -> List[Tuple[str, List[Any]]]:
 
 def _load(args) -> dict:
     """Config file, then env overrides, then --seed: each checked by the
-    schema when the run validates the config."""
+    schema when the run parses the config."""
     cfg = cfgmod.load_config(args.config)
     cfg = cfgmod.apply_env_overrides(cfg)
     if args.seed is not None:

@@ -1,9 +1,11 @@
 """Config documents: defaults, validation, env overrides, and seed fan-out.
 
 Configs are hierarchical YAML documents with a fixed section set and an
-explicit schema_version. Each section is the frozen record named in
-``SECTIONS``; its fields are the section's keys, with their defaults,
-types and ranges (see ``schema``). User files are deep-merged over the
+explicit schema_version. ``parse`` builds a document into one ``Config``:
+each section as the frozen record that types its field there (its fields
+are the section's keys, with their defaults, types and ranges; see
+``schema``), plus the dense suite's layers. A run uses that record, and
+``validate`` lists ``parse``'s errors. User files are deep-merged over the
 defaults, then environment variables with the ``NPUSIM_`` prefix override
 individual keys (``NPUSIM_MMU__NUM_PTWS=16`` maps to ``mmu.num_ptws``;
 values are parsed as YAML scalars by ``parse_scalar``, as are the CLI's
@@ -18,18 +20,16 @@ One master seed fans out to per-generator sub-seeds via
 a consumer never perturbs the streams of existing ones.
 """
 
-from __future__ import annotations
-
 import copy
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .address_space import check_disjoint
 from .energy import EnergyTable
 from .memory import DramConfig, LinksConfig
 from .mmu import MmuConfig
-from .npu import NpuConfig, layer_segments, tile_fit
-from .schema import Record, check, knob
+from .npu import LayerConfig, NpuConfig, layer_segments, tile_fit
+from .schema import Record, Struct, check, knob
 from .workloads import WorkloadConfig, dense_suite, embedding_segments
 
 SCHEMA_VERSION = 1
@@ -45,15 +45,22 @@ class Seeds(Record):
     master: int = knob(0, lo=0)
 
 
-SECTIONS = {
-    "seeds": Seeds,
-    "npu": NpuConfig,
-    "mmu": MmuConfig,
-    "memory": DramConfig,
-    "links": LinksConfig,
-    "workload": WorkloadConfig,
-    "energy": EnergyTable,
-}
+class Config(Struct):
+    """A parsed document: its id, section records and dense layers."""
+    config_id: str
+    seeds: Seeds
+    npu: NpuConfig
+    mmu: MmuConfig
+    memory: DramConfig
+    links: LinksConfig
+    workload: WorkloadConfig
+    energy: EnergyTable
+    layers: Tuple[LayerConfig, ...]
+
+
+# `Config`'s annotations are classes: this module does not defer them
+SECTIONS = {name: kind for name, kind in Config.__annotations__.items()
+            if isinstance(kind, type) and issubclass(kind, Record)}
 
 DEFAULT_CONFIG: Dict[str, Any] = {
     **vars(Header()),
@@ -156,15 +163,17 @@ def set_by_path(cfg: Dict[str, Any], key: str, value: Any) -> None:
     node[parts[-1]] = value
 
 
-def validate(cfg: Dict[str, Any]) -> List[str]:
-    """Return a list of "key.path: problem" strings; empty means valid.
+def parse(cfg: Dict[str, Any]) -> Config:
+    """Build the document's records, or raise ConfigError listing every
+    "key.path: problem" found.
 
-    A section whose keys all pass is also built as its record, so checks
-    that span keys (`WorkloadConfig`'s) run as they do in a run. As in a
-    run, a valid dense workload's layers must fit the SPM, and a layer's
-    segments, or the embedding tables a strategy maps, must be disjoint.
+    A section whose keys all pass is built as its record, so checks that
+    span keys (`WorkloadConfig`'s) run too. Once every section is built,
+    a dense workload's layers must fit the SPM, and a layer's segments,
+    or the embedding tables a strategy maps, must be disjoint.
     """
     errors = check(Header, {k: v for k, v in cfg.items() if k not in SECTIONS})
+    records = {}
     for name, record in SECTIONS.items():
         section = cfg.get(name)
         if not isinstance(section, dict):
@@ -175,21 +184,34 @@ def validate(cfg: Dict[str, Any]) -> List[str]:
             errors += [f"{name}.{e}" for e in problems]
             continue
         try:
-            record(**section)
+            records[name] = record(**section)
         except ValueError as exc:
             errors.append(f"{name}: {exc}")
-    if not errors:
-        npu, wl = NpuConfig(**cfg["npu"]), WorkloadConfig(**cfg["workload"])
-        try:
-            if wl.kind == "dense":
-                for layer in dense_suite(wl.suite, wl.batch, npu.element_bytes):
-                    tile_fit(layer, npu)
-                    check_disjoint(layer_segments(layer, npu))
-            elif wl.strategy != "baseline_copy":  # the one strategy that maps none
-                check_disjoint(embedding_segments(wl))
-        except ValueError as exc:
-            errors.append(f"{'npu' if wl.kind == 'dense' else 'workload'}: {exc}")
-    return errors
+    if errors:
+        raise ConfigError(errors)
+    npu, wl = records["npu"], records["workload"]
+    layers: Tuple[LayerConfig, ...] = ()
+    try:
+        if wl.kind == "dense":
+            layers = tuple(dense_suite(wl.suite, wl.batch, npu.element_bytes))
+            for layer in layers:
+                tile_fit(layer, npu)
+                check_disjoint(layer_segments(layer, npu))
+        elif wl.strategy != "baseline_copy":  # the one strategy that maps none
+            check_disjoint(embedding_segments(wl))
+    except ValueError as exc:
+        where = "npu" if wl.kind == "dense" else "workload"
+        raise ConfigError([f"{where}: {exc}"]) from None
+    return Config(config_id=cfg["config_id"], layers=layers, **records)
+
+
+def validate(cfg: Dict[str, Any]) -> List[str]:
+    """`parse`'s errors as a list; empty means valid."""
+    try:
+        parse(cfg)
+    except ConfigError as exc:
+        return exc.errors
+    return []
 
 
 def dump_effective(cfg: Dict[str, Any]) -> str:

@@ -1,6 +1,8 @@
 """Experiment runner: single runs, parameter sweeps, CSV emission, reports.
 
-Every run produces one CSV row per layer (dense workloads) or per strategy
+A run parses its config document once (`config.parse`) and runs from
+the records and layers of the `config.Config` it returns. Every run
+produces one CSV row per layer (dense workloads) or per strategy
 (embedding workloads) against a versioned, order-stable column set. Each
 dense layer runs once under the `Oracle` MMU, so every row carries its own
 normalization baseline; in oracle mode that run is the row's own, and its
@@ -25,12 +27,11 @@ import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .address_space import PAGE_SIZES, PageSize
-from .energy import EnergyTable, account
-from .memory import Dram, DramConfig, LinksConfig
-from .mmu import MmuConfig, Oracle, TranslationEngine, TranslationStats
-from .npu import (LayerConfig, LayerPlan, NpuConfig, layer_segments, plan_layer,
-                  run_layer)
+from .address_space import PAGE_SIZES
+from .energy import account
+from .memory import Dram
+from .mmu import Oracle, TranslationEngine, TranslationStats
+from .npu import LayerPlan, layer_segments, plan_layer, run_layer
 from .numa import (
     LatencyBreakdown,
     run_baseline_copy,
@@ -39,12 +40,7 @@ from .numa import (
     translate_gathers,
 )
 from .page_table import build
-from .workloads import (
-    STRATEGIES,
-    WorkloadConfig,
-    dense_suite,
-    gather_trace,
-)
+from .workloads import STRATEGIES, gather_trace
 
 CSV_SCHEMA_VERSION = 1
 
@@ -59,34 +55,30 @@ CSV_COLUMNS = [
 ]
 
 
-def _blank_row(cfg: Dict[str, Any], seed: int) -> Dict[str, Any]:
+def _blank_row(config_id: str, seed: int) -> Dict[str, Any]:
     row = {c: "" for c in CSV_COLUMNS}
     row["csv_schema"] = CSV_SCHEMA_VERSION
-    row["config_id"] = cfg["config_id"]
+    row["config_id"] = config_id
     row["seed"] = seed
     return row
 
 
-# A call's fetch plans, keyed on all that a plan depends on.
-Plans = Dict[Tuple[LayerConfig, NpuConfig, PageSize], LayerPlan]
+# A call's fetch plans, keyed on all a plan depends on: (layer, npu, ps).
+Plans = Dict[tuple, LayerPlan]
 
 
-def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, Any]]:
-    wl = WorkloadConfig(**cfg["workload"])
-    npu = NpuConfig(**cfg["npu"])
-    mmu = MmuConfig(**cfg["mmu"])
-    dram_cfg = DramConfig(**cfg["memory"])
+def _run_dense(cfg: cfgmod.Config, seed: int, plans: Plans) -> List[Dict[str, Any]]:
+    wl, npu, mmu, dram_cfg = cfg.workload, cfg.npu, cfg.mmu, cfg.memory
     ps = PAGE_SIZES[mmu.page_size]
-    etable = EnergyTable(**cfg["energy"])
-    layers = dense_suite(wl.suite, wl.batch, npu.element_bytes)
 
     rows = []
-    for layer in layers:
+    for layer in cfg.layers:
+        # map first: `build` refuses overlaps before `plan_layer` cuts spans
+        pt = build(layer_segments(layer, npu), ps)
         key = (layer, npu, ps)
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = plan_layer(layer, npu, ps)
-        pt = build(layer_segments(layer, npu), ps)
         oracle = run_layer(layer, npu, Oracle(pt), Dram(dram_cfg), plan)
         # an oracle-mode row is its own baseline, with zero MMU counters
         total, stats = oracle, TranslationStats()
@@ -96,9 +88,9 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
             total = run_layer(layer, npu, engine, dram, plan)
             stats = engine.stats
 
-        energy = account(stats, etable)
+        energy = account(stats, cfg.energy)
         overhead = 100.0 * (total - oracle) / oracle if oracle else 0.0
-        row = _blank_row(cfg, seed)
+        row = _blank_row(cfg.config_id, seed)
         row.update({
             "workload": f"{wl.suite}/{wl.batch}/{layer.name}",
             "mode": mmu.mode,
@@ -119,12 +111,9 @@ def _run_dense(cfg: Dict[str, Any], seed: int, plans: Plans) -> List[Dict[str, A
     return rows
 
 
-def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
-    wl = WorkloadConfig(**cfg["workload"])
+def _run_embedding(cfg: cfgmod.Config, seed: int) -> List[Dict[str, Any]]:
+    wl, dram, links, mmu = cfg.workload, cfg.memory, cfg.links, cfg.mmu
     trace = gather_trace(wl, cfgmod.seed_for(seed, "gather"))
-    dram = DramConfig(**cfg["memory"])
-    links = LinksConfig(**cfg["links"])
-    mmu = MmuConfig(**cfg["mmu"])
 
     strategies = STRATEGIES if wl.strategy == "all" else (wl.strategy,)
     breakdowns: List[LatencyBreakdown] = []
@@ -146,25 +135,19 @@ def _run_embedding(cfg: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     wl_name = (f"embedding/{wl.tables}x{wl.rows}"
                f"/{wl.distribution}/b{wl.batch_samples}")
     for bd in breakdowns:
-        row = _blank_row(cfg, seed)
+        row = _blank_row(cfg.config_id, seed)
         row.update(vars(bd), workload=wl_name, mode=mmu.mode)
         rows.append(row)
     return rows
 
 
-def _require_valid(cfg: Dict[str, Any]) -> None:
-    errors = cfgmod.validate(cfg)
-    if errors:
-        raise cfgmod.ConfigError(errors)
-
-
 def _run(cfg: Dict[str, Any], seed: Optional[int], plans: Plans) -> List[Dict[str, Any]]:
-    _require_valid(cfg)
+    parsed = cfgmod.parse(cfg)
     if seed is None:
-        seed = cfg["seeds"]["master"]
-    if cfg["workload"]["kind"] == "dense":
-        return _run_dense(cfg, seed, plans)
-    return _run_embedding(cfg, seed)
+        seed = parsed.seeds.master
+    if parsed.workload.kind == "dense":
+        return _run_dense(parsed, seed, plans)
+    return _run_embedding(parsed, seed)
 
 
 def run_single(cfg: Dict[str, Any], seed: Optional[int] = None) -> List[Dict[str, Any]]:
@@ -185,7 +168,7 @@ def sweep(
     """Cross-product sweep; rows are independent and declaration-ordered."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _require_valid(cfg)  # point ids are composed from the base config
+    base_id = cfgmod.parse(cfg).config_id  # point ids are composed from it
     keys = [cfgmod.resolve_key(cfg, key) for key, _ in items]  # fail fast
     twice = sorted({key for key in keys if keys.count(key) > 1})
     if twice:
@@ -201,7 +184,7 @@ def sweep(
         for (key, _), value in zip(items, combo):
             cfgmod.set_by_path(sub, key, value)
             suffix.append(f"{key.split('.')[-1]}={value}")
-        sub["config_id"] = cfg["config_id"]
+        sub["config_id"] = base_id
         if suffix:
             sub["config_id"] += "+" + ",".join(suffix)
         tasks.append((sub, seed))

@@ -76,6 +76,9 @@ class WorkloadConfig(Record):
             raise ValueError(
                 f"WorkloadConfig: rows ({self.rows}) must be >= "
                 f"lookups_per_sample ({self.lookups_per_sample})")
+        if self.rows > 2**63:
+            raise ValueError(f"WorkloadConfig: rows ({self.rows}) must be <= "
+                             "2**63, as a trace draws int64 row indices")
 
 
 def make_layer(name: str, m: int, k: int, n: int, batch: int = 1,
@@ -90,7 +93,7 @@ def make_layer(name: str, m: int, k: int, n: int, batch: int = 1,
                        ia_segment=ia, w_segment=w, out_segment=out)
 
 
-def dense_suite(name: str, tag: str, element_bytes: int = 1) -> List[LayerConfig]:
+def dense_suite(name: str, tag: str, element_bytes: int) -> List[LayerConfig]:
     """The layers of a shipped suite at batch tag `tag` (b01/b04/b08)."""
     if name not in _DENSE_SHAPES:
         raise ValueError(f"unknown suite {name!r}; shipped: {sorted(_DENSE_SHAPES)}")

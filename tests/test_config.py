@@ -14,7 +14,12 @@ import npusim
 from npusim import cli
 from npusim import config as cfgmod
 from npusim import harness
+from npusim.energy import EnergyTable
+from npusim.memory import DramConfig, LinksConfig
 from npusim.mmu import MmuConfig
+from npusim.npu import NpuConfig
+from npusim.schema import Record
+from npusim.workloads import WorkloadConfig, dense_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,9 +130,13 @@ HUGE_SPM = ("  spm_activation_bytes: 100000000000000\n"
      "workload: segments emb0 and emb1 overlap"),
     ("workload:\n  kind: embedding\n  tables: 300\n",
      "workload: segment emb255: exceeds 48-bit address space"),
+    # baseline_copy maps no table, but its trace still draws row indices
+    ("workload:\n  kind: embedding\n  strategy: baseline_copy\n"
+     "  rows: 36893488147419103232\n",
+     "workload: WorkloadConfig: rows (36893488147419103232) must be <= 2**63"),
 ], ids=["rows-below-lookups", "samples-below-npus", "ia-spm-too-small",
         "w-spm-too-small", "segment-past-48-bits", "segments-overlap",
-        "tables-overlap", "table-past-48-bits"])
+        "tables-overlap", "table-past-48-bits", "rows-past-int64"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text, error):
     # each key passes its own check; only the record or the layers built
     # from them fail
@@ -148,6 +157,49 @@ def test_baseline_copy_alone_maps_no_tables(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(p)]) == 0
     assert cli.main(["run", "--config", str(p)]) == 0
     assert "baseline_copy" in capsys.readouterr().out
+
+
+def test_parse_keeps_the_records_it_checks():
+    parsed = cfgmod.parse(cfgmod.load_config())
+    assert parsed.config_id == "default"
+    assert (parsed.seeds, parsed.npu, parsed.mmu, parsed.memory, parsed.links,
+            parsed.workload, parsed.energy) == (
+        cfgmod.Seeds(), NpuConfig(), MmuConfig(), DramConfig(), LinksConfig(),
+        WorkloadConfig(), EnergyTable())
+    assert parsed.layers == tuple(dense_suite("toy", "b01", 1))
+    embedding = cfgmod.load_config()
+    cfgmod.set_by_path(embedding, "workload.kind", "embedding")
+    assert cfgmod.parse(embedding).layers == ()
+
+
+@pytest.mark.parametrize("text", [
+    "mmu:\n  num_ptws: 0\n  mode: psychic\nconfig_id: 7\n",
+    "workload:\n  kind: embedding\n  rows: 1\n  lookups_per_sample: 2\n",
+    "npu:\n  spm_weight_bytes: 1\n",
+], ids=["bad-keys", "record-check", "layer-fit"])
+def test_parse_refuses_with_the_errors_validate_lists(tmp_path, text):
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    doc = cfgmod.load_config(str(p))
+    with pytest.raises(cfgmod.ConfigError) as refused:
+        cfgmod.parse(doc)
+    assert refused.value.errors == cfgmod.validate(doc) != []
+
+
+@pytest.mark.parametrize("kind", ["dense", "embedding"])
+def test_a_run_builds_each_section_record_once(monkeypatch, kind):
+    built = []
+    post_init = Record.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(Record, "__post_init__", counting)
+    cfg = cfgmod.load_config()
+    cfgmod.set_by_path(cfg, "workload.kind", kind)
+    assert harness.run_single(cfg)
+    assert sorted(built) == sorted(r.__name__ for r in cfgmod.SECTIONS.values())
 
 
 def test_documented_example_matches_defaults():

@@ -199,7 +199,7 @@ def counted_linearize(monkeypatch):
 
 
 def burst_tile_fetches(cfg):
-    (layer,) = dense_suite("burst", cfg["workload"]["batch"])
+    (layer,) = dense_suite("burst", cfg["workload"]["batch"], 1)
     return sum(len(step.fetches)
                for step in npu.tile_steps(layer, npu.NpuConfig(**cfg["npu"])))
 
@@ -220,6 +220,19 @@ def test_each_run_single_call_builds_its_own_plans(monkeypatch):
     assert len(calls) == burst_tile_fetches(cfg)
     assert harness.run_single(cfg) == first
     assert len(calls) == 2 * burst_tile_fetches(cfg)
+
+
+def test_a_layer_is_mapped_before_it_is_planned(monkeypatch):
+    planned = []
+
+    def refuse(segments, ps):
+        raise ValueError("segments overlap")
+
+    monkeypatch.setattr(harness, "build", refuse)
+    monkeypatch.setattr(harness, "plan_layer", lambda *args: planned.append(args))
+    with pytest.raises(ValueError, match="segments overlap"):
+        harness.run_single(small_cfg())
+    assert planned == []
 
 
 def test_embedding_rows_cover_strategies():

@@ -363,7 +363,7 @@ def test_tlb_hits_and_merges_never_reach_submit(point):
     mmu = MmuConfig()
     if point == "neummu":
         mmu = MmuConfig(**cfgmod.load_config(str(NEUMMU_YAML))["mmu"])
-    (layer,) = dense_suite("burst", "b01")
+    (layer,) = dense_suite("burst", "b01", 1)
     pt = build([layer.ia_segment, layer.w_segment], PS4K)
     dram = Dram(DramConfig())
     engine = SubmitCountingEngine(mmu, pt, dram=dram)

@@ -25,11 +25,11 @@ def workload(**kw):
 def test_suites_present_with_batch_variants():
     for name in ("toy", "gemv-rnn", "cnn", "burst"):
         for tag in BATCH_TAGS:
-            assert dense_suite(name, tag), f"{name}/{tag} empty"
+            assert dense_suite(name, tag, 1), f"{name}/{tag} empty"
 
 
 def test_layer_segments_disjoint():
-    suite = dense_suite("cnn", "b04")
+    suite = dense_suite("cnn", "b04", 1)
     check_disjoint([s for l in suite for s in (l.ia_segment, l.w_segment)])
 
 
