@@ -13,7 +13,7 @@ from npusim.address_space import PAGE_SIZES
 from npusim.memory import LinksConfig
 from npusim.mmu import MmuConfig
 from npusim.numa import run_demand_paging
-from npusim.workloads import GatherRequest, WorkloadConfig, gather_trace
+from npusim.workloads import GatherTrace, WorkloadConfig, gather_trace
 
 
 def main():
@@ -35,8 +35,8 @@ def main():
     # samples from the seed
     sequential = range(min(args.rows, 2048))
     patterns = [("sequential", workload(),
-                 [GatherRequest(t, r, t % args.tables)
-                  for t in range(args.tables) for r in sequential])]
+                 GatherTrace.of((t, r) for t in range(args.tables)
+                                for r in sequential))]
     for pattern, dist, zipf_s, batch in (("zipf", "zipf", 1.2, 256),
                                          ("sparse", "uniform", 1.0, 64)):
         wl = workload(distribution=dist, zipf_s=zipf_s, batch_samples=batch)

@@ -211,17 +211,24 @@ class Oracle(Struct):
     stats = TranslationStats()
 
 
-class _Walker(Struct, frozen=False):
-    merged: list                          # (first request id, count)
-    vpn: int = 0
-    leading: int = 0                      # request id of the walk's owner
-    merges: int = 0                       # merge slots taken
-    frame: Optional[int] = None
-    fault_level: Optional[int] = None
-    # what a successful walk installs in the translation cache: its path
-    # tag (tpr/tpc) or its node reads (uptc); None if nothing
-    cache_fill: object = None
-    path_register: Optional[int] = None   # tag of the last completed walk
+class _Walker:
+    """One page-table walker: the walk it is on, or last made, and its
+    path register."""
+
+    __slots__ = ("merged", "vpn", "leading", "merges", "frame", "fault_level",
+                 "cache_fill", "path_register")
+
+    def __init__(self):
+        self.merged = []                  # (first request id, count)
+        self.vpn = 0
+        self.leading = 0                  # request id of the walk's owner
+        self.merges = 0                   # merge slots taken
+        self.frame = None                 # None: the walk faults
+        self.fault_level = None
+        # what a successful walk installs in the translation cache: its path
+        # tag (tpr/tpc) or its node reads (uptc); None if nothing
+        self.cache_fill = None
+        self.path_register = None         # tag of the last completed walk
 
 
 class TranslationEngine:
@@ -247,7 +254,7 @@ class TranslationEngine:
         self._tlb_entries = cfg.tlb_entries
         self._charge_walks = dram is not None and cfg.charge_walk_bandwidth
         self._tlb: OrderedDict[int, int] = OrderedDict()
-        self._walkers = [_Walker([]) for _ in range(cfg.num_ptws)]
+        self._walkers = [_Walker() for _ in range(cfg.num_ptws)]
         self._free = list(range(cfg.num_ptws - 1, -1, -1))
         self._scoreboard: dict[int, int] = {}
         # shared tpc tags or uptc entry addresses; keys only, as a probe

@@ -6,7 +6,11 @@ differs. Every run is NPU 0's view of its share of an all-to-all gather:
 a gather is local when its table sits on NPU 0, and tables are placed
 round-robin (table t on NPU t % num_npus), as `workloads.gather_trace`
 places them. The strategies read the sizes of the tables from the same
-`WorkloadConfig` record the trace was drawn from:
+`WorkloadConfig` record the trace was drawn from. A trace is columns
+(`workloads.GatherTrace`), read with array operations: local gathers are
+counted, remote ones selected by mask, and page numbers computed in one
+pass and turned into a list once. NumPy is imported where a trace is
+read, not when this module loads.
 
   * baseline copy: the NPU has no MMU, so every remote embedding bounces
     source-NPU -> CPU memory -> destination NPU over the CPU interconnect,
@@ -29,7 +33,6 @@ model).
 from __future__ import annotations
 
 import math
-from operator import attrgetter, countOf
 from typing import List, Optional, Tuple
 
 from .address_space import PAGE_SIZES, PageSize
@@ -38,7 +41,7 @@ from .mmu import MmuConfig, TranslationEngine, drain_trace
 from .page_table import PageTable, build, fault_depth
 from .schema import Struct
 from .workloads import (
-    GatherRequest,
+    GatherTrace,
     WorkloadConfig,
     embedding_segments,
     table_segment,
@@ -64,10 +67,11 @@ class LatencyBreakdown(Struct, frozen=False):
 _NUMA_STRATEGY = {"pcie": "numa_slow", "nvlink": "numa_fast"}
 
 
-def _split(trace: List[GatherRequest], embedding_bytes: int) -> Tuple[int, int]:
+def _split(trace: GatherTrace, wl: WorkloadConfig) -> Tuple[int, int]:
     """Local and remote payload bytes of `trace` as seen by NPU 0."""
-    local = countOf(map(attrgetter("owner_npu"), trace), 0) * embedding_bytes
-    return local, len(trace) * embedding_bytes - local
+    eb = wl.embedding_bytes
+    local = int((trace.table % wl.num_npus == 0).sum()) * eb
+    return local, len(trace) * eb - local
 
 
 def _dram_read(nbytes: int, dram: DramConfig) -> int:
@@ -77,13 +81,13 @@ def _dram_read(nbytes: int, dram: DramConfig) -> int:
 
 
 def run_baseline_copy(
-    trace: List[GatherRequest],
+    trace: GatherTrace,
     wl: WorkloadConfig,
     cpu_link: LinkConfig,
     dram: DramConfig = DramConfig(),
 ) -> LatencyBreakdown:
     """MMU-less bounce copy through CPU memory (two interconnect legs)."""
-    local_bytes, remote_bytes = _split(trace, wl.embedding_bytes)
+    local_bytes, remote_bytes = _split(trace, wl)
     bd = LatencyBreakdown("baseline_copy", payload_bytes=local_bytes + remote_bytes)
     bd.local_cycles = _dram_read(local_bytes, dram)
     if remote_bytes:
@@ -94,7 +98,7 @@ def run_baseline_copy(
 
 
 def translate_gathers(
-    trace: List[GatherRequest],
+    trace: GatherTrace,
     wl: WorkloadConfig,
     mmu: MmuConfig,
     page_table: Optional[PageTable] = None,
@@ -130,7 +134,7 @@ def translate_gathers(
 
 
 def run_numa(
-    trace: List[GatherRequest],
+    trace: GatherTrace,
     wl: WorkloadConfig,
     translation_cycles: int,
     link: LinkConfig,
@@ -142,7 +146,7 @@ def run_numa(
     translations overlap the remote transfer stream, so the slower of the
     two paces the remote phase.
     """
-    local_bytes, remote_bytes = _split(trace, wl.embedding_bytes)
+    local_bytes, remote_bytes = _split(trace, wl)
     bd = LatencyBreakdown(_NUMA_STRATEGY[link.kind],
                           payload_bytes=local_bytes + remote_bytes,
                           translation_cycles=translation_cycles)
@@ -157,7 +161,7 @@ def run_numa(
 
 
 def run_demand_paging(
-    trace: List[GatherRequest],
+    trace: GatherTrace,
     wl: WorkloadConfig,
     ps: PageSize,
     link: LinkConfig,
@@ -188,16 +192,19 @@ def run_demand_paging(
         _check_page_size(page_table, ps)
 
     walk = page_table.walk_outcome
-    for page in dict.fromkeys(_pages([g for g in trace if g.owner_npu], wl, ps)):
+    faults = depth = 0
+    remote = trace[trace.table % wl.num_npus != 0]
+    for page in dict.fromkeys(_pages(remote, wl, ps)):
         frame, fault_level = walk(page)
         if frame is None:
-            bd.fault_handling_cycles += (fault_depth(fault_level)
-                                         * mmu.walk_cycles_per_level)
-            bd.faults += 1
+            depth += fault_depth(fault_level)
+            faults += 1
             page_table.map_page(page)
 
-    bd.migration_cycles = bd.faults * link_transfer_cycles(ps.bytes, link)
-    bd.migration_bytes = bd.faults * ps.bytes
+    bd.faults = faults
+    bd.fault_handling_cycles = depth * mmu.walk_cycles_per_level
+    bd.migration_cycles = faults * link_transfer_cycles(ps.bytes, link)
+    bd.migration_bytes = faults * ps.bytes
     bd.local_cycles = (_dram_read(len(trace) * eb, dram)
                        + len(trace) * mmu.tlb_hit_latency)
     bd.total_cycles = (bd.local_cycles + bd.fault_handling_cycles
@@ -211,10 +218,13 @@ def _check_page_size(page_table: PageTable, ps: PageSize) -> None:
                          f"pages, not {ps.name}")
 
 
-def _pages(trace: List[GatherRequest], wl: WorkloadConfig,
-           ps: PageSize) -> List[int]:
+def _pages(trace: GatherTrace, wl: WorkloadConfig, ps: PageSize) -> List[int]:
     """`address_space.vpn` of each gather's address: a table lies inside
-    the 48-bit address space, so that is one shift."""
-    eb, shift = wl.embedding_bytes, ps.offset_bits
-    bases = [table_segment(wl, t).base for t in range(wl.tables)]
-    return [bases[table] + row * eb >> shift for table, row, _ in trace]
+    the 48-bit address space (`table_segment` refuses one that does not),
+    so that is one shift, and no int64 step wraps."""
+    import numpy as np
+
+    bases = np.array([table_segment(wl, t).base for t in range(wl.tables)],
+                     dtype=np.int64)
+    return ((bases[trace.table] + trace.row * wl.embedding_bytes)
+            >> ps.offset_bits).tolist()

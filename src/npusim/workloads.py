@@ -7,13 +7,15 @@ layer lists. An embedding trace is drawn from the `WorkloadConfig` record
 itself: per-sample rows come from a uniform or bounded-Zipf distribution,
 deterministically from a seed (the harness passes
 `config.seed_for(master, "gather")`), and table t sits on NPU
-t % num_npus. NumPy is imported only when a trace is drawn, so importing
-the simulator does not load it.
+t % num_npus. A trace is a `GatherTrace`: int64 columns of table and row,
+reshaped from the draws, with no object per gather. NumPy is imported
+only where a trace is drawn or built, so importing the simulator does not
+load it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from .address_space import Segment, default_segment_base
 from .npu import LayerConfig
@@ -79,6 +81,10 @@ class WorkloadConfig(Record):
         if self.rows > 2**63:
             raise ValueError(f"WorkloadConfig: rows ({self.rows}) must be <= "
                              "2**63, as a trace draws int64 row indices")
+        if self.distribution == "zipf" and self.rows > 2**24:
+            raise ValueError(f"WorkloadConfig: rows ({self.rows}) must be <= "
+                             "2**24 under distribution zipf, whose draw holds "
+                             "one float64 per row")
 
 
 def make_layer(name: str, m: int, k: int, n: int, batch: int = 1,
@@ -102,10 +108,29 @@ def dense_suite(name: str, tag: str, element_bytes: int) -> List[LayerConfig]:
             for i, (lname, m, k, n) in enumerate(_DENSE_SHAPES[name])]
 
 
-class GatherRequest(NamedTuple):
-    table: int
-    row: int
-    owner_npu: int
+class GatherTrace:
+    """A gather trace as columns: `table` and `row` are int64 NumPy arrays
+    with one entry per gather, in gather order. Table t sits on NPU
+    t % num_npus, so a gather's owner is read off its table."""
+
+    __slots__ = ("table", "row")
+
+    def __init__(self, table: np.ndarray, row: np.ndarray):
+        self.table, self.row = table, row
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __getitem__(self, index) -> GatherTrace:
+        """The gathers that `index`, a mask, slice or index array, selects."""
+        return GatherTrace(self.table[index], self.row[index])
+
+    @classmethod
+    def of(cls, gathers: Iterable[Tuple[int, int]]) -> GatherTrace:
+        """A hand-built trace of `(table, row)` pairs, in order."""
+        import numpy as np
+
+        return cls(*np.array(list(gathers), dtype=np.int64).reshape(-1, 2).T.copy())
 
 
 def table_segment(wl: WorkloadConfig, table: int) -> Segment:
@@ -117,22 +142,25 @@ def embedding_segments(wl: WorkloadConfig) -> List[Segment]:
     return [table_segment(wl, t) for t in range(wl.tables)]
 
 
-def _draw_rows(rng: np.random.Generator, count: int,
-               wl: WorkloadConfig) -> np.ndarray:
+def _draw_rows(rng: np.random.Generator, wl: WorkloadConfig) -> np.ndarray:
+    """Every table's rows for the whole batch: shape (tables, samples *
+    lookups), drawn from `rng` in table order."""
     import numpy as np
 
+    count = wl.batch_samples * wl.lookups_per_sample
     if wl.distribution == "uniform":
-        return rng.integers(0, wl.rows, size=count)
-    # bounded Zipf: prob(rank r) ~ r^-s over 1..rows
-    ranks = np.arange(1, wl.rows + 1, dtype=np.float64)
-    probs = ranks ** -wl.zipf_s
-    cdf = np.cumsum(probs)
+        return np.stack([rng.integers(0, wl.rows, size=count)
+                         for _ in range(wl.tables)])
+    # bounded Zipf: prob(rank r) ~ r^-s over 1..rows, one array in place
+    cdf = np.arange(1, wl.rows + 1, dtype=np.float64)
+    np.power(cdf, -wl.zipf_s, out=cdf)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    return np.searchsorted(cdf, rng.random(count))
+    return np.searchsorted(cdf, rng.random((wl.tables, count)))
 
 
-def gather_trace(wl: WorkloadConfig, seed: int, npu: int = 0) -> List[GatherRequest]:
-    """NPU `npu`'s gather list for one minibatch's all-to-all.
+def gather_trace(wl: WorkloadConfig, seed: int, npu: int = 0) -> GatherTrace:
+    """NPU `npu`'s gathers for one minibatch's all-to-all.
 
     Samples are data-parallel: NPU i owns a contiguous slice of the batch
     and gathers that slice's lookups from every table, remote or not, in
@@ -149,16 +177,13 @@ def gather_trace(wl: WorkloadConfig, seed: int, npu: int = 0) -> List[GatherRequ
         raise ValueError(f"npu {npu} out of range for {nn} NPUs")
     import numpy as np                    # here, so start-up does not load it
 
-    rng = np.random.default_rng(seed)
-    batch = wl.batch_samples
-    lps = wl.lookups_per_sample
-    lo = npu * batch // nn
-    hi = (npu + 1) * batch // nn
+    tables, lps = wl.tables, wl.lookups_per_sample
+    lo = npu * wl.batch_samples // nn
+    hi = (npu + 1) * wl.batch_samples // nn
     # every table's whole batch is drawn, independent of num_npus and of
     # `npu`, so re-placing tables replays the same trace
-    rows = [_draw_rows(rng, batch * lps, wl).reshape(batch, lps)[lo:hi].tolist()
-            for _ in range(wl.tables)]
-    return [GatherRequest(t, row, t % nn)
-            for sample in range(hi - lo)
-            for t in range(wl.tables)
-            for row in rows[t][sample]]
+    draws = _draw_rows(np.random.default_rng(seed), wl)
+    # (table, sample, lookup) -> (sample, table, lookup)
+    rows = draws.reshape(tables, -1, lps)[:, lo:hi].transpose(1, 0, 2).ravel()
+    table = np.tile(np.repeat(np.arange(tables, dtype=np.int64), lps), hi - lo)
+    return GatherTrace(table, rows)

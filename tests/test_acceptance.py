@@ -25,8 +25,9 @@ from npusim.numa import (
 )
 from npusim.page_table import build
 from walk_reference import RecordingEngine, build_scattered, reference_frame
+from trace_reference import gathers
 from npusim.workloads import (
-    GatherRequest,
+    GatherTrace,
     WorkloadConfig,
     gather_trace,
     make_layer,
@@ -254,7 +255,8 @@ def test_criterion_09_numa_case_study():
     red_slow = 1 - slow.total_cycles / copy.total_cycles
     red_fast = 1 - fast.total_cycles / copy.total_cycles
     dt = time.monotonic() - t0
-    mostly_remote = trace and sum(g.owner_npu != 0 for g in trace) / len(trace) > 0.5
+    mostly_remote = trace and sum(
+        g.owner_npu != 0 for g in gathers(trace, model)) / len(trace) > 0.5
     check(9, f"copy={copy.total_cycles} slow={slow.total_cycles} "
              f"(-{red_slow:.0%} >=20%) fast={fast.total_cycles} "
              f"(-{red_fast:.0%} >=50%), {dt:.1f}s (<60s)",
@@ -268,7 +270,7 @@ def test_criterion_10_large_page_pitfall():
         kind="embedding", num_npus=4, tables=4, rows=1 << 20, batch_samples=64)
     trace = gather_trace(model, 9)
     touches = {}
-    for g in trace:
+    for g in gathers(trace, model):
         key = (g.table, g.row * 256 // 4096)
         touches[key] = touches.get(key, 0) + 1
     sparse_enough = sum(touches.values()) / len(touches) < 2
@@ -280,7 +282,7 @@ def test_criterion_10_large_page_pitfall():
     large = demand(trace, PS2M)
     bloat = large.migration_bytes / large.payload_bytes
 
-    seq = [GatherRequest(t, r, t % 4) for t in range(4) for r in range(512)]
+    seq = GatherTrace.of((t, r) for t in range(4) for r in range(512))
     sm_seq = demand(seq, PS4K)
     lg_seq = demand(seq, PS2M)
     check(10, f"sparse: 2M migrates {bloat:.0f}x payload (>=100x), total "

@@ -134,9 +134,15 @@ HUGE_SPM = ("  spm_activation_bytes: 100000000000000\n"
     ("workload:\n  kind: embedding\n  strategy: baseline_copy\n"
      "  rows: 36893488147419103232\n",
      "workload: WorkloadConfig: rows (36893488147419103232) must be <= 2**63"),
+    # a Zipf draw holds one float64 per row
+    ("workload:\n  kind: embedding\n  strategy: baseline_copy\n"
+     "  distribution: zipf\n  rows: 4611686018427387904\n",
+     "workload: WorkloadConfig: rows (4611686018427387904) must be <= 2**24 "
+     "under distribution zipf"),
 ], ids=["rows-below-lookups", "samples-below-npus", "ia-spm-too-small",
         "w-spm-too-small", "segment-past-48-bits", "segments-overlap",
-        "tables-overlap", "table-past-48-bits", "rows-past-int64"])
+        "tables-overlap", "table-past-48-bits", "rows-past-int64",
+        "zipf-rows-past-cap"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text, error):
     # each key passes its own check; only the record or the layers built
     # from them fail

@@ -22,12 +22,13 @@ from npusim.numa import (
 )
 from npusim.page_table import build, fault_depth
 from npusim.workloads import (
-    GatherRequest,
+    GatherTrace,
     WorkloadConfig,
     embedding_segments,
     gather_trace,
     table_segment,
 )
+from trace_reference import gathers
 from walk_reference import RecordingEngine, reference_frame
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,15 +61,15 @@ def demand(tr, m, ps, **kwargs):
     return run_demand_paging(tr, m, ps, NVLINK, NEUMMU, **kwargs)
 
 
-def remote_bytes(tr):
-    return sum(g.owner_npu != 0 for g in tr) * 256
+def remote_bytes(tr, m):
+    return sum(g.owner_npu != 0 for g in gathers(tr, m)) * 256
 
 
 def test_baseline_copy_hand_composition():
     m, tr = trace_for()
     bd = copy(tr, m)
     eb = 256
-    local = sum(1 for g in tr if g.owner_npu == 0)
+    local = sum(1 for g in gathers(tr, m) if g.owner_npu == 0)
     remote = len(tr) - local
     leg = 150 + math.ceil(remote * eb / 16)
     assert bd.remote_leg1 == bd.remote_leg2 == leg
@@ -90,7 +91,7 @@ def test_numa_fast_beats_slow_beats_copy():
 def test_numa_remote_phase_is_max_of_translation_and_transfer():
     m, tr = trace_for()
     bd = numa(tr, m, NVLINK)
-    transfer = math.ceil(remote_bytes(tr) / NVLINK.bandwidth_bytes_per_cycle)
+    transfer = math.ceil(remote_bytes(tr, m) / NVLINK.bandwidth_bytes_per_cycle)
     assert bd.numa_transfer_cycles == 150 + transfer
     assert bd.total_cycles == (bd.local_cycles + 150
                                + max(bd.translation_cycles, transfer))
@@ -129,7 +130,8 @@ def test_demand_paging_maps_own_tables_without_gathers():
     # in the trace
     m, tr = trace_for()
     own = [t for t in range(m.tables) if t % m.num_npus == 0]
-    rest = [g for g in tr if g.table not in own]
+    rest = GatherTrace.of((g.table, g.row) for g in gathers(tr, m)
+                          if g.table not in own)
     assert own and len(rest) < len(tr)
     _, pt = demand(rest, m, PS4K)
     for t in own:
@@ -148,7 +150,7 @@ def per_gather_demand(tr, m, ps, link=NVLINK, mmu=NEUMMU, dram=DramConfig()):
     bd = LatencyBreakdown(f"demand_{'4k' if ps is PS4K else '2m'}",
                           payload_bytes=len(tr) * eb)
     pt = build([table_segment(m, t) for t in range(0, m.tables, m.num_npus)], ps)
-    for g in tr:
+    for g in gathers(tr, m):
         if g.owner_npu != 0:
             frame, level = pt.walk_outcome(gather_page(m, g, ps))
             if frame is None:
@@ -168,8 +170,8 @@ def revisiting_traces():
     """A Zipf trace, and one remote page gathered by every sample between
     local gathers."""
     m, zipf = trace_for(batch=256, distribution="zipf")
-    one_page = [g for sample in range(64) for g in (
-        GatherRequest(0, sample, 0), GatherRequest(1, sample % 8, 1))]
+    one_page = GatherTrace.of(g for sample in range(64)
+                              for g in ((0, sample), (1, sample % 8)))
     return [(m, zipf), (m, one_page)]
 
 
@@ -177,7 +179,7 @@ def revisiting_traces():
 @pytest.mark.parametrize("case", [0, 1])
 def test_demand_paging_walks_a_page_once_as_every_gather_would(case, ps):
     m, tr = revisiting_traces()[case]
-    remote = [gather_page(m, g, ps) for g in tr if g.owner_npu != 0]
+    remote = [gather_page(m, g, ps) for g in gathers(tr, m) if g.owner_npu != 0]
     assert len(set(remote)) < len(remote)     # pages are revisited
     bd, pt = demand(tr, m, ps)
     ref_bd, ref_pt = per_gather_demand(tr, m, ps)
@@ -186,10 +188,20 @@ def test_demand_paging_walks_a_page_once_as_every_gather_would(case, ps):
     assert pt.nodes == ref_pt.nodes
 
 
+def last_table_trace():
+    """Gathers up to the last row of table 254 of 255 tables of 1 TB, which
+    ends at 2**48, the top of the address space."""
+    m = WorkloadConfig(kind="embedding", tables=255, rows=2**32)
+    return m, GatherTrace.of([(254, 2**32 - 1), (254, 0), (253, 2**31), (0, 5),
+                              (254, 2**31 + 3)])
+
+
 @pytest.mark.parametrize("ps", [PS4K, PS2M])
 def test_page_numbers_are_address_space_vpns(ps):
-    for m, tr in revisiting_traces() + [trace_for(rows=65536, tables=8)]:
-        assert numa_mod._pages(tr, m, ps) == [gather_page(m, g, ps) for g in tr]
+    for m, tr in revisiting_traces() + [trace_for(rows=65536, tables=8),
+                                        last_table_trace()]:
+        assert numa_mod._pages(tr, m, ps) == [gather_page(m, g, ps)
+                                              for g in gathers(tr, m)]
 
 
 def test_large_pages_fault_less_but_move_more():
@@ -208,7 +220,7 @@ def test_page_ratio_is_512():
 
 def test_local_only_trace_has_no_remote_terms():
     m, tr = trace_for(num_npus=1)
-    assert tr and remote_bytes(tr) == 0
+    assert tr and remote_bytes(tr, m) == 0
     for bd in (copy(tr, m), numa(tr, m, NVLINK)):
         assert bd.remote_leg1 == bd.staging == bd.remote_leg2 == 0
         assert bd.numa_transfer_cycles == 0
@@ -252,11 +264,12 @@ def per_link_numa(tr, m, link, mmu):
     """A NUMA row with its own table, engine and translation, link by link."""
     eb = 256
     engine = RecordingEngine(mmu, build(embedding_segments(m), PS4K))
-    vpns = [vpn(table_segment(m, g.table).base + g.row * eb, PS4K) for g in tr]
+    vpns = [vpn(table_segment(m, g.table).base + g.row * eb, PS4K)
+            for g in gathers(tr, m)]
     translation = drain_trace(engine, vpns)
     assert len(engine.delivered) == len(vpns)
     assert all(c.frame is not None for c in engine.delivered)
-    local = sum(1 for g in tr if g.owner_npu == 0)
+    local = sum(1 for g in gathers(tr, m) if g.owner_npu == 0)
     remote_bytes = (len(tr) - local) * eb
     transfer = math.ceil(remote_bytes / link.bandwidth_bytes_per_cycle)
     local_cycles = 100 + math.ceil(local * eb / 600)

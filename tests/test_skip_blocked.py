@@ -312,8 +312,11 @@ def blocked_engine(cause):
 
 
 def state(engine):
-    """Everything an engine holds but its page table, with its DRAM's state."""
+    """Everything an engine holds but its page table, each walker as its
+    fields, with its DRAM's state."""
     held = {k: v for k, v in vars(engine).items() if k not in ("pt", "dram")}
+    held["_walkers"] = [[getattr(w, name) for name in w.__slots__]
+                        for w in engine._walkers]
     return held, vars(engine.dram)
 
 
