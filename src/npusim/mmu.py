@@ -79,13 +79,15 @@ Translation caches skip upper walk levels:
     walk. A full tag match starts the walk at the leaf node.
   * path cache ("tpc"): shared, LRU, same full-path tags.
   * unified cache ("uptc"): shared, LRU, tags individual interior entries
-    by their physical address; the walk starts below the deepest
-    consecutive hit from the root.
+    by depth and VPN prefix (`unified_tags`), which name an entry as its
+    address would, as no node is shared; the walk starts below the deepest
+    consecutive hit from the root and, if it succeeds, installs the
+    interior entries it read.
 
 The cache names follow Barr et al., "Translation Caching: Skip, Don't Walk
-(the Page Table)", ISCA 2010. Only a unified-cache walk needs the node
-reads of `PageTable.walk_path`; every other walk takes its frame or fault
-level from `PageTable.walk_outcome` and its depth from that.
+(the Page Table)", ISCA 2010, who describe both tagging schemes. Every walk
+takes its frame or fault level from `PageTable.walk_outcome` and its depth
+from that; a translation cache only shortens the depth.
 """
 
 from __future__ import annotations
@@ -94,11 +96,11 @@ import math
 from collections import OrderedDict
 from enum import Enum
 from heapq import heappop, heappush
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .address_space import INDEX_BITS, PAGE_SIZES
 from .memory import Dram
-from .page_table import PageTable, WalkStep, fault_depth
+from .page_table import PageTable, fault_depth
 from .schema import Record, Struct, knob
 
 
@@ -112,6 +114,13 @@ def path_tag(vpn: int, levels: int) -> int:
 def prefix_depth(a: int, b: int, levels: int) -> int:
     """Leading radix indices that the path tags `a` and `b` share."""
     return levels - 1 - ((a ^ b).bit_length() + INDEX_BITS - 1) // INDEX_BITS
+
+
+def unified_tags(tag: int, count: int, levels: int) -> List[int]:
+    """Unified-cache tags of the first `count` interior entries of a walk
+    with path tag `tag`, root first: entry d's (1 is the root's) is its d
+    radix indices with d in the low 2 bits."""
+    return [(tag >> INDEX_BITS * (levels - 1 - d)) << 2 | d for d in range(1, count + 1)]
 
 
 class MmuConfig(Record):
@@ -225,8 +234,8 @@ class _Walker:
         self.merges = 0                   # merge slots taken
         self.frame = None                 # None: the walk faults
         self.fault_level = None
-        # what a successful walk installs in the translation cache: its path
-        # tag (tpr/tpc) or its node reads (uptc); None if nothing
+        # the keys the walk installs in the translation cache if it succeeds:
+        # its path tag (tpr/tpc) or the interior entries it read (uptc)
         self.cache_fill = None
         self.path_register = None         # tag of the last completed walk
 
@@ -257,7 +266,7 @@ class TranslationEngine:
         self._walkers = [_Walker() for _ in range(cfg.num_ptws)]
         self._free = list(range(cfg.num_ptws - 1, -1, -1))
         self._scoreboard: dict[int, int] = {}
-        # shared tpc tags or uptc entry addresses; keys only, as a probe
+        # shared tpc path tags or uptc entry tags; keys only, as a probe
         # tests membership
         self._cache: OrderedDict = OrderedDict()
         self._events: list = []           # (cycle, seq, kind, payload)
@@ -457,36 +466,28 @@ class TranslationEngine:
         stats = self.stats
         levels = self._levels
         kind = self._cache_kind
+        frame, fault_level = self.pt.walk_outcome(vpn)
+        txns = levels if frame is not None else fault_depth(fault_level)
         fill = None
         if kind == "uptc":
-            path = self.pt.walk_path(vpn)
-            reads = path[self._probe_unified(path):]
-            txns = len(reads)
-            last = path[-1]
-            if last.present:
-                frame, fault_level, fill = last.value, None, reads
+            depth, fill = self._probe_unified(vpn, txns)
+            txns -= depth
+        elif kind != "none":
+            tag = vpn >> INDEX_BITS & self._tag_mask  # `path_tag`
+            if kind == "tpr":             # a path cache of one entry
+                stats.cache_probes += 1
+                nearest = walker.path_register
+                depth = 0 if nearest is None else levels - 1 - (  # `prefix_depth`
+                    (tag ^ nearest).bit_length() + INDEX_BITS - 1) // INDEX_BITS
+                if depth:
+                    self._count_hits(depth)
             else:
-                frame, fault_level = None, last.level
-        else:
-            frame, fault_level = self.pt.walk_outcome(vpn)
-            txns = levels if frame is not None else fault_depth(fault_level)
-            if kind != "none":
-                tag = vpn >> INDEX_BITS & self._tag_mask  # `path_tag`
-                if kind == "tpr":         # a path cache of one entry
-                    stats.cache_probes += 1
-                    nearest = walker.path_register
-                    depth = 0 if nearest is None else levels - 1 - (  # `prefix_depth`
-                        (tag ^ nearest).bit_length() + INDEX_BITS - 1) // INDEX_BITS
-                    if depth:
-                        self._count_hits(depth)
-                else:
-                    depth = self._probe_path_cache(tag, levels)
-                # Only a full-path tag match lets the walk jump to the leaf
-                # node, and only when the radix path actually reaches it.
-                if depth == levels - 1 and txns == levels:
-                    txns = 1
-                if frame is not None:
-                    fill = tag
+                depth = self._probe_path_cache(tag, levels)
+            # Only a full-path tag match lets the walk jump to the leaf
+            # node, and only when the radix path actually reaches it.
+            if depth == levels - 1 and txns == levels:
+                txns = 1
+            fill = (tag,)
 
         walker.vpn = vpn
         walker.leading = rid
@@ -524,7 +525,7 @@ class TranslationEngine:
             fill = walker.cache_fill
             if fill is not None:
                 if self._cache_kind == "tpr":
-                    walker.path_register = fill
+                    walker.path_register = fill[0]
                 else:
                     self._cache_fill(fill)
         else:
@@ -570,19 +571,21 @@ class TranslationEngine:
         self._count_hits(depth)
         return depth
 
-    def _probe_unified(self, path: List[WalkStep]) -> int:
-        """Probe the unified cache for the walk's interior entries from the
-        root down; return how many consecutive ones hit."""
+    def _probe_unified(self, vpn: int, txns: int) -> Tuple[int, List[int]]:
+        """Probe the unified cache for the interior entries of `vpn`'s walk
+        of `txns` reads, root first; return how many consecutive ones hit
+        and the tags of those the walk then reads, to fill on success."""
         self.stats.cache_probes += 1
         cache = self._cache
-        skipped = 0
-        for step in path[:-1]:
-            if step.entry_addr not in cache:
+        entries = unified_tags(path_tag(vpn, self._levels), txns - 1, self._levels)
+        depth = 0
+        for entry in entries:
+            if entry not in cache:
                 break
-            cache.move_to_end(step.entry_addr)
-            skipped += 1
-        self._count_hits(skipped)
-        return skipped
+            cache.move_to_end(entry)
+            depth += 1
+        self._count_hits(depth)
+        return depth, entries[depth:]
 
     def _count_hits(self, depth: int) -> None:
         """Count a hit at each of the `depth` levels a probe skipped from
@@ -592,19 +595,13 @@ class TranslationEngine:
         stats.cache_hit_l3 += depth >= 2
         stats.cache_hit_l2 += depth >= 3
 
-    def _cache_fill(self, fill) -> None:  # tpc and uptc; tpr is inline
+    def _cache_fill(self, keys) -> None:  # tpc and uptc; tpr is inline
         cache = self._cache
-        if self._cache_kind == "tpc":
-            cache[fill] = None
-            cache.move_to_end(fill)
-            while len(cache) > self.cfg.cache_entries:
+        for key in keys:
+            cache[key] = None
+            cache.move_to_end(key)
+            if len(cache) > self.cfg.cache_entries:
                 cache.popitem(last=False)
-        else:  # uptc: install the interior entries read, all but the leaf
-            for step in fill[:-1]:
-                cache[step.entry_addr] = None
-                cache.move_to_end(step.entry_addr)
-                while len(cache) > self.cfg.cache_entries:
-                    cache.popitem(last=False)
 
 
 def drain_trace(engine: TranslationEngine, vpns: List[int], start: int = 0) -> int:

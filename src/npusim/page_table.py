@@ -4,11 +4,13 @@ The table maps virtual page numbers of a set of segments to physical frames.
 `walk_path` is the reference walk, the one every other translation path in
 the simulator must agree with: it lists a walk's node reads. `walk_outcome`
 is the same walk reduced to its frame or fault level, which is all that
-most callers need, without building the list.
+the simulator's own walks need, without building the list.
 
 Page-table nodes live in a dedicated physical region disjoint from data
-frames, so node addresses (used as tags by the unified translation cache)
-never collide with data addresses.
+frames, so the node addresses `walk_path` reports never collide with data
+addresses. No modelled walk needs them: no node is shared, so a walk's
+depth and VPN prefix name each entry it reads, and the unified translation
+cache tags entries that way.
 """
 
 from __future__ import annotations
@@ -70,15 +72,15 @@ class PageTable:
     other frames passes them to `map_page` and keeps them distinct itself.
 
     Two walkers read the tree. `walk_path` returns every node read as a
-    `WalkStep`; the unified translation cache, which tags interior entry
-    addresses, uses it. A walk stops at an absent slot or after the leaf
-    slot, so its last step is the leaf exactly when it is present.
-    `walk_outcome` follows the same slots but returns only `(frame, None)`,
-    or `(None, level)` when the walk faults at `level`: a walk's depth is
+    `WalkStep`, with the address of the entry it reads; it is the tests'
+    reference. A walk stops at an absent slot or after the leaf slot, so
+    its last step is the leaf exactly when it is present. `walk_outcome`
+    follows the same slots but returns only `(frame, None)`, or
+    `(None, level)` when the walk faults at `level`: a walk's depth is
     `page_size.levels` when it succeeds and `fault_depth(level)` when it
-    faults, so modelled walks without a unified cache, the oracle MMU and
-    demand paging need nothing more. Each call walks the tree afresh, so
-    an answer is never stale after a map.
+    faults, so modelled walks under every translation cache, the oracle
+    MMU and demand paging need nothing more. Each call walks the tree
+    afresh, so an answer is never stale after a map.
 
     `page_size` is fixed when the table is built, and every map and walk
     uses it, so a walk can never read a large page's frame as a child node.

@@ -1,7 +1,7 @@
 """Virtual address layout: VPNs, radix indices, path tags and segment pages."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from npusim.address_space import (
     PageSize,
@@ -12,7 +12,8 @@ from npusim.address_space import (
     radix_indices,
     vpn,
 )
-from npusim.mmu import path_tag, prefix_depth
+from npusim.mmu import path_tag, prefix_depth, unified_tags
+from npusim.page_table import PageTable
 
 PAGE_SIZES = [PageSize.SMALL_4K, PageSize.LARGE_2M]
 # VPNs at and above 2**36 reach bits above the 48-bit address
@@ -106,3 +107,33 @@ def test_prefix_depth_counts_shared_upper_indices(a, other, low_bits, ps):
             shared += 1
         tags = path_tag(a, ps.levels), path_tag(b, ps.levels)
         assert prefix_depth(*tags, ps.levels) == shared
+
+
+@settings(max_examples=300, deadline=None)
+@given(VPNS, VPNS, st.integers(min_value=0, max_value=40),
+       st.sampled_from(PAGE_SIZES))
+# above the 48-bit address: bits 36 and up of a 4 KB VPN select nothing
+@example(5 << 27 | 7 << 18 | 9, 1 << 36, 18, PageSize.SMALL_4K)
+@example((3 << 36) + (5 << 27 | 7 << 18 | 9), 2 << 9, 18, PageSize.SMALL_4K)
+@example(1 << 64, 1, 1, PageSize.LARGE_2M)
+def test_unified_tags_name_the_entries_walks_read(a, other, low_bits, ps):
+    """On a table that maps `a` and `b`, the unified-cache tags of two
+    interior entries of their walks are equal exactly when `walk_path`
+    reads the two at the same address: no node is shared, so a depth and a
+    radix prefix name one entry, and VPN bits the radix indices drop are
+    dropped from the tags too."""
+    b = a ^ (other & ((1 << low_bits) - 1))  # shares a's bits above low_bits
+    pt = PageTable(ps)
+    for page in (b, a):
+        if pt.walk_outcome(page)[0] is None:
+            pt.map_page(page)
+    levels = ps.levels
+    entries = [(tag, step.entry_addr) for page in (a, b, other)
+               if pt.walk_outcome(page)[0] is not None
+               for tag, step in zip(unified_tags(path_tag(page, levels),
+                                                 levels - 1, levels),
+                                    pt.walk_path(page))]
+    assert len(entries) >= 2 * (levels - 1)
+    for tag, addr in entries:
+        for tag2, addr2 in entries:
+            assert (tag == tag2) == (addr == addr2)

@@ -2,13 +2,16 @@
 
 Reference frames come from the reference walker, `PageTable.walk_path`,
 through `walk_reference.reference_frame`: every completion's frame must
-equal it.
+equal it. The unified cache's reference is `walk_reference.NodeTaggedEngine`,
+which tags entries by their node addresses.
 """
 
 from copy import copy
+from itertools import groupby
+from typing import NamedTuple, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from npusim.address_space import PageSize, Segment, default_segment_base
 from npusim.memory import Dram, DramConfig
@@ -19,8 +22,10 @@ from npusim.mmu import (
     TranslationStats,
     drain_trace,
 )
+from npusim.npu import simulate_fetch
 from npusim.page_table import build
-from walk_reference import RecordingEngine, build_scattered, reference_frame
+from walk_reference import (NodeTaggedEngine, RecordingEngine, build_scattered,
+                            reference_frame)
 
 PS4K = PageSize.SMALL_4K
 PS2M = PageSize.LARGE_2M
@@ -341,39 +346,156 @@ ENGINE_CONFIGS = st.builds(
     num_ptws=st.sampled_from([1, 2, 8, 32]),
     prmb_slots=st.sampled_from([0, 1, 8]),
     translation_cache=st.sampled_from(["none", "tpr", "tpc", "uptc"]),
-    cache_entries=st.sampled_from([1, 2, 16]),
+    cache_entries=st.sampled_from([1, 2, 3, 16]),
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(cfg=ENGINE_CONFIGS,
-       seed=st.integers(min_value=0, max_value=2**32 - 1),
-       data=st.data())
-def test_random_traces_translate_correctly(cfg, seed, data):
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    pages = int(rng.integers(1, 64))
-    ps = PS4K if rng.integers(2) else PS2M
-    seg = Segment("s", default_segment_base(int(rng.integers(4))),
-                  pages * ps.bytes)
-    pt = build_scattered([seg], ps, seed)
-    lo = seg.vpn_range(ps)[0]
-    trace = [lo + int(v) for v in rng.integers(0, pages, size=int(rng.integers(1, 80)))]
+class Trace(NamedTuple):
+    """VPNs offered one per cycle to the table of `segments` at page size
+    `ps`, with scattered frames drawn from `seed`."""
+    ps: PageSize
+    segments: Tuple[Segment, ...]
+    vpns: Tuple[int, ...]
+    seed: int = 0
 
+
+# A segment may straddle no node edge, a leaf node's (512 pages) or that of
+# the node above it (2**18 pages; at 2 MB, a root slot's).
+EDGES = (0, 1 << 9, 1 << 18)
+
+
+def straddling(ps, slot, edge, before, pages):
+    """`pages` pages of `ps` from `before` pages below `edge` pages into
+    the default segment of `slot`."""
+    first = (default_segment_base(slot) >> ps.offset_bits) + edge - before
+    return Segment(f"s{slot}-{edge}", first * ps.bytes, pages * ps.bytes)
+
+
+def probes(ps, segments):
+    """The mapped VPNs of the segments and, for each, VPNs that fault
+    unless another segment maps them: its next page (at the leaf, under a
+    mapped path) and the pages 5 leaf nodes and 5 of the nodes above them
+    on from its first, whose walks leave its path above the leaf."""
+    ranges = [seg.vpn_range(ps) for seg in segments]
+    mapped = [v for r in ranges for v in r]
+    unmapped = {v for r in ranges
+                for v in (r.stop, r.start + (5 << 9), r.start + (5 << 18))}
+    return mapped + sorted(unmapped - set(mapped))
+
+
+@st.composite
+def traces(draw):
+    ps = draw(st.sampled_from([PS4K, PS2M]))
+    spots = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(EDGES)),
+                          min_size=1, max_size=3, unique=True))
+    segments = tuple(
+        straddling(ps, slot, edge, draw(st.integers(1, 24)) if edge else 0,
+                   draw(st.integers(1, 48)))
+        for slot, edge in spots)
+    vpns = draw(st.lists(st.sampled_from(probes(ps, segments)),
+                         min_size=1, max_size=80))
+    return Trace(ps, segments, tuple(vpns), draw(st.integers(0, 2**32 - 1)))
+
+
+def looped(ps, segment, rounds=3):
+    """`rounds` passes over the segment's probes, faults included."""
+    return Trace(ps, (segment,), tuple(probes(ps, [segment])) * rounds)
+
+
+# uptc walks that fault under a cached path: the leaf-level fault (4 nodes
+# read, 3 interior entries probed) reads 1 node, as do those one and two
+# levels up (probes of 2 and 1 entries)
+FAULTS_UNDER_A_CACHED_PATH = Trace(PS4K, (straddling(PS4K, 0, 0, 0, 3),),
+                                   (2**28, 2**28 + 1, 2**28 + 3,
+                                    2**28 + (5 << 9), 2**28 + (5 << 18)))
+ACROSS_A_LEAF_NODE = looped(PS4K, straddling(PS4K, 1, 1 << 9, 4, 8))
+ACROSS_AN_L2_NODE = looped(PS4K, straddling(PS4K, 2, 1 << 18, 3, 6))
+ACROSS_A_2M_LEAF_NODE = looped(PS2M, straddling(PS2M, 0, 1 << 9, 2, 4))
+# Two walkers on two segments' paths in a 3-entry unified cache: a walk that
+# hit all of its interior entries installs none when it ends, so the entries
+# the other segment's walk installed in the meantime stay for the last walks.
+OVERLAPPING_WALKS = Trace(PS4K, (straddling(PS4K, 0, 0, 0, 2),
+                                 straddling(PS4K, 1, 0, 0, 2)),
+                          (2**29, 2**28 + 1, 2**29 + 1, 2**28, 2**28))
+
+
+def uptc(entries, walkers=1, **knobs):
+    return MmuConfig(translation_cache="uptc", cache_entries=entries,
+                     num_ptws=walkers, **knobs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=ENGINE_CONFIGS, trace=traces())
+@example(cfg=uptc(8), trace=FAULTS_UNDER_A_CACHED_PATH)
+# unified caches smaller than a walk's interior entries
+@example(cfg=uptc(1, walkers=2), trace=ACROSS_A_LEAF_NODE)
+@example(cfg=uptc(2, walkers=2), trace=ACROSS_AN_L2_NODE)
+@example(cfg=uptc(1, walkers=2), trace=ACROSS_A_2M_LEAF_NODE)
+def test_random_traces_translate_correctly(cfg, trace):
+    pt = build_scattered(trace.segments, trace.ps, trace.seed)
     eng = RecordingEngine(cfg, pt)
-    drain_trace(eng, trace)
+    drain_trace(eng, list(trace.vpns))
     comps = eng.delivered
-    assert len(comps) == len(trace)
+    assert len(comps) == len(trace.vpns)
     by_rid = {}
     for c in comps:
         assert c.frame == reference_frame(pt, c.vpn)
         assert c.request_id not in by_rid  # exactly-once delivery
         by_rid[c.request_id] = c
     s = eng.stats
-    assert s.accepted == s.completions == len(trace)
+    assert s.accepted == s.completions == len(trace.vpns)
+    assert s.faults == sum(reference_frame(pt, v) is None for v in trace.vpns)
     assert s.tlb_hits + s.scoreboard_merges + s.walks_started == s.accepted
     if cfg.prmb_slots == 0:
         assert s.scoreboard_merges == 0
+
+
+def test_fault_under_a_cached_path_reads_one_node():
+    pt = build(FAULTS_UNDER_A_CACHED_PATH.segments, PS4K)
+    eng = TranslationEngine(uptc(8), pt)
+    drain_trace(eng, list(FAULTS_UNDER_A_CACHED_PATH.vpns))
+    # a cold walk, then one read each: a hit and three faults
+    assert eng.stats.walk_memory_transactions == 4 + 4 * 1
+    assert eng.stats.faults == 3
+
+
+UPTC_CONFIGS = st.builds(
+    MmuConfig,
+    translation_cache=st.just("uptc"),
+    cache_entries=st.sampled_from([1, 2, 3, 8]),
+    num_ptws=st.sampled_from([2, 3, 8]),
+    prmb_slots=st.sampled_from([0, 4]),
+    tlb_entries=st.sampled_from([2, 16]),
+    walk_cycles_per_level=st.sampled_from([1, 7, 100]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=UPTC_CONFIGS, trace=traces())
+@example(cfg=uptc(8, walkers=2), trace=FAULTS_UNDER_A_CACHED_PATH)
+@example(cfg=uptc(2, walkers=4), trace=ACROSS_AN_L2_NODE)
+@example(cfg=uptc(3, walkers=2, tlb_entries=2, walk_cycles_per_level=1),
+         trace=OVERLAPPING_WALKS)
+def test_unified_tags_walk_as_node_addresses(cfg, trace):
+    """The engine's (depth, VPN prefix) tags give every cycle, delivered
+    request and counter that node-address tags do, through `drain_trace`
+    (faults included) and through `simulate_fetch` (its mapped pages, with
+    walks charged to DRAM), with overlapping walks."""
+    pt = build_scattered(trace.segments, trace.ps, trace.seed)
+    engine, reference = (cls(cfg, pt) for cls in (RecordingEngine, NodeTaggedEngine))
+    vpns = list(trace.vpns)
+    assert drain_trace(engine, vpns) == drain_trace(reference, vpns)
+    assert engine.delivered == reference.delivered
+    assert engine.stats == reference.stats
+
+    runs = [(v, len(list(group)), (64,)) for v, group in
+            groupby(v for v in vpns if reference_frame(pt, v) is not None)]
+    fetched = []
+    for cls in (RecordingEngine, NodeTaggedEngine):
+        dram = Dram(DramConfig())
+        eng = cls(cfg, pt, dram=dram)
+        fetched.append((simulate_fetch(runs, eng, dram, 0), eng.delivered, eng.stats))
+    assert fetched[0] == fetched[1]
 
 
 @settings(max_examples=30, deadline=None)

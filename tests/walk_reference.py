@@ -6,7 +6,9 @@ what a translation returns. `build_scattered` builds the table that
 `map_page` to a scattered frame, so a translation that returned a counted
 frame, or another page's frame, by mistake would not match by chance.
 `RecordingEngine` keeps what an engine's ticks deliver, for the tests that
-check the translations themselves.
+check the translations themselves. `NodeTaggedEngine` is the unified
+translation cache as the tree's node reads define it, for the tests that
+check the engine's prefix tags against it.
 """
 
 import random
@@ -67,3 +69,32 @@ class RecordingEngine(TranslationEngine):
                           done_cycle=comp.done_cycle + i, count=1)
             for comp in out for i in range(comp.count))
         return out
+
+
+class NodeTaggedEngine(RecordingEngine):
+    """A `RecordingEngine` whose unified cache (uptc) tags each interior
+    entry by the physical address `PageTable.walk_path` reads it at, and
+    fills only the interior entries a walk read, with its own LRU updates.
+    It shares no tag code with the engine's (depth, VPN prefix) tags, so a
+    run of the two can differ only where those tags fail to name an entry
+    as its address does, or the engine fills other entries, or in another
+    order."""
+
+    def _probe_unified(self, vpn, txns):
+        path = self.pt.walk_path(vpn)
+        assert len(path) == txns
+        self.stats.cache_probes += 1
+        addrs = [step.entry_addr for step in path[:-1]]
+        hits = 0
+        while hits < len(addrs) and addrs[hits] in self._cache:
+            self._cache.move_to_end(addrs[hits])
+            hits += 1
+        self._count_hits(hits)
+        return hits, addrs[hits:]
+
+    def _cache_fill(self, keys):
+        for addr in keys:
+            self._cache.pop(addr, None)
+            self._cache[addr] = None
+            if len(self._cache) > self.cfg.cache_entries:
+                self._cache.popitem(last=False)
