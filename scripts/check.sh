@@ -4,8 +4,10 @@
 # against the simulator's own counters. Ends by printing the line total
 # of the simulator's source, which ROADMAP tracks, and the start-up time:
 # the median of five fresh interpreters, each importing the CLI and
-# validating the default config. Both are only printed; neither changes
-# the exit status.
+# validating the default config, and whether those interpreters cached
+# bytecode (`sys.dont_write_bytecode`, set by PYTHONDONTWRITEBYTECODE):
+# without the caches each one compiles the source again. Both are only
+# printed; neither changes the exit status.
 # Usage: scripts/check.sh   (from any directory; exits non-zero on failure)
 set -u
 cd "$(dirname "$0")/.." || exit 2
@@ -23,5 +25,7 @@ print((time.perf_counter() - t) * 1e3)"""
 runs = [float(subprocess.run([sys.executable, "-c", probe], check=True,
                              capture_output=True, text=True).stdout)
         for _ in range(5)]
-print(f"start-up: {statistics.median(runs):.0f} ms (median of 5)")'
+cached = "off" if sys.dont_write_bytecode else "on"
+print(f"start-up: {statistics.median(runs):.0f} ms (median of 5, "
+      f"bytecode caching {cached})")'
 exit $status

@@ -145,17 +145,12 @@ class SubmitStatus(Enum):
 
 class SubmitResult(NamedTuple):
     status: SubmitStatus
-    request_id: Optional[int] = None
-    done_cycle: Optional[int] = None      # for TLB hits
-
-    @property
-    def accepted(self) -> bool:
-        return self.status is not SubmitStatus.BLOCKED
 
 
-# Most submits of a walker-bound run are blocked retries; they all share
-# this one immutable result.
-_BLOCKED = SubmitResult(SubmitStatus.BLOCKED)
+# A submit's result is its outcome alone, so each outcome has one shared,
+# immutable result; an accepted request's id is `next_request_id` before
+# the submit.
+_HIT, _MERGED, _WALK, _BLOCKED = map(SubmitResult, SubmitStatus)  # in its order
 
 
 class TranslationCompletion(NamedTuple):
@@ -170,7 +165,7 @@ class TranslationCompletion(NamedTuple):
     count: int = 1
 
 
-# Builds a SubmitResult or TranslationCompletion from all of its fields,
+# Builds a TranslationCompletion from all of its fields,
 # `_new(Cls, fields)`, at about half the cost of the generated constructor.
 _new = tuple.__new__
 
@@ -179,13 +174,15 @@ class TranslationStats(Struct, frozen=False):
     """The engine's counters. The fields are stored. Every submit probes
     the TLB once and is either accepted or blocked, so the TLB counts are
     derived: `tlb_accesses` is `accepted + blocked_cycles`, and
-    `tlb_misses` is `tlb_accesses - tlb_hits`."""
+    `tlb_misses` is `tlb_accesses - tlb_hits`. Each merge is written into
+    its walker's merge buffer once and read once when the walk drains, so
+    `merge_buffer_accesses` is `2 * scoreboard_merges`, which holds once
+    every walk has drained."""
     accepted: int = 0
     completions: int = 0
     faults: int = 0
     tlb_hits: int = 0
     scoreboard_merges: int = 0
-    merge_buffer_accesses: int = 0
     walks_started: int = 0
     walk_memory_transactions: int = 0
     blocked_cycles: int = 0
@@ -201,6 +198,10 @@ class TranslationStats(Struct, frozen=False):
     @property
     def tlb_misses(self) -> int:
         return self.tlb_accesses - self.tlb_hits
+
+    @property
+    def merge_buffer_accesses(self) -> int:
+        return 2 * self.scoreboard_merges
 
     @property
     def tlb_hit_rate(self) -> float:
@@ -308,7 +309,7 @@ class TranslationEngine:
             self._seq = seq = self._seq + 1
             heappush(self._events, (done, seq, "deliver", _new(
                 TranslationCompletion, (rid, vpn, frame, done, None, 1))))
-            return _new(SubmitResult, (SubmitStatus.TLB_HIT, rid, done))
+            return _HIT
 
         if self._prmb_slots:
             wid = self._scoreboard.get(vpn)
@@ -318,9 +319,8 @@ class TranslationEngine:
                     walker.merged.append((rid, 1))
                     walker.merges += 1
                     stats.scoreboard_merges += 1
-                    stats.merge_buffer_accesses += 1
                     stats.accepted = rid + 1
-                    return _new(SubmitResult, (SubmitStatus.MERGED, rid, None))
+                    return _MERGED
                 stats.blocked_cycles += 1
                 return _BLOCKED
 
@@ -329,7 +329,7 @@ class TranslationEngine:
             return _BLOCKED
         self._start_walk(vpn, now, rid)
         stats.accepted = rid + 1
-        return _new(SubmitResult, (SubmitStatus.NEW_WALK, rid, None))
+        return _WALK
 
     def accept_run(self, vpn: int, count: int, now: int) -> int:
         """Accept the requests for `vpn` of cycles now, now + 1, ... (at
@@ -378,7 +378,6 @@ class TranslationEngine:
             walker.merged.append((rid, count))
             walker.merges += count
             stats.scoreboard_merges += count
-            stats.merge_buffer_accesses += count
         stats.accepted = rid + count
         return count
 
@@ -549,7 +548,6 @@ class TranslationEngine:
             t += count
         self._seq = seq = seq + 1
         heappush(events, (t - 1, seq, "free", wid))
-        stats.merge_buffer_accesses += walker.merges
         walker.merged = []
         walker.merges = 0
 

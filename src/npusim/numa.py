@@ -20,10 +20,10 @@ read, not when this module loads.
     completes per cycle) and overlap the transfer stream. The translation
     does not depend on the link, so both links share one
     `translate_gathers` result.
-  * demand paging: remote pages start unmapped locally; first touch walks
-    to the fault, migrates the whole page across the link, maps it, and
-    retries locally. A mapped page stays mapped, so only a page's first
-    touch is walked.
+  * demand paging: remote pages start unmapped locally; first touch
+    faults, migrates the whole page across the link, maps it, and retries
+    locally. A mapped page stays mapped, so only a page's first touch
+    faults, and the walk to that fault is read off the nodes the map adds.
 
 CPU staging cost is modeled as one DRAM write plus one DRAM read with the
 same fixed-latency DRAM parameters (a documented floor, not a measured CPU
@@ -33,12 +33,12 @@ model).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .address_space import PAGE_SIZES, PageSize
 from .memory import DramConfig, LinkConfig, link_transfer_cycles
 from .mmu import MmuConfig, TranslationEngine, drain_trace
-from .page_table import PageTable, build, fault_depth
+from .page_table import PageTable, build
 from .schema import Struct
 from .workloads import (
     GatherTrace,
@@ -101,7 +101,6 @@ def translate_gathers(
     trace: GatherTrace,
     wl: WorkloadConfig,
     mmu: MmuConfig,
-    page_table: Optional[PageTable] = None,
 ) -> int:
     """Cycles to translate every gather of `trace` through the MMU.
 
@@ -109,16 +108,11 @@ def translate_gathers(
     last translation completes (`drain_trace`, which keeps no completion;
     a fault is read off the engine's stats); under the oracle MMU that is
     one cycle per gather. The engine has no DRAM, so its walk reads are
-    never charged bandwidth. Pages are `mmu.page_size`. `page_table` must
-    map every table (built from `embedding_segments` when not given) and
-    hold pages of that size, or ValueError is raised; a fault raises
-    RuntimeError.
+    never charged bandwidth. Pages are `mmu.page_size`. A fault, which
+    only a gather outside its table can take, raises RuntimeError.
     """
     ps = PAGE_SIZES[mmu.page_size]
-    if page_table is None:
-        page_table = build(embedding_segments(wl), ps)
-    else:
-        _check_page_size(page_table, ps)
+    page_table = build(embedding_segments(wl), ps)
     vpns = _pages(trace, wl, ps)
     if mmu.mode == "oracle":
         cycles = len(vpns)
@@ -167,42 +161,38 @@ def run_demand_paging(
     link: LinkConfig,
     mmu: MmuConfig,
     dram: DramConfig = DramConfig(),
-    page_table: Optional[PageTable] = None,
 ) -> Tuple[LatencyBreakdown, PageTable]:
     """Fault-and-migrate remote pages into local memory, then gather locally.
 
     The local table starts with NPU 0's own tables mapped, whether or not
-    the trace gathers from them. Each remote page is walked once, at its
-    first touch, in first-touch order: a page that faults there is mapped
+    the trace gathers from them, and no remote page, so every remote page
+    faults at its first touch. It is mapped then, in first-touch order,
     and stays mapped, so every later gather of it would walk to its frame
-    and add nothing. That gives what walking every remote gather gives,
-    with one walk per page. Of `mmu`, only the walk and TLB-hit latencies
-    are read. A given `page_table` must hold pages of size `ps`, or
-    ValueError is raised. Returns the breakdown and the (mutated) local
-    page table so a second pass can demonstrate fault idempotence.
+    and add nothing. The walk to each fault is not made: it reads from the
+    root down to the first absent slot, and the map then adds one node for
+    each level below that slot, so its reads and the nodes its map adds
+    sum to `ps.levels`. That gives what walking every remote gather gives.
+    A remote page already mapped, which only a gather outside its table
+    can reach, raises `MappingError`. Of `mmu`, only the walk and TLB-hit
+    latencies are read. Returns the breakdown and the local page table.
     """
     eb = wl.embedding_bytes
     tag = next(name for name, size in PAGE_SIZES.items() if size is ps)
     bd = LatencyBreakdown(f"demand_{tag}", payload_bytes=len(trace) * eb)
 
-    if page_table is None:
-        page_table = build([table_segment(wl, t)
-                            for t in range(0, wl.tables, wl.num_npus)], ps)
-    else:
-        _check_page_size(page_table, ps)
-
-    walk = page_table.walk_outcome
-    faults = depth = 0
+    page_table = build([table_segment(wl, t)
+                        for t in range(0, wl.tables, wl.num_npus)], ps)
+    nodes = len(page_table.nodes)
     remote = trace[trace.table % wl.num_npus != 0]
-    for page in dict.fromkeys(_pages(remote, wl, ps)):
-        frame, fault_level = walk(page)
-        if frame is None:
-            depth += fault_depth(fault_level)
-            faults += 1
-            page_table.map_page(page)
+    pages = dict.fromkeys(_pages(remote, wl, ps))
+    map_page = page_table.map_page
+    for page in pages:
+        map_page(page)
 
+    faults = len(pages)
+    reads = faults * ps.levels - (len(page_table.nodes) - nodes)
     bd.faults = faults
-    bd.fault_handling_cycles = depth * mmu.walk_cycles_per_level
+    bd.fault_handling_cycles = reads * mmu.walk_cycles_per_level
     bd.migration_cycles = faults * link_transfer_cycles(ps.bytes, link)
     bd.migration_bytes = faults * ps.bytes
     bd.local_cycles = (_dram_read(len(trace) * eb, dram)
@@ -210,12 +200,6 @@ def run_demand_paging(
     bd.total_cycles = (bd.local_cycles + bd.fault_handling_cycles
                        + bd.migration_cycles)
     return bd, page_table
-
-
-def _check_page_size(page_table: PageTable, ps: PageSize) -> None:
-    if page_table.page_size is not ps:
-        raise ValueError(f"page table holds {page_table.page_size.name} "
-                         f"pages, not {ps.name}")
 
 
 def _pages(trace: GatherTrace, wl: WorkloadConfig, ps: PageSize) -> List[int]:

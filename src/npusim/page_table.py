@@ -78,9 +78,9 @@ class PageTable:
     follows the same slots but returns only `(frame, None)`, or
     `(None, level)` when the walk faults at `level`: a walk's depth is
     `page_size.levels` when it succeeds and `fault_depth(level)` when it
-    faults, so modelled walks under every translation cache, the oracle
-    MMU and demand paging need nothing more. Each call walks the tree
-    afresh, so an answer is never stale after a map.
+    faults, so modelled walks under every translation cache and the
+    oracle MMU need nothing more. Each call walks the tree afresh, so an
+    answer is never stale after a map.
 
     `page_size` is fixed when the table is built, and every map and walk
     uses it, so a walk can never read a large page's frame as a child node.

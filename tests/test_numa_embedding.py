@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from npusim import config as cfgmod
 from npusim import harness, numa as numa_mod
@@ -22,6 +23,7 @@ from npusim.numa import (
 )
 from npusim.page_table import build, fault_depth
 from npusim.workloads import (
+    DISTRIBUTIONS,
     GatherTrace,
     WorkloadConfig,
     embedding_segments,
@@ -115,16 +117,6 @@ def test_demand_paging_migrates_whole_pages():
     assert bd.migration_cycles == bd.faults * (150 + math.ceil(4096 / 160))
 
 
-def test_demand_paging_second_pass_is_fault_free():
-    m, tr = trace_for()
-    bd1, pt = demand(tr, m, PS4K)
-    bd2, _ = demand(tr, m, PS4K, page_table=pt)
-    assert bd1.faults > 0
-    assert bd2.faults == 0
-    assert bd2.migration_bytes == 0
-    assert bd2.total_cycles < bd1.total_cycles
-
-
 def test_demand_paging_maps_own_tables_without_gathers():
     # ownership comes from the round-robin placement, not from the gathers
     # in the trace
@@ -188,6 +180,39 @@ def test_demand_paging_walks_a_page_once_as_every_gather_would(case, ps):
     assert pt.nodes == ref_pt.nodes
 
 
+# Two remote 4 KB pages, rows 0 and 1 of table 1, in one leaf node: NPU 0
+# gathers rows 1, 0, 1 of it at seed 2
+TWO_PAGES_ONE_LEAF = dict(num_npus=2, tables=2, distribution="uniform",
+                          lookups=3, embedding_bytes=4096, rows=4, batch=2,
+                          seed=2, ps=PS4K)
+# Tables of one 2 MB page each; tables 1 and 2 are remote
+TWO_MB_TABLES = dict(num_npus=3, tables=3, distribution="uniform", lookups=1,
+                     embedding_bytes=8192, rows=256, batch=3, seed=0, ps=PS2M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_npus=st.integers(1, 5), tables=st.integers(1, 11),
+       distribution=st.sampled_from(DISTRIBUTIONS), lookups=st.integers(1, 3),
+       embedding_bytes=st.integers(4, 8192), rows=st.integers(3, 4096),
+       batch=st.integers(5, 40), seed=st.integers(0, 2**16),
+       ps=st.sampled_from([PS4K, PS2M]))
+@example(**TWO_PAGES_ONE_LEAF)
+@example(**TWO_MB_TABLES)
+def test_demand_count_equals_a_walk_per_gather(num_npus, tables, distribution,
+                                               lookups, embedding_bytes, rows,
+                                               batch, seed, ps):
+    m = WorkloadConfig(kind="embedding", num_npus=num_npus, tables=tables,
+                       rows=rows, embedding_bytes=embedding_bytes,
+                       batch_samples=batch, distribution=distribution,
+                       lookups_per_sample=lookups)
+    tr = gather_trace(m, seed)
+    bd, pt = demand(tr, m, ps)
+    ref_bd, ref_pt = per_gather_demand(tr, m, ps)
+    for field in LatencyBreakdown._fields:
+        assert getattr(bd, field) == getattr(ref_bd, field), field
+    assert pt.nodes == ref_pt.nodes
+
+
 def last_table_trace():
     """Gathers up to the last row of table 254 of 255 tables of 1 TB, which
     ends at 2**48, the top of the address space."""
@@ -229,27 +254,12 @@ def test_local_only_trace_has_no_remote_terms():
 
 
 def test_numa_requires_mapped_tables():
-    m, tr = trace_for()
-    from npusim.page_table import PageTable
+    # a hand-built gather past the end of its table reads an unmapped page
+    m, _ = trace_for()
+    tr = GatherTrace.of([(1, 5), (2, m.rows + 100_000)])
     for mmu in (NEUMMU, MmuConfig(mode="oracle")):
         with pytest.raises(RuntimeError):
-            translate_gathers(tr, m, mmu, page_table=PageTable(PS4K))
-
-
-def test_a_table_of_another_page_size_is_refused():
-    # a 4 KB walk of a 2 MB table would read a large page's frame as a
-    # child node; the caller's table must hold the pages it asks for
-    m, tr = trace_for()
-    large = build(embedding_segments(m), PS2M)
-    for mmu in (NEUMMU, MmuConfig(mode="oracle")):
-        assert mmu.page_size == "4k"
-        with pytest.raises(ValueError, match="LARGE_2M pages, not SMALL_4K"):
-            translate_gathers(tr, m, mmu, page_table=large)
-    with pytest.raises(ValueError, match="LARGE_2M pages, not SMALL_4K"):
-        demand(tr, m, PS4K, page_table=large)
-    _, small = demand(tr, m, PS4K)
-    with pytest.raises(ValueError, match="SMALL_4K pages, not LARGE_2M"):
-        demand(tr, m, PS2M, page_table=small)
+            translate_gathers(tr, m, mmu)
 
 
 def test_more_walkers_shrink_translation_cycles():

@@ -37,9 +37,9 @@ def reference_fetch(runs, engine, dram, start):
     while i < len(groups) or engine.in_flight > 0:
         if i < len(groups):
             vpn, chunks = groups[i]
-            res = engine.submit(vpn, cycle)
-            if res.status is not BLOCKED:
-                pending[res.request_id] = chunks
+            rid = engine.next_request_id
+            if engine.submit(vpn, cycle).status is not BLOCKED:
+                pending[rid] = chunks
                 i += 1
         for comp in engine.tick(cycle):
             if comp.frame is None:

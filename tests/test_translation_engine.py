@@ -23,7 +23,7 @@ from npusim.mmu import (
     drain_trace,
 )
 from npusim.npu import simulate_fetch
-from npusim.page_table import build
+from npusim.page_table import PageTable, build
 from walk_reference import (NodeTaggedEngine, RecordingEngine, build_scattered,
                             reference_frame)
 
@@ -83,7 +83,6 @@ def test_tlb_hit_completes_after_hit_latency():
     drain_all(eng, 1)
     res = eng.submit(page, 1000)
     assert res.status is SubmitStatus.TLB_HIT
-    assert res.done_cycle == 1005
     comps = drain_all(eng, 1001)
     assert comps[0].done_cycle == 1005
     assert comps[0].frame == reference_frame(pt, page)
@@ -148,8 +147,8 @@ def test_all_walkers_busy_blocks():
     pt, seg = make_pt()
     eng = TranslationEngine(MmuConfig(num_ptws=2, prmb_slots=0), pt)
     pages = list(seg.vpn_range(PS4K))
-    assert eng.submit(pages[0], 0).accepted
-    assert eng.submit(pages[1], 0).accepted
+    assert eng.submit(pages[0], 0).status is SubmitStatus.NEW_WALK
+    assert eng.submit(pages[1], 0).status is SubmitStatus.NEW_WALK
     assert eng.submit(pages[2], 0).status is SubmitStatus.BLOCKED
 
 
@@ -207,6 +206,32 @@ def test_register_miss_on_distant_page():
         MmuConfig(num_ptws=1, translation_cache="tpr"), pt)
     drain_trace(eng, [seg_a.vpn_range(PS4K)[0], seg_b.vpn_range(PS4K)[0]])
     assert eng.stats.walk_memory_transactions == 8
+
+
+@pytest.mark.parametrize("kind", ["tpr", "tpc"])
+def test_path_tags_alias_above_the_radix_indices(kind):
+    """A 4 KB walk reads VPN bits below 36 only, as `radix_indices` does,
+    so the path tag of `a + 2**36` must alias with `a`'s: after a walk of
+    `a`, its walk, which misses the TLB (keyed on the whole VPN), reads
+    one node and hits at every upper level, as a walk of `a + 1`, in the
+    same leaf node, does."""
+    a = default_segment_base(0) >> PS4K.offset_bits
+    pt = PageTable(PS4K)
+    for page in (a, a + 1):
+        pt.map_page(page)
+
+    def after_a(page):
+        eng = RecordingEngine(MmuConfig(num_ptws=1, translation_cache=kind), pt)
+        drain_trace(eng, [a, page])
+        assert [c.frame for c in eng.delivered] == [reference_frame(pt, a),
+                                                    reference_frame(pt, page)]
+        return eng.stats
+
+    aliased, neighbour = after_a(a + 2**36), after_a(a + 1)
+    assert aliased.tlb_hits == 0 and aliased.walks_started == 2
+    assert aliased.walk_memory_transactions == 4 + 1
+    assert aliased.cache_hit_l4 == aliased.cache_hit_l3 == aliased.cache_hit_l2 == 1
+    assert aliased == neighbour
 
 
 # -- faults -----------------------------------------------------------------
@@ -320,7 +345,7 @@ def test_accept_run_counts_like_one_submit_per_cycle(slots):
     out_one = one.tick(now + n)
     out_each = []
     for t in range(now + 1, now + n + 1):
-        assert each.submit(a if t <= now + 50 else b, t).accepted
+        assert each.submit(a if t <= now + 50 else b, t).status is not SubmitStatus.BLOCKED
         out_each.extend(each.tick(t))
     assert one.stats == each.stats
     assert [(c.request_id + i, c.done_cycle + i) for c in out_one
